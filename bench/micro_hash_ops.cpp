@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "baselines/cpu_hash_table.hpp"
+#include "baselines/chained_host_table.hpp"
 #include "common/random.hpp"
 #include "core/hash_table.hpp"
 #include "gpusim/device.hpp"
@@ -94,10 +94,8 @@ void BM_CpuInsertCombining(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     gpusim::RunStats stats;
-    baselines::CpuHashTableConfig cfg;
-    cfg.combiner = core::combine_sum_u64;
-    cfg.num_buckets = 1u << 14;
-    baselines::CpuHashTable ht(stats, cfg);
+    baselines::ChainedHostTable ht(
+        stats, {.num_buckets = 1u << 14, .combiner = core::combine_sum_u64});
     state.ResumeTiming();
     for (const auto& k : keys) ht.insert_u64(0, k, 1);
   }

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "apps/engine.hpp"
-#include "baselines/cpu_hash_table.hpp"
+#include "baselines/chained_host_table.hpp"
 #include "common/parse.hpp"
 #include "common/strings.hpp"
 
@@ -56,24 +56,14 @@ int main(int argc, char** argv) {
   // Top pages, read from the CPU baseline table (any of the two would do —
   // we just validated they agree).
   gpusim::RunStats stats;
-  baselines::CpuHashTableConfig tcfg;
-  tcfg.combiner = core::combine_sum_u64;
-  baselines::CpuHashTable table(stats, tcfg);
+  baselines::ChainedHostTable table(stats,
+                                    {.combiner = core::combine_sum_u64});
   {
+    // Reuse the app's parser through the table's emitter.
+    baselines::ChainedHostEmitter em(table, /*tid=*/0);
     const RecordIndex idx = index_lines(input);
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      // Reuse the app's parser through a tiny emitter.
-      struct E final : mapreduce::Emitter {
-        baselines::CpuHashTable* t;
-        core::Status emit(std::string_view k,
-                          std::span<const std::byte> v) override {
-          t->insert(0, k, v);
-          return core::Status::kSuccess;
-        }
-      } em;
-      em.t = &table;
+    for (std::size_t i = 0; i < idx.size(); ++i)
       app.standalone->map_record(idx.record(input.data(), i), em);
-    }
   }
   std::vector<std::pair<std::uint64_t, std::string>> top;
   table.for_each([&](std::string_view k, std::span<const std::byte> v) {

@@ -229,7 +229,7 @@ class StadiumEngine final : public Engine {
       r.error = run_error_from(e);
     }
     const auto load = table ? table->bucket_load()
-                            : baselines::StadiumHashTable::BucketLoad{};
+                            : gpusim::BucketLoad{};
     r.stats = sim.stats.snapshot();
     r.pcie = sim.dev.bus().snapshot();
     r.serial = {.total_lock_ops = load.total_accesses,

@@ -189,7 +189,6 @@ RunResult run_mr_phoenix(const MrApp& app, std::string_view input,
   RunResult r;
   r.impl = "phoenix";
   r.stats = stats.snapshot();
-  const auto load = table->bucket_load();
   r.serial = {.total_lock_ops = 0,  // private containers: no shared locks
               .max_same_lock_ops = 0,
               .serial_atomic_ops = 0};
@@ -198,7 +197,6 @@ RunResult run_mr_phoenix(const MrApp& app, std::string_view input,
   r.keys = table->entry_count();
   r.checksum = app.mode == mapreduce::Mode::kMapGroup ? digest_groups(*table)
                                                       : digest_kv(*table);
-  (void)load;
   r.sim_seconds = cpu_sim_seconds(r.stats, r.serial);
   r.sim_seconds_analytic = r.sim_seconds;
   r.wall_seconds = timer.seconds();

@@ -6,8 +6,7 @@
 #include <optional>
 #include <stdexcept>
 
-#include "baselines/cpu_hash_table.hpp"
-#include "baselines/pinned_hash_table.hpp"
+#include "baselines/chained_host_table.hpp"
 #include "bigkernel/pipeline.hpp"
 #include "common/hashing.hpp"
 #include "common/strings.hpp"
@@ -58,40 +57,6 @@ void choose_chunking(const RecordIndex& idx, const GpuConfig& cfg,
     pcfg.records_per_chunk /= 2;
   }
 }
-
-namespace {
-
-// Emitter into the CPU baseline table (never postpones).
-class CpuEmitter final : public mapreduce::Emitter {
- public:
-  CpuEmitter(baselines::CpuHashTable& t, std::uint32_t tid) noexcept
-      : t_(t), tid_(tid) {}
-  core::Status emit(std::string_view key,
-                    std::span<const std::byte> value) override {
-    t_.insert(tid_, key, value);
-    return core::Status::kSuccess;
-  }
-
- private:
-  baselines::CpuHashTable& t_;
-  std::uint32_t tid_;
-};
-
-// Emitter into the pinned-memory table (never postpones).
-class PinnedEmitter final : public mapreduce::Emitter {
- public:
-  explicit PinnedEmitter(baselines::PinnedHashTable& t) noexcept : t_(t) {}
-  core::Status emit(std::string_view key,
-                    std::span<const std::byte> value) override {
-    t_.insert(key, value);
-    return core::Status::kSuccess;
-  }
-
- private:
-  baselines::PinnedHashTable& t_;
-};
-
-}  // namespace
 
 RunResult StandaloneApp::run_gpu(std::string_view input,
                                  const GpuConfig& cfg) const {
@@ -190,18 +155,17 @@ RunResult StandaloneApp::run_cpu(std::string_view input,
   gpusim::ThreadPool pool(cfg.pool_workers);
   gpusim::RunStats stats;
 
-  baselines::CpuHashTableConfig tcfg;
-  tcfg.org = organization();
-  tcfg.num_buckets = cfg.num_buckets;
-  tcfg.combiner = combiner();
-  baselines::CpuHashTable table(stats, tcfg);
+  baselines::ChainedHostTable table(
+      stats, {.org = organization(),
+              .num_buckets = cfg.num_buckets,
+              .combiner = combiner()});
 
   const RecordIndex index = index_lines(input);
   const std::size_t n = index.size();
   pool.run_parties(cfg.num_threads, [&](std::size_t party) {
     const std::size_t lo = n * party / cfg.num_threads;
     const std::size_t hi = n * (party + 1) / cfg.num_threads;
-    CpuEmitter em(table, static_cast<std::uint32_t>(party));
+    baselines::ChainedHostEmitter em(table, static_cast<std::uint32_t>(party));
     for (std::size_t rec = lo; rec < hi; ++rec) {
       const std::string_view body = index.record(input.data(), rec);
       stats.add_work_units(body.size());
@@ -241,11 +205,10 @@ RunResult StandaloneApp::run_pinned(std::string_view input,
   choose_chunking(index, cfg, pcfg);
   bigkernel::InputPipeline pipe(ctx, pcfg);
 
-  baselines::PinnedHashTableConfig tcfg;
-  tcfg.org = organization();
-  tcfg.num_buckets = cfg.num_buckets;
-  tcfg.combiner = combiner();
-  baselines::PinnedHashTable table(ctx, tcfg);
+  baselines::ChainedHostTable table(
+      ctx, {.org = organization(),
+            .num_buckets = cfg.num_buckets,
+            .combiner = combiner()});
 
   ProgressTracker progress(index.size());
   const bool divergent = divergent_parse();
@@ -255,7 +218,7 @@ RunResult StandaloneApp::run_pinned(std::string_view input,
     const bigkernel::PassResult pass = pipe.run_pass(
         input, index, progress, [&](std::size_t, std::string_view body) {
           if (divergent) stats.add_divergent_units(body.size());
-          PinnedEmitter em(table);
+          baselines::ChainedHostEmitter em(table, /*tid=*/0);
           map_record(body, em);
           return core::Status::kSuccess;
         });

@@ -6,8 +6,10 @@
 // three evaluated execution paths:
 //   * run_gpu     — SEPO hash table on the virtual device (the paper's
 //                   system: BigKernel staging + SEPO iterations),
-//   * run_cpu     — the multi-threaded CPU baseline (CpuHashTable),
-//   * run_pinned  — the §VI-D heap-pinned-in-CPU-memory variant.
+//   * run_cpu     — the multi-threaded CPU baseline (ChainedHostTable,
+//                   CPU placement),
+//   * run_pinned  — the §VI-D heap-pinned-in-CPU-memory variant (the same
+//                   table, pinned placement).
 // All paths share the parser, so their result checksums must agree — that
 // equivalence is property-tested.
 #pragma once

@@ -228,15 +228,4 @@ void MapCgRuntime::for_each_group(
   }
 }
 
-MapCgRuntime::BucketLoad MapCgRuntime::bucket_load() const noexcept {
-  BucketLoad load;
-  for (const gpusim::PaddedBucketLock& pb : locks_) {
-    const std::uint32_t c = pb.accesses;
-    load.total_accesses += c;
-    load.max_bucket_accesses =
-        std::max<std::uint64_t>(load.max_bucket_accesses, c);
-  }
-  return load;
-}
-
 }  // namespace sepo::baselines

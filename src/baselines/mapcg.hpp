@@ -75,11 +75,9 @@ class MapCgRuntime {
     return serial_atomic_ops_;
   }
 
-  struct BucketLoad {
-    std::uint64_t total_accesses = 0;
-    std::uint64_t max_bucket_accesses = 0;
-  };
-  [[nodiscard]] BucketLoad bucket_load() const noexcept;
+  [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
+    return gpusim::bucket_load(locks_);
+  }
 
  private:
   struct KeyNode {

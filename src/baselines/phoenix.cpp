@@ -6,27 +6,6 @@
 
 namespace sepo::baselines {
 
-namespace {
-
-// Emitter into a private per-thread table: never postpones.
-class LocalEmitter final : public mapreduce::Emitter {
- public:
-  LocalEmitter(CpuHashTable& table, std::uint32_t tid) noexcept
-      : table_(table), tid_(tid) {}
-
-  core::Status emit(std::string_view key,
-                    std::span<const std::byte> value) override {
-    table_.insert(tid_, key, value);
-    return core::Status::kSuccess;
-  }
-
- private:
-  CpuHashTable& table_;
-  std::uint32_t tid_;
-};
-
-}  // namespace
-
 PhoenixRuntime::PhoenixRuntime(gpusim::ThreadPool& pool,
                                gpusim::RunStats& stats, PhoenixConfig cfg)
     : pool_(pool), stats_(stats), cfg_(cfg) {
@@ -34,7 +13,7 @@ PhoenixRuntime::PhoenixRuntime(gpusim::ThreadPool& pool,
     throw std::invalid_argument("num_threads must be positive");
 }
 
-std::unique_ptr<CpuHashTable> PhoenixRuntime::run(
+std::unique_ptr<ChainedHostTable> PhoenixRuntime::run(
     std::string_view input, const mapreduce::MrSpec& spec) {
   if (!spec.map) throw std::invalid_argument("spec.map is required");
   if (spec.mode == mapreduce::Mode::kMapReduce && spec.combine == nullptr)
@@ -46,21 +25,18 @@ std::unique_ptr<CpuHashTable> PhoenixRuntime::run(
                                      : core::Organization::kMultiValued;
 
   // --- map phase: per-thread private containers ---
-  std::vector<std::unique_ptr<CpuHashTable>> locals(cfg_.num_threads);
-  for (auto& t : locals) {
-    CpuHashTableConfig tcfg;
-    tcfg.org = org;
-    tcfg.num_buckets = cfg_.thread_table_buckets;
-    tcfg.combiner = spec.combine;
-    t = std::make_unique<CpuHashTable>(stats_, tcfg);
-  }
+  std::vector<std::unique_ptr<ChainedHostTable>> locals(cfg_.num_threads);
+  for (auto& t : locals)
+    t = std::make_unique<ChainedHostTable>(
+        stats_, ChainedHostTableConfig{.org = org,
+                                       .num_buckets = cfg_.thread_table_buckets,
+                                       .combiner = spec.combine});
 
   const std::size_t n = index.size();
   pool_.run_parties(cfg_.num_threads, [&](std::size_t party) {
     const std::size_t lo = n * party / cfg_.num_threads;
     const std::size_t hi = n * (party + 1) / cfg_.num_threads;
-    CpuHashTable& local = *locals[party];
-    LocalEmitter em(local, static_cast<std::uint32_t>(party));
+    ChainedHostEmitter em(*locals[party], static_cast<std::uint32_t>(party));
     for (std::size_t r = lo; r < hi; ++r) {
       const std::string_view body = index.record(input.data(), r);
       stats_.add_work_units(body.size());
@@ -70,11 +46,10 @@ std::unique_ptr<CpuHashTable> PhoenixRuntime::run(
   });
 
   // --- merge phase: fold per-thread containers into the final table ---
-  CpuHashTableConfig mcfg;
-  mcfg.org = org;
-  mcfg.num_buckets = cfg_.merged_table_buckets;
-  mcfg.combiner = spec.combine;
-  auto merged = std::make_unique<CpuHashTable>(stats_, mcfg);
+  auto merged = std::make_unique<ChainedHostTable>(
+      stats_, ChainedHostTableConfig{.org = org,
+                                     .num_buckets = cfg_.merged_table_buckets,
+                                     .combiner = spec.combine});
 
   if (org == core::Organization::kCombining) {
     for (std::uint32_t t = 0; t < cfg_.num_threads; ++t)

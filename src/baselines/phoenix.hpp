@@ -13,7 +13,7 @@
 #include <string_view>
 #include <vector>
 
-#include "baselines/cpu_hash_table.hpp"
+#include "baselines/chained_host_table.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "mapreduce/spec.hpp"
@@ -34,7 +34,7 @@ class PhoenixRuntime {
   // Runs map over all newline-delimited records of `input` and merges the
   // per-thread results. The returned table uses the combining organization
   // for kMapReduce and the multi-valued organization for kMapGroup.
-  std::unique_ptr<CpuHashTable> run(std::string_view input,
+  std::unique_ptr<ChainedHostTable> run(std::string_view input,
                                     const mapreduce::MrSpec& spec);
 
  private:

@@ -134,15 +134,4 @@ void StadiumHashTable::for_each(
       fn(e->key(), std::span{e->value_data(), e->val_len});
 }
 
-StadiumHashTable::BucketLoad StadiumHashTable::bucket_load() const noexcept {
-  BucketLoad load;
-  for (const gpusim::PaddedBucketLock& pb : locks_) {
-    const std::uint32_t c = pb.accesses;
-    load.total_accesses += c;
-    load.max_bucket_accesses =
-        std::max<std::uint64_t>(load.max_bucket_accesses, c);
-  }
-  return load;
-}
-
 }  // namespace sepo::baselines

@@ -77,11 +77,9 @@ class StadiumHashTable {
     return index_blocks_used_.load(std::memory_order_relaxed) * kBlockBytes;
   }
 
-  struct BucketLoad {
-    std::uint64_t total_accesses = 0;
-    std::uint64_t max_bucket_accesses = 0;
-  };
-  [[nodiscard]] BucketLoad bucket_load() const noexcept;
+  [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
+    return gpusim::bucket_load(locks_);
+  }
 
  private:
   // Device-resident fingerprint block: 14 tokens + a chain link, 32 bytes.

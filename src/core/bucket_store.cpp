@@ -124,17 +124,6 @@ std::vector<HostPtr> BucketChainStore::take_host_heads() {
   return heads;
 }
 
-BucketLoad BucketChainStore::bucket_load() const noexcept {
-  BucketLoad load;
-  for (const gpusim::PaddedBucketLock& pb : bucket_locks_) {
-    const std::uint32_t c = pb.accesses;
-    load.total_accesses += c;
-    load.max_bucket_accesses =
-        std::max<std::uint64_t>(load.max_bucket_accesses, c);
-  }
-  return load;
-}
-
 HashTableStats BucketChainStore::table_stats() const noexcept {
   HashTableStats s;
   s.flushed_bytes = flushed_bytes_;

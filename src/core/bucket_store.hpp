@@ -62,14 +62,6 @@ struct HashTableStats {
   std::uint64_t table_bytes = 0;           // flushed + resident (table size)
 };
 
-// Per-bucket access totals, used by the cost model's lock-serialization
-// term (DESIGN.md §5): on a GPU, thousands of concurrent threads hitting
-// one hot bucket serialize on its lock (the paper's Word Count §VI-B).
-struct BucketLoad {
-  std::uint64_t total_accesses = 0;
-  std::uint64_t max_bucket_accesses = 0;
-};
-
 class BucketChainStore {
  public:
   struct Bucket {
@@ -153,7 +145,9 @@ class BucketChainStore {
   // HostTable construction. Call once, after the final flush.
   [[nodiscard]] std::vector<HostPtr> take_host_heads();
 
-  [[nodiscard]] BucketLoad bucket_load() const noexcept;
+  [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
+    return gpusim::bucket_load(bucket_locks_);
+  }
   [[nodiscard]] HashTableStats table_stats() const noexcept;
 
   [[nodiscard]] gpusim::ExecContext& ctx() noexcept { return ctx_; }

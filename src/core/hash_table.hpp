@@ -32,8 +32,6 @@ namespace sepo::core {
 
 class SepoHashTable {
  public:
-  using BucketLoad = core::BucketLoad;
-
   SepoHashTable(gpusim::ExecContext& ctx, HashTableConfig cfg);
   ~SepoHashTable();
 
@@ -106,7 +104,7 @@ class SepoHashTable {
 
   // ------- introspection -------
 
-  [[nodiscard]] BucketLoad bucket_load() const noexcept {
+  [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
     return store_.bucket_load();
   }
 

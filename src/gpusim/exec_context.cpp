@@ -118,15 +118,6 @@ Event ExecContext::stage_h2d(DevPtr dst, const void* src, std::size_t bytes,
   return done;
 }
 
-Event ExecContext::launch(std::size_t n_items,
-                          const std::function<void(std::size_t)>& kernel,
-                          LaunchConfig cfg, Event after) {
-  // Forward to the member template with an explicit type so this overload
-  // does not recurse into itself.
-  return launch<const std::function<void(std::size_t)>&>(n_items, kernel, cfg,
-                                                         after);
-}
-
 ExecContext::LaunchBaseline ExecContext::begin_launch(Event after,
                                                       std::size_t n_items) {
   compute_.wait(after);

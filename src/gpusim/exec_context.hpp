@@ -90,17 +90,10 @@ class ExecContext {
   // and schedules the priced kernel on the compute engine, not before
   // `after` (typically its input chunk's staging event). Remote traffic the
   // kernel generated (pinned baseline) is scheduled directly after it and
-  // halts later compute, matching the analytic serialization rule.
-  //
-  // std::function overload: ABI-stable entry point (exec_context.cpp).
-  Event launch(std::size_t n_items,
-               const std::function<void(std::size_t)>& kernel,
-               LaunchConfig cfg = {}, Event after = {});
-
-  // Devirtualized overload: the kernel type flows through to the pool's
-  // batch loop so per-item dispatch inlines. The scheduling bookkeeping on
-  // both sides of the physical execution is shared with the std::function
-  // overload via begin_launch/finish_launch.
+  // halts later compute, matching the analytic serialization rule. The
+  // kernel type flows through to the pool's batch loop so per-item dispatch
+  // inlines; the scheduling bookkeeping on both sides of the physical
+  // execution lives in begin_launch/finish_launch.
   template <typename Kernel>
   Event launch(std::size_t n_items, Kernel&& kernel, LaunchConfig cfg = {},
                Event after = {}) {

@@ -8,8 +8,9 @@
 #pragma once
 
 #include <cstddef>
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <thread>
 
 #include "gpusim/counters.hpp"
@@ -53,18 +54,9 @@ void run_grid(ThreadPool& pool, RunStats& stats, std::size_t n_items,
 
 // Launches `kernel(item)` for every item in [0, n_items). Items are
 // distributed over grid threads in a grid-stride loop, like the canonical
-// CUDA pattern; grid threads are in turn multiplexed onto the pool.
-//
-// std::function overload: ABI-stable entry point for call sites holding
-// type-erased kernels (defined in launch.cpp).
-void launch(ThreadPool& pool, RunStats& stats, std::size_t n_items,
-            const std::function<void(std::size_t)>& kernel,
-            LaunchConfig cfg = {});
-
-// Devirtualized overload: instantiated per concrete kernel type so the
-// per-item call inlines all the way into ThreadPool's batch loop. Overload
-// resolution picks this for lambdas/functors and keeps the std::function
-// overload above for std::function lvalues.
+// CUDA pattern; grid threads are in turn multiplexed onto the pool. The
+// kernel type flows through to the pool's batch loop, so the per-item call
+// inlines instead of going through an indirect dispatch.
 template <typename Kernel>
 void launch(ThreadPool& pool, RunStats& stats, std::size_t n_items,
             Kernel&& kernel, LaunchConfig cfg = {}) {
@@ -146,5 +138,25 @@ struct alignas(kCacheLineBytes) PaddedBucketLock {
   DeviceLock lock;
   std::uint32_t accesses = 0;  // bumped under `lock`, read when quiescent
 };
+
+// Per-bucket access totals, used by the cost model's lock-serialization
+// term (DESIGN.md §5): on a GPU, thousands of concurrent threads hitting
+// one hot bucket serialize on its lock (the paper's Word Count §VI-B).
+struct BucketLoad {
+  std::uint64_t total_accesses = 0;
+  std::uint64_t max_bucket_accesses = 0;
+};
+
+// Sums a table's bucket access tallies; call when the table is quiescent.
+[[nodiscard]] inline BucketLoad bucket_load(
+    std::span<const PaddedBucketLock> locks) noexcept {
+  BucketLoad load;
+  for (const PaddedBucketLock& pb : locks) {
+    load.total_accesses += pb.accesses;
+    load.max_bucket_accesses =
+        std::max<std::uint64_t>(load.max_bucket_accesses, pb.accesses);
+  }
+  return load;
+}
 
 }  // namespace sepo::gpusim

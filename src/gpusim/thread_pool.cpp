@@ -107,20 +107,4 @@ void ThreadPool::run_job(std::size_t n, std::size_t batch, BatchFn invoke,
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  // Batch so that each worker sees on the order of 16 batches — small enough
-  // for balance, large enough to amortize the atomic claim.
-  run_job(n, std::max<std::size_t>(1, n / (worker_count() * 16)),
-          &invoke_batch<const std::function<void(std::size_t)>>, body_ptr(body));
-}
-
-void ThreadPool::run_parties(std::size_t parties,
-                             const std::function<void(std::size_t)>& body) {
-  if (parties == 0) return;
-  run_job(parties, 1, &invoke_batch<const std::function<void(std::size_t)>>,
-          body_ptr(body));
-}
-
 }  // namespace sepo::gpusim

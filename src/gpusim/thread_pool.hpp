@@ -10,7 +10,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -36,16 +35,10 @@ class ThreadPool {
 
   // Runs `body(i)` for every i in [0, n). Blocks until all items complete.
   // Items are claimed dynamically in small batches so skewed per-item costs
-  // balance across workers. The calling thread participates.
-  //
-  // std::function overload: ABI-stable entry point for call sites that
-  // already hold type-erased callables (defined in thread_pool.cpp).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  // Devirtualized overload: instantiated per concrete callable, so the
-  // per-item call inlines into the batch loop instead of going through
-  // std::function dispatch. Overload resolution picks this for lambdas and
-  // functors; std::function lvalues/rvalues keep the overload above.
+  // balance across workers. The calling thread participates. Instantiated
+  // per concrete callable, so the per-item call inlines into the batch loop.
+  // Each worker sees on the order of 16 batches — small enough for balance,
+  // large enough to amortize the atomic claim.
   template <typename Body>
   void parallel_for(std::size_t n, Body&& body) {
     if (n == 0) return;
@@ -56,9 +49,6 @@ class ThreadPool {
   // Runs `body(t)` once per participant t in [0, parties); each call runs on
   // its own thread (calling thread is participant 0). Used for persistent
   // per-thread work such as the CPU-baseline insert loops.
-  void run_parties(std::size_t parties,
-                   const std::function<void(std::size_t)>& body);
-
   template <typename Body>
   void run_parties(std::size_t parties, Body&& body) {
     if (parties == 0) return;

@@ -1,14 +1,14 @@
-// Unit tests for the baseline implementations: CPU hash table, pinned-memory
-// hash table, and the demand-paging simulator.
+// Unit tests for the baseline implementations: the chained host table in
+// its CPU and pinned placements, and the demand-paging simulator.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
-#include "baselines/cpu_hash_table.hpp"
+#include "baselines/chained_host_table.hpp"
 #include "baselines/paging_sim.hpp"
-#include "baselines/pinned_hash_table.hpp"
 #include "common/random.hpp"
 #include "test_util.hpp"
 
@@ -18,14 +18,12 @@ namespace {
 using test::Rig;
 using test::as_u64;
 
-// ---- CpuHashTable ----
+// ---- ChainedHostTable, CPU placement ----
 
-TEST(CpuHashTableTest, CombiningSumsValues) {
+TEST(ChainedHostTableTest, CombiningSumsValues) {
   gpusim::RunStats stats;
-  CpuHashTableConfig cfg;
-  cfg.combiner = core::combine_sum_u64;
-  cfg.num_buckets = 256;
-  CpuHashTable t(stats, cfg);
+  ChainedHostTable t(stats, {.num_buckets = 256,
+                             .combiner = core::combine_sum_u64});
   t.insert_u64(0, "a", 1);
   t.insert_u64(0, "a", 2);
   t.insert_u64(1, "b", 5);
@@ -35,22 +33,18 @@ TEST(CpuHashTableTest, CombiningSumsValues) {
   EXPECT_FALSE(t.lookup("c").has_value());
 }
 
-TEST(CpuHashTableTest, BasicKeepsDuplicates) {
+TEST(ChainedHostTableTest, BasicKeepsDuplicates) {
   gpusim::RunStats stats;
-  CpuHashTableConfig cfg;
-  cfg.org = core::Organization::kBasic;
-  CpuHashTable t(stats, cfg);
+  ChainedHostTable t(stats, {.org = core::Organization::kBasic});
   t.insert_u64(0, "dup", 1);
   t.insert_u64(0, "dup", 2);
   EXPECT_EQ(t.lookup_all("dup").size(), 2u);
   EXPECT_EQ(t.entry_count(), 2u);
 }
 
-TEST(CpuHashTableTest, MultiValuedGroups) {
+TEST(ChainedHostTableTest, MultiValuedGroups) {
   gpusim::RunStats stats;
-  CpuHashTableConfig cfg;
-  cfg.org = core::Organization::kMultiValued;
-  CpuHashTable t(stats, cfg);
+  ChainedHostTable t(stats, {.org = core::Organization::kMultiValued});
   auto ins = [&](std::string_view k, std::string_view v) {
     t.insert(0, k, std::as_bytes(std::span{v.data(), v.size()}));
   };
@@ -62,11 +56,9 @@ TEST(CpuHashTableTest, MultiValuedGroups) {
   EXPECT_EQ(t.lookup_group("k")->size(), 2u);
 }
 
-TEST(CpuHashTableTest, ParallelInsertsMatchSerialReference) {
+TEST(ChainedHostTableTest, ParallelInsertsMatchSerialReference) {
   Rig rig(1u << 16, /*workers=*/4);
-  CpuHashTableConfig cfg;
-  cfg.combiner = core::combine_sum_u64;
-  CpuHashTable t(rig.stats, cfg);
+  ChainedHostTable t(rig.stats, {.combiner = core::combine_sum_u64});
   constexpr int kN = 50000, kKeys = 500;
   rig.pool.run_parties(4, [&](std::size_t party) {
     for (int i = static_cast<int>(party); i < kN; i += 4)
@@ -81,11 +73,9 @@ TEST(CpuHashTableTest, ParallelInsertsMatchSerialReference) {
   EXPECT_EQ(total, static_cast<std::uint64_t>(kN));
 }
 
-TEST(CpuHashTableTest, TracksAllocationFootprint) {
+TEST(ChainedHostTableTest, TracksAllocationFootprint) {
   gpusim::RunStats stats;
-  CpuHashTableConfig cfg;
-  cfg.combiner = core::combine_sum_u64;
-  CpuHashTable t(stats, cfg);
+  ChainedHostTable t(stats, {.combiner = core::combine_sum_u64});
   EXPECT_EQ(t.allocated_bytes(), 0u);
   t.insert_u64(0, "key", 1);
   EXPECT_GT(t.allocated_bytes(), 0u);
@@ -94,11 +84,9 @@ TEST(CpuHashTableTest, TracksAllocationFootprint) {
   EXPECT_EQ(t.allocated_bytes(), once);
 }
 
-TEST(CpuHashTableTest, BucketLoadSeesHotKey) {
+TEST(ChainedHostTableTest, BucketLoadSeesHotKey) {
   gpusim::RunStats stats;
-  CpuHashTableConfig cfg;
-  cfg.combiner = core::combine_sum_u64;
-  CpuHashTable t(stats, cfg);
+  ChainedHostTable t(stats, {.combiner = core::combine_sum_u64});
   for (int i = 0; i < 100; ++i) t.insert_u64(0, "hot", 1);
   for (int i = 0; i < 50; ++i) t.insert_u64(0, "k" + std::to_string(i), 1);
   const auto load = t.bucket_load();
@@ -106,16 +94,14 @@ TEST(CpuHashTableTest, BucketLoadSeesHotKey) {
   EXPECT_GE(load.max_bucket_accesses, 100u);
 }
 
-// ---- PinnedHashTable ----
+// ---- ChainedHostTable, pinned placement ----
 
-TEST(PinnedHashTableTest, CombiningCorrectAndRemoteMetered) {
+TEST(ChainedHostTableTest, PinnedCombiningCorrectAndRemoteMetered) {
   Rig rig(1u << 20);
-  PinnedHashTableConfig cfg;
-  cfg.combiner = core::combine_sum_u64;
-  cfg.num_buckets = 256;
-  PinnedHashTable t(rig.ctx, cfg);
+  ChainedHostTable t(rig.ctx, {.num_buckets = 256,
+                               .combiner = core::combine_sum_u64});
   for (int i = 0; i < 100; ++i)
-    t.insert_u64("key-" + std::to_string(i % 10), 1);
+    t.insert_u64(0, "key-" + std::to_string(i % 10), 1);
   EXPECT_EQ(t.entry_count(), 10u);
   EXPECT_EQ(as_u64(*t.lookup("key-3")), 10u);
   const auto p = rig.dev.bus().snapshot();
@@ -124,13 +110,11 @@ TEST(PinnedHashTableTest, CombiningCorrectAndRemoteMetered) {
   EXPECT_EQ(p.h2d_bytes, 0u);  // no bulk transfers in this design
 }
 
-TEST(PinnedHashTableTest, MultiValuedGroupsSurvive) {
+TEST(ChainedHostTableTest, PinnedMultiValuedGroupsSurvive) {
   Rig rig(1u << 20);
-  PinnedHashTableConfig cfg;
-  cfg.org = core::Organization::kMultiValued;
-  PinnedHashTable t(rig.ctx, cfg);
+  ChainedHostTable t(rig.ctx, {.org = core::Organization::kMultiValued});
   auto ins = [&](std::string_view k, std::string_view v) {
-    t.insert(k, std::as_bytes(std::span{v.data(), v.size()}));
+    t.insert(0, k, std::as_bytes(std::span{v.data(), v.size()}));
   };
   ins("url", "a");
   ins("url", "b");
@@ -143,17 +127,75 @@ TEST(PinnedHashTableTest, MultiValuedGroupsSurvive) {
   EXPECT_EQ(groups, 1u);
 }
 
-TEST(PinnedHashTableTest, ProbesCostRemoteTransactions) {
+TEST(ChainedHostTableTest, PinnedProbesCostRemoteTransactions) {
   Rig rig(1u << 20);
-  PinnedHashTableConfig cfg;
-  cfg.combiner = core::combine_sum_u64;
-  cfg.num_buckets = 1;  // force one long chain
-  PinnedHashTable t(rig.ctx, cfg);
-  for (int i = 0; i < 20; ++i) t.insert_u64("k" + std::to_string(i), 1);
+  ChainedHostTable t(rig.ctx, {.num_buckets = 1,  // force one long chain
+                               .combiner = core::combine_sum_u64});
+  for (int i = 0; i < 20; ++i) t.insert_u64(0, "k" + std::to_string(i), 1);
   const auto before = rig.dev.bus().snapshot().remote_txns;
-  t.insert_u64("k19", 1);  // probes the chain remotely
+  t.insert_u64(0, "k19", 1);  // probes the chain remotely
   const auto after = rig.dev.bus().snapshot().remote_txns;
   EXPECT_GT(after, before);
+}
+
+TEST(ChainedHostTableTest, PinnedBucketArrayIsDeviceResident) {
+  Rig rig(1u << 20);
+  const std::size_t before = rig.dev.static_used();
+  ChainedHostTable t(rig.ctx, {.num_buckets = 1024,
+                               .combiner = core::combine_sum_u64});
+  EXPECT_EQ(rig.dev.static_used() - before, 1024u * 12u);
+}
+
+// Entries larger than a heap chunk get their own exact-size chunk. Both
+// placements, every organization, keys and values across the chunk size,
+// interleaved with small entries that keep bumping the regular chunk.
+TEST(ChainedHostTableTest, OversizedEntriesGetTheirOwnChunk) {
+  const std::string big_a(300u << 10, 'a');  // > the CPU chunk
+  const std::string big_b(2u << 20, 'b');    // > the pinned chunk
+  for (const bool pinned : {false, true}) {
+    for (const core::Organization org :
+         {core::Organization::kBasic, core::Organization::kCombining,
+          core::Organization::kMultiValued}) {
+      SCOPED_TRACE(std::string(pinned ? "pinned" : "cpu") + " org=" +
+                   std::to_string(static_cast<int>(org)));
+      Rig rig(1u << 20);
+      const ChainedHostTableConfig cfg{.org = org,
+                                       .num_buckets = 64,
+                                       .combiner = core::combine_sum_u64};
+      std::optional<ChainedHostTable> t;
+      if (pinned)
+        t.emplace(rig.ctx, cfg);
+      else
+        t.emplace(rig.stats, cfg);
+      const auto value_of = [](const std::string& s) {
+        return std::as_bytes(std::span{s.data(), s.size()});
+      };
+      t->insert_u64(0, "small-1", 1);
+      t->insert_u64(0, big_a, 7);
+      t->insert_u64(0, "small-2", 2);
+      t->insert(0, big_b, value_of(big_b));
+      t->insert_u64(0, "small-3", 3);
+      EXPECT_EQ(rig.stats.snapshot().alloc_ops,
+                org == core::Organization::kMultiValued ? 10u : 5u);
+      EXPECT_GE(t->allocated_bytes(), big_a.size() + 2 * big_b.size());
+
+      if (org == core::Organization::kMultiValued) {
+        ASSERT_EQ(t->lookup_group(big_a)->size(), 1u);
+        EXPECT_EQ(as_u64(t->lookup_group(big_a)->front()), 7u);
+        ASSERT_EQ(t->lookup_group(big_b)->size(), 1u);
+        EXPECT_EQ(test::bytes_to_string(t->lookup_group(big_b)->front()),
+                  big_b);
+        EXPECT_EQ(as_u64(t->lookup_group("small-3")->front()), 3u);
+      } else {
+        EXPECT_EQ(as_u64(*t->lookup(big_a)), 7u);
+        EXPECT_EQ(test::bytes_to_string(*t->lookup(big_b)), big_b);
+        EXPECT_EQ(as_u64(*t->lookup("small-1")), 1u);
+        EXPECT_EQ(as_u64(*t->lookup("small-2")), 2u);
+        EXPECT_EQ(as_u64(*t->lookup("small-3")), 3u);
+      }
+      EXPECT_EQ(t->entry_count(), 5u);
+    }
+  }
 }
 
 // ---- paging simulator ----

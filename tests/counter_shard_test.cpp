@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "gpusim/counters.hpp"
@@ -51,7 +50,7 @@ constexpr std::size_t kItems = 10000;
 constexpr std::size_t kGrid = 256;
 
 // Totals recorded from the pre-change implementation (single shared-atomic
-// RunStats, std::function launch) running fixture_kernel over kItems items
+// RunStats, type-erased launch) running fixture_kernel over kItems items
 // with kGrid grid threads on a 4-worker pool.
 StatsSnapshot recorded_fixture() {
   StatsSnapshot f;
@@ -106,18 +105,6 @@ TEST(CounterShardTest, FixtureStableAcrossWorkerCounts) {
            {.grid_threads = kGrid});
     EXPECT_EQ(stats.snapshot(), recorded_fixture()) << "workers=" << workers;
   }
-}
-
-TEST(CounterShardTest, StdFunctionOverloadMetersIdentically) {
-  // The ABI-stable std::function overload must keep producing the same
-  // totals as the devirtualized template path.
-  ThreadPool pool(4);
-  RunStats stats;
-  const std::function<void(std::size_t)> kernel = [&stats](std::size_t i) {
-    fixture_kernel(stats, i);
-  };
-  launch(pool, stats, kItems, kernel, {.grid_threads = kGrid});
-  EXPECT_EQ(stats.snapshot(), recorded_fixture());
 }
 
 TEST(CounterShardTest, AtomicPathUsedOutsideLaunch) {

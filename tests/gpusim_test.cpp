@@ -54,21 +54,6 @@ TEST(ThreadPoolTest, RunPartiesGivesDistinctIds) {
   for (auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
-TEST(ThreadPoolTest, StdFunctionOverloadStillWorks) {
-  // The type-erased overloads are the ABI-stable entry points; make sure
-  // overload resolution actually reaches them and they behave identically.
-  ThreadPool pool(3);
-  std::atomic<std::size_t> sum{0};
-  const std::function<void(std::size_t)> body = [&](std::size_t i) {
-    sum.fetch_add(i + 1);
-  };
-  pool.parallel_for(100, body);
-  EXPECT_EQ(sum.load(), 100u * 101u / 2);
-  sum.store(0);
-  pool.run_parties(5, body);
-  EXPECT_EQ(sum.load(), 1u + 2 + 3 + 4 + 5);
-}
-
 TEST(ThreadPoolTest, WorkerIndexStaysInRange) {
   // current_worker_index() addresses WorkerStats shards sized to
   // worker_count(); an out-of-range index would corrupt neighboring memory.

@@ -5,7 +5,7 @@
 #include <unordered_map>
 
 #include "apps/harness.hpp"
-#include "baselines/cpu_hash_table.hpp"
+#include "baselines/chained_host_table.hpp"
 #include "baselines/stadium_hash_table.hpp"
 #include "common/random.hpp"
 #include "test_util.hpp"
@@ -57,9 +57,8 @@ TEST(StadiumTest, MatchesBasicReferenceDigest) {
   Rig rig(2u << 20);
   StadiumHashTable stadium(rig.ctx, {.num_buckets = 1u << 10});
   gpusim::RunStats cpu_stats;
-  CpuHashTableConfig ccfg;
-  ccfg.org = core::Organization::kBasic;
-  CpuHashTable reference(cpu_stats, ccfg);
+  ChainedHostTable reference(cpu_stats,
+                             {.org = core::Organization::kBasic});
 
   Rng rng(13);
   for (int i = 0; i < 20000; ++i) {

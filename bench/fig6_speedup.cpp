@@ -48,8 +48,7 @@ struct Row {
 // standalone, 2000+d MapReduce) to keep the generated inputs — and thus the
 // committed BENCH_fig6.json — identical to the pre-registry harness.
 Row run_one(const AppInfo& app, int dataset, const gpusim::FaultConfig& faults,
-            std::size_t workers, std::uint32_t batch_insert,
-            obs::TraceRecorder* rec) {
+            std::size_t workers, obs::TraceRecorder* rec) {
   const std::size_t bytes = table1_bytes(app.table1_key(), dataset);
   const std::uint64_t seed = (app.is_mapreduce() ? 2000 : 1000) + dataset;
   const std::string input = app.generate(bytes, seed);
@@ -59,7 +58,6 @@ Row run_one(const AppInfo& app, int dataset, const gpusim::FaultConfig& faults,
   cfg.gpu.faults = faults;
   cfg.gpu.trace = rec;
   cfg.gpu.pool_workers = workers;
-  cfg.gpu.batch_insert = batch_insert;
   cfg.cpu.pool_workers = workers;
   EngineConfig bcfg = cfg;
   bcfg.gpu.trace = nullptr;
@@ -73,7 +71,6 @@ Row run_one(const AppInfo& app, int dataset, const gpusim::FaultConfig& faults,
 int main(int argc, char** argv) {
   const obs::OutputOptions out = obs::OutputOptions::from_args(argc, argv);
   const std::size_t workers = pool_workers_from_args(argc, argv);
-  const std::uint32_t batch_insert = batch_insert_from_args(argc, argv);
   bool tiny = false;
   gpusim::FaultConfig faults;
   for (int i = 1; i < argc; ++i) {
@@ -114,8 +111,7 @@ int main(int argc, char** argv) {
   // The figure's bar order, not the registry's display order.
   for (const char* key : {"netflix", "dna", "pvc", "ii", "wc", "pc", "geo"})
     for (int d = 1; d <= max_dataset; ++d)
-      rows.push_back(
-          run_one(*find_app(key), d, faults, workers, batch_insert, rec.get()));
+      rows.push_back(run_one(*find_app(key), d, faults, workers, rec.get()));
 
   TablePrinter table({"app", "dataset", "input", "iterations", "table/heap",
                       "gpu sim (ms)", "cpu sim (ms)", "speedup", "results"});

@@ -20,13 +20,9 @@
 //                          the worker's ring shard
 //   empty_dispatch         per-item scheduling overhead alone (devirtualized
 //                          launch of a no-op kernel)
-//   insert_scalar_zipf     SEPO table inserts, scalar path, Word-Count-shaped
-//                          Zipf(1.05) keys (hot keys hammer few bucket locks)
-//   insert_batched_zipf    the same records through the batched insert
-//                          pipeline (per-worker CombineBuffers, DESIGN.md
-//                          §5d); digest cross-checked against scalar
-//   insert_*_uniform       the same pair under uniform keys (the low-reuse
-//                          regime where batching helps least)
+//   insert_scalar_zipf     SEPO table inserts, Word-Count-shaped Zipf(1.05)
+//                          keys (hot keys hammer few bucket locks)
+//   insert_scalar_uniform  the same inserts under uniform keys
 //   fig6_pvc_gpu           an end-to-end Page View Count SEPO-GPU run
 //
 // and writes BENCH_host.json (obs::kBenchSchemaVersion) when --metrics-out
@@ -41,7 +37,6 @@
 //
 //   host_perf [--tiny] [--workers N] [--reps N] [--metrics-out=FILE]
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -191,19 +186,11 @@ std::vector<std::uint32_t> key_schedule(std::size_t items, std::size_t distinct,
 }
 
 // One timed SEPO-table insert pass: fresh device/table per rep (tables are
-// not resettable), only the launch — where every insert and every
-// CombineBuffer drain happens — inside the timer. Returns the finalized
-// digest so the caller can cross-check scalar vs batched.
-struct InsertRun {
-  double wall_seconds = 0;
-  std::uint64_t digest = 0;
-  std::uint64_t keys = 0;
-};
-
-InsertRun run_insert_pass(std::size_t workers,
-                          const std::vector<std::string>& keys,
-                          const std::vector<std::uint32_t>& order,
-                          std::uint32_t batch_capacity) {
+// not resettable), only the launch — where every insert happens — inside
+// the timer. Returns the launch's wall seconds.
+double run_insert_pass(std::size_t workers,
+                       const std::vector<std::string>& keys,
+                       const std::vector<std::uint32_t>& order) {
   Device dev(16u << 20);
   ThreadPool pool(workers);
   RunStats stats;
@@ -211,15 +198,11 @@ InsertRun run_insert_pass(std::size_t workers,
   core::HashTableConfig tcfg;
   tcfg.org = core::Organization::kCombining;
   tcfg.combiner = core::combine_sum_u64;
-  tcfg.combiner_assoc_comm = true;
-  tcfg.batch_insert_capacity = batch_capacity;
   // Bucket array sized so chains average ~32 entries: the deep-chain,
   // larger-than-memory regime the SEPO table exists for (the paper keeps
   // the table bigger than device memory, so the bucket array is starved
-  // relative to the key population). Here the scalar path pays a long
-  // probe per record — hot Zipf keys sit at the chain tail because §III-B
-  // prepends at the head — while the batched drain probes each distinct
-  // key once per drain and mirrors repeat probes arithmetically.
+  // relative to the key population). Every insert pays a long probe — hot
+  // Zipf keys sit at the chain tail because §III-B prepends at the head.
   tcfg.num_buckets = 256;
   tcfg.buckets_per_group = 64;  // keep a few allocation groups
   core::SepoHashTable ht(ctx, tcfg);
@@ -231,61 +214,29 @@ InsertRun run_insert_pass(std::size_t workers,
       order.size(),
       [&](std::size_t i) { (void)ht.insert(keys[order[i]], value); },
       {.grid_threads = 4096});
-  InsertRun r;
-  r.wall_seconds = now_minus(t0);
-  const core::HostTable table = ht.finalize();
-  r.keys = table.entry_count();
-  r.digest = apps::digest_kv(table);
-  return r;
+  return now_minus(t0);
 }
 
-// The scalar/batched pair under one key distribution. Reps are interleaved
-// (like the journal pair) so drifting machine load biases both sides
-// equally; the digests and key counts must agree or the binary exits 1.
-void run_insert_pair(std::vector<BenchResult>& results, const char* dist,
-                     std::size_t workers, int reps, std::size_t items,
-                     std::size_t distinct, double zipf_s) {
+// One insert row under one key distribution: best of `reps` passes.
+BenchResult run_insert_bench(const char* dist, std::size_t workers, int reps,
+                             std::size_t items, std::size_t distinct,
+                             double zipf_s) {
   std::vector<std::string> keys(distinct);
   for (std::size_t k = 0; k < distinct; ++k)
     keys[k] = "key" + std::to_string(k) + "x";
   const std::vector<std::uint32_t> order =
       key_schedule(items, distinct, zipf_s, 7);
 
-  BenchResult scalar, batched;
-  scalar.name = std::string("insert_scalar_") + dist;
-  batched.name = std::string("insert_batched_") + dist;
-  scalar.items = batched.items = items;
-  scalar.reps = batched.reps = static_cast<std::uint64_t>(reps);
-  InsertRun s{}, b{};
+  BenchResult r;
+  r.name = std::string("insert_scalar_") + dist;
+  r.items = items;
+  r.reps = static_cast<std::uint64_t>(reps);
   for (int rep = 0; rep < reps; ++rep) {
-    s = run_insert_pass(workers, keys, order, 0);
-    if (rep == 0 || s.wall_seconds < scalar.wall_seconds)
-      scalar.wall_seconds = s.wall_seconds;
-    // Batched capacity sized to the per-worker record share: every record
-    // is buffered once and the pipeline drains at kernel exit, the
-    // amortization-optimal setting (each distinct key's chain is probed
-    // once per worker). Any capacity works correctly — smaller ones just
-    // drain (and re-probe) more often.
-    const auto batch_cap = static_cast<std::uint32_t>(std::min<std::size_t>(
-        1u << 20, std::bit_ceil(items / std::max<std::size_t>(1, workers))));
-    b = run_insert_pass(workers, keys, order, batch_cap);
-    if (rep == 0 || b.wall_seconds < batched.wall_seconds)
-      batched.wall_seconds = b.wall_seconds;
-    if (s.digest != b.digest || s.keys != b.keys) {
-      std::fprintf(stderr,
-                   "FATAL: batched insert result diverges from scalar "
-                   "(%s: digest %llx vs %llx, keys %llu vs %llu)\n",
-                   dist, static_cast<unsigned long long>(s.digest),
-                   static_cast<unsigned long long>(b.digest),
-                   static_cast<unsigned long long>(s.keys),
-                   static_cast<unsigned long long>(b.keys));
-      std::exit(1);
-    }
+    const double s = run_insert_pass(workers, keys, order);
+    if (rep == 0 || s < r.wall_seconds) r.wall_seconds = s;
   }
-  scalar.ops_per_sec = static_cast<double>(items) / scalar.wall_seconds;
-  batched.ops_per_sec = static_cast<double>(items) / batched.wall_seconds;
-  results.push_back(scalar);
-  results.push_back(batched);
+  r.ops_per_sec = static_cast<double>(items) / r.wall_seconds;
+  return r;
 }
 
 }  // namespace
@@ -293,7 +244,6 @@ void run_insert_pair(std::vector<BenchResult>& results, const char* dist,
 int main(int argc, char** argv) {
   const obs::OutputOptions out = obs::OutputOptions::from_args(argc, argv);
   const std::size_t workers = apps::pool_workers_from_args(argc, argv);
-  const std::uint32_t fig6_batch = apps::batch_insert_from_args(argc, argv);
   bool tiny = false;
   int reps = 3;
   for (int i = 1; i < argc; ++i) {
@@ -389,20 +339,13 @@ int main(int argc, char** argv) {
            {.grid_threads = grid});
   }));
 
-  // Batched-insert pair (DESIGN.md §5d): the same records through the scalar
-  // and the batched SEPO-table insert path, under the Word-Count-shaped
-  // Zipf(1.05) skew the pipeline targets and under uniform keys as the
-  // low-reuse control. bench-check gates the zipf speedup at 2x (full runs).
+  // SEPO-table inserts under the Word-Count-shaped Zipf(1.05) skew and
+  // under uniform keys as the low-reuse control.
   const std::size_t insert_items = tiny ? 150'000 : 1'000'000;
-  run_insert_pair(results, "zipf", workers, reps, insert_items,
-                  /*distinct=*/8192, /*zipf_s=*/1.05);
-  run_insert_pair(results, "uniform", workers, reps, insert_items,
-                  /*distinct=*/8192, /*zipf_s=*/0.0);
-  const std::size_t zipf_at = results.size() - 4;
-  const double insert_speedup_zipf =
-      results[zipf_at].wall_seconds / results[zipf_at + 1].wall_seconds;
-  const double insert_speedup_uniform =
-      results[zipf_at + 2].wall_seconds / results[zipf_at + 3].wall_seconds;
+  results.push_back(run_insert_bench("zipf", workers, reps, insert_items,
+                                     /*distinct=*/8192, /*zipf_s=*/1.05));
+  results.push_back(run_insert_bench("uniform", workers, reps, insert_items,
+                                     /*distinct=*/8192, /*zipf_s=*/0.0));
 
   // End-to-end anchor: one Page View Count SEPO-GPU run, the fig6 workload.
   {
@@ -412,7 +355,6 @@ int main(int argc, char** argv) {
     const std::string input = pvc.generate(bytes, 1001);
     apps::GpuConfig gcfg;
     gcfg.pool_workers = workers;
-    gcfg.batch_insert = fig6_batch;
     results.push_back(bench("fig6_pvc_gpu", bytes, reps, [&] {
       const apps::RunResult r = pvc.run_gpu(input, gcfg);
       if (r.error || r.checksum == 0) {
@@ -438,9 +380,6 @@ int main(int argc, char** argv) {
               journal_overhead_pct,
               static_cast<unsigned long long>(journal.events_recorded()),
               static_cast<unsigned long long>(journal.events_overwritten()));
-  std::printf("batched-insert speedup (batched vs scalar): %.2fx zipf, "
-              "%.2fx uniform\n",
-              insert_speedup_zipf, insert_speedup_uniform);
 
   if (out.metrics_enabled()) {
     obs::Json root = obs::Json::object();
@@ -450,8 +389,6 @@ int main(int argc, char** argv) {
     root.set("tiny", tiny);
     root.set("counter_bump_speedup", speedup);
     root.set("journal_overhead_pct", journal_overhead_pct);
-    root.set("insert_batched_speedup_zipf", insert_speedup_zipf);
-    root.set("insert_batched_speedup_uniform", insert_speedup_uniform);
     obs::Json benches = obs::Json::array();
     for (const BenchResult& r : results) {
       obs::Json b = obs::Json::object();

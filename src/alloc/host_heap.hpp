@@ -11,8 +11,7 @@
 // Concurrency: lock-free per-slot publication. The previous design kept the
 // slot table in a std::vector guarded by a global mutex — but only the
 // writer took it, so a concurrent reader could observe the vector
-// mid-resize; and under the batched insert pipeline several drains can
-// flush-and-read in flight at once. Now the slot table is a fixed two-level
+// mid-resize. Now the slot table is a fixed two-level
 // directory of atomics: chunks are CAS-published, block pointers are
 // release-stored exactly once per slot, and readers acquire-load both
 // levels. Nothing is ever moved or freed before the heap dies, so a

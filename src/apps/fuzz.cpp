@@ -61,7 +61,6 @@ EngineConfig config_for(const FuzzPlan& plan) {
   cfg.gpu.num_buckets = plan.num_buckets;
   cfg.gpu.pool_workers = plan.workers;
   cfg.gpu.basic_halt_frac = plan.basic_halt_frac;
-  cfg.gpu.batch_insert = plan.batch_insert;
   cfg.gpu.faults = plan.faults;
   cfg.cpu.pool_workers = plan.workers;
   return cfg;
@@ -163,12 +162,6 @@ FuzzPlan FuzzRunner::plan_for(std::uint64_t index) const {
   p.workers = kWorkers[rng.below(3)];
   static constexpr double kHaltFracs[] = {0.25, 0.5, 0.9};
   p.basic_halt_frac = kHaltFracs[rng.below(3)];
-
-  // Batched insert pipeline: half the plans keep the scalar path (0), the
-  // rest sweep the capacity range including the degenerate single-record
-  // buffer. Only the SEPO engines consume the knob.
-  static constexpr std::uint32_t kBatchCaps[] = {0, 1, 64, 4096};
-  p.batch_insert = kBatchCaps[rng.below(4)];
 
   // Fault schedule: half of all plans run clean; the rest draw independent
   // per-class rates (any class may be zero) plus a pressure regime.
@@ -305,13 +298,6 @@ FuzzResult FuzzRunner::shrink(const FuzzResult& failing) const {
       if (p.zipf_s == 0) return false;
       p.zipf_s = 0;
       p.distinct_keys = 0;
-      return true;
-    });
-    // Scalar insert path: if the failure survives without batching, the
-    // combining-buffer pipeline is exonerated.
-    progressed |= try_reduced([](FuzzPlan& p) {
-      if (p.batch_insert == 0) return false;
-      p.batch_insert = 0;
       return true;
     });
   }

@@ -58,10 +58,6 @@ struct FuzzPlan {
   std::uint32_t num_buckets = 1u << 14;
   std::size_t workers = 1;        // host thread-pool size
   double basic_halt_frac = 0.5;   // basic-organization halt threshold
-  // Batched insert pipeline capacity for the SEPO engines (0 = scalar path;
-  // baselines ignore it). Sampled so the fuzzer sweeps the batched drain /
-  // requeue machinery through the same capacity-edge and fault regimes.
-  std::uint32_t batch_insert = 0;
   gpusim::FaultConfig faults;     // all-zero = no injection
   // Test-only corruption hook: a nonzero value is XORed into the engine
   // under test's digest before comparison, forcing a deterministic mismatch

@@ -37,45 +37,6 @@ std::size_t pool_workers_from_args(int& argc, char** argv) {
   return workers;
 }
 
-namespace {
-
-// `on` = default capacity, `off` = 0, otherwise a record count.
-std::uint32_t parse_batch_insert(const char* value) {
-  if (std::strcmp(value, "on") == 0) return core::kDefaultBatchInsertCapacity;
-  if (std::strcmp(value, "off") == 0) return 0;
-  return static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
-}
-
-}  // namespace
-
-std::uint32_t batch_insert_from_args(int& argc, char** argv) {
-  std::uint32_t capacity = 0;
-  if (const char* env = std::getenv("SEPO_BATCH_INSERT"))
-    capacity = parse_batch_insert(env);
-
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (std::strncmp(argv[i], "--batch-insert=", 15) == 0) {
-      value = argv[i] + 15;
-    } else if (std::strcmp(argv[i], "--batch-insert") == 0) {
-      if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        std::fprintf(stderr, "--batch-insert requires on|off|N\n");
-        continue;
-      }
-    } else {
-      argv[w++] = argv[i];
-      continue;
-    }
-    capacity = parse_batch_insert(value);
-  }
-  argc = w;
-  argv[argc] = nullptr;
-  return capacity;
-}
-
 std::uint64_t checksum_kv(std::string_view key, std::uint64_t value) noexcept {
   // Commutative over the record set: summed into the digest by callers.
   return hash_combine(hash_key(key), hash_u64(value));

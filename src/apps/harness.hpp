@@ -14,7 +14,6 @@
 #include "common/hashing.hpp"
 #include "common/strings.hpp"
 #include "common/timer.hpp"
-#include "core/combine_buffer.hpp"
 #include "core/iteration_profile.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/counters.hpp"
@@ -47,10 +46,6 @@ struct GpuConfig {
   // Basic-organization halt threshold (§IV-C footnote 5); the ablation bench
   // sweeps it.
   double basic_halt_frac = 0.5;
-  // Batched insert pipeline (DESIGN.md §5d): per-worker CombineBuffer
-  // capacity in records. 0 (the default) = scalar inserts. The
-  // `--batch-insert on|off|N` flag / SEPO_BATCH_INSERT env set it.
-  std::uint32_t batch_insert = 0;
   // Telemetry hook (e.g. obs::TraceRecorder), installed on the run's
   // counters and bus. Null (the default) disables recording entirely;
   // recording never alters counters, so sim_seconds is identical either way.
@@ -145,12 +140,6 @@ struct RunError {
 // .pool_workers to sweep host parallelism in perf runs.
 [[nodiscard]] std::size_t pool_workers_from_args(int& argc, char** argv);
 
-// Batched-insert knob shared the same way: strips `--batch-insert X` /
-// `--batch-insert=X` where X is `on` (default capacity), `off`, or a record
-// capacity; falls back to the SEPO_BATCH_INSERT environment variable, then
-// to 0 (off). Plumb into GpuConfig.batch_insert.
-[[nodiscard]] std::uint32_t batch_insert_from_args(int& argc, char** argv);
-
 // One measured run of one implementation of one app.
 struct RunResult {
   std::string impl;                 // "sepo-gpu", "cpu", "pinned", ...
@@ -188,10 +177,6 @@ struct RunResult {
   // Final-table bucket occupancy: [n] = buckets with n entries, last bin
   // aggregates longer chains (SEPO paths; empty otherwise).
   std::vector<std::uint64_t> bucket_histogram;
-  // Batched insert pipeline totals (SEPO paths; enabled=false when the
-  // knob is off or the path has no table). Serialized as the metrics
-  // schema v5 "combine_buffer" object.
-  core::CombineBufferTotals combine_buffer;
 };
 
 // Picks a BigKernel chunking for `idx` under `cfg` (implemented in

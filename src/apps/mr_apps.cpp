@@ -83,8 +83,7 @@ const MrApp& word_count_app() {
                          .mode = mapreduce::Mode::kMapReduce,
                          .generate = gen_wc,
                          .map = map_word_count,
-                         .combine = core::combine_sum_u64,
-                         .combine_assoc_comm = true};
+                         .combine = core::combine_sum_u64};
   return app;
 }
 
@@ -119,7 +118,6 @@ RunResult run_mr_sepo(const MrApp& app, std::string_view input,
   rcfg.table.num_buckets = cfg.num_buckets;
   rcfg.table.buckets_per_group = cfg.buckets_per_group;
   rcfg.table.page_size = cfg.page_size;
-  rcfg.table.batch_insert_capacity = cfg.batch_insert;
   choose_chunking(index_lines(input), cfg, rcfg.pipeline);
 
   // Constructed inside the try: the runtime's table can already exceed the
@@ -168,7 +166,6 @@ RunResult run_mr_sepo(const MrApp& app, std::string_view input,
   r.iteration_profiles = out.driver.profiles;
   r.timeseries = out.driver.timeseries;
   r.bucket_histogram = out.table->occupancy_histogram();
-  r.combine_buffer = runtime->table()->combine_buffer_totals();
   fill_gpu_times(r, ctx, dev.bus());
   r.wall_seconds = sim.timer.seconds();
   return r;

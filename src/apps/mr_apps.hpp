@@ -20,15 +20,9 @@ struct MrApp {
   std::string (*generate)(std::size_t bytes, std::uint64_t seed);
   mapreduce::MapFn map;
   core::CombineFn combine;  // kMapReduce only
-  // Combiner declared associative+commutative (licenses CombineBuffer
-  // pre-combining, DESIGN.md §5d). kMapReduce only.
-  bool combine_assoc_comm = false;
 
   [[nodiscard]] mapreduce::MrSpec spec() const {
-    return {.mode = mode,
-            .map = map,
-            .combine = combine,
-            .combine_assoc_comm = combine_assoc_comm};
+    return {.mode = mode, .map = map, .combine = combine};
   }
 };
 

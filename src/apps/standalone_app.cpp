@@ -76,8 +76,6 @@ RunResult StandaloneApp::run_gpu(std::string_view input,
   tcfg.buckets_per_group = cfg.buckets_per_group;
   tcfg.page_size = cfg.page_size;
   tcfg.combiner = combiner();
-  tcfg.combiner_assoc_comm = combiner_assoc_comm();
-  tcfg.batch_insert_capacity = cfg.batch_insert;
   tcfg.heap_bytes = cfg.heap_bytes;
 
   // The table is constructed inside the try: its static structures can
@@ -143,7 +141,6 @@ RunResult StandaloneApp::run_gpu(std::string_view input,
   r.iteration_profiles = dres.profiles;
   r.timeseries = dres.timeseries;
   r.bucket_histogram = table.occupancy_histogram();
-  r.combine_buffer = ht->combine_buffer_totals();
   fill_gpu_times(r, ctx, dev.bus());
   r.wall_seconds = sim.timer.seconds();
   return r;

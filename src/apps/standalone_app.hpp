@@ -35,11 +35,7 @@ class StandaloneApp {
   [[nodiscard]] virtual core::CombineFn combiner() const noexcept {
     return nullptr;
   }
-  // Declares combiner() associative AND commutative, which licenses the
-  // batched insert pipeline to pre-apply it inside per-worker
-  // CombineBuffers (DESIGN.md §5d). Integer sum / OR / max qualify; f64
-  // sum does not (rounding is order-sensitive and digests must stay
-  // bit-identical to the scalar path).
+  // Unused by engines; kept because jobbench/outside_trace.hpp overrides it.
   [[nodiscard]] virtual bool combiner_assoc_comm() const noexcept {
     return false;
   }
@@ -82,9 +78,6 @@ class PageViewCountApp final : public StandaloneApp {
   [[nodiscard]] core::CombineFn combiner() const noexcept override {
     return core::combine_sum_u64;
   }
-  [[nodiscard]] bool combiner_assoc_comm() const noexcept override {
-    return true;  // u64 sum
-  }
   [[nodiscard]] std::string generate(std::size_t bytes,
                                      std::uint64_t seed) const override;
   void map_record(std::string_view body,
@@ -126,9 +119,6 @@ class DnaAssemblyApp final : public StandaloneApp {
     // <k-mer, edges>: edge sets merge by OR (Meraculous-style extension
     // bitmask: bits 0-3 = predecessor base, bits 4-7 = successor base).
     return core::combine_or_u32;
-  }
-  [[nodiscard]] bool combiner_assoc_comm() const noexcept override {
-    return true;  // bitwise OR
   }
   [[nodiscard]] std::string generate(std::size_t bytes,
                                      std::uint64_t seed) const override;

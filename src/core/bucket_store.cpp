@@ -59,32 +59,40 @@ std::uint32_t BucketChainStore::bucket_of(std::string_view key) const noexcept {
   return bucket_of(hash_key(key));
 }
 
-DevPtr BucketChainStore::find_in_chain(std::uint32_t b, std::string_view key,
-                                       ProbeCost& cost) const {
-  for (DevPtr p = buckets_[b].head_dev.load(std::memory_order_relaxed);
-       p != gpusim::kDevNull;) {
-    ++cost.links;
-    const auto* e = dev_.ptr<KvEntry>(p);
-    const auto cmp = std::min<std::uint64_t>(e->key_len, key.size());
-    cost.bytes += cmp;
-    if (e->key() == key) return p;
+namespace {
+
+// The probe loop shared by both entry layouts (KvEntry, KeyEntry): both
+// start with next_dev and carry key_len/key().
+template <typename Entry>
+DevPtr walk_chain(const gpusim::Device& dev, gpusim::RunStats& stats,
+                  DevPtr head, std::string_view key) {
+  std::uint32_t links = 0;
+  std::uint64_t bytes = 0;
+  DevPtr p = head;
+  while (p != gpusim::kDevNull) {
+    ++links;
+    const auto* e = dev.ptr<Entry>(p);
+    bytes += std::min<std::uint64_t>(e->key_len, key.size());
+    if (e->key() == key) break;
     p = e->next_dev;
   }
-  return gpusim::kDevNull;
+  stats.add_chain_links(links);
+  stats.add_key_compare_bytes(bytes);
+  return p;
 }
 
-DevPtr BucketChainStore::find_key_entry(std::uint32_t b, std::string_view key,
-                                        ProbeCost& cost) const {
-  for (DevPtr p = buckets_[b].head_dev.load(std::memory_order_relaxed);
-       p != gpusim::kDevNull;) {
-    ++cost.links;
-    const auto* e = dev_.ptr<KeyEntry>(p);
-    const auto cmp = std::min<std::uint64_t>(e->key_len, key.size());
-    cost.bytes += cmp;
-    if (e->key() == key) return p;
-    p = e->next_dev;
-  }
-  return gpusim::kDevNull;
+}  // namespace
+
+DevPtr BucketChainStore::find_in_chain(std::uint32_t b,
+                                       std::string_view key) const {
+  return walk_chain<KvEntry>(
+      dev_, stats_, buckets_[b].head_dev.load(std::memory_order_relaxed), key);
+}
+
+DevPtr BucketChainStore::find_key_entry(std::uint32_t b,
+                                        std::string_view key) const {
+  return walk_chain<KeyEntry>(
+      dev_, stats_, buckets_[b].head_dev.load(std::memory_order_relaxed), key);
 }
 
 void BucketChainStore::clear_device_chains() {

@@ -35,16 +35,6 @@ struct HashTableConfig {
   std::uint32_t buckets_per_group = 512;
   std::size_t page_size = 8u << 10;
   CombineFn combiner = nullptr;             // required for kCombining
-  // Declares the combiner associative AND commutative (e.g. u64 sum, OR,
-  // max). Only then may the batched insert pipeline pre-apply it inside a
-  // per-worker CombineBuffer; order-sensitive combiners (f64 sum) are
-  // pre-grouped but applied in arrival order at drain, so final digests
-  // stay bit-identical to the scalar path either way.
-  bool combiner_assoc_comm = false;
-  // Batched insert pipeline (DESIGN.md §5d): records per worker
-  // CombineBuffer. 0 (the default) keeps the scalar one-record-at-a-time
-  // insert path.
-  std::uint32_t batch_insert_capacity = 0;
   // Heap size: 0 = take all remaining device memory (paper §IV-A).
   std::size_t heap_bytes = 0;
   // Multi-valued livelock valve (see DESIGN.md "resident-key cap"): when
@@ -80,8 +70,7 @@ class BucketChainStore {
   }
   [[nodiscard]] std::uint32_t bucket_of(std::string_view key) const noexcept;
   // Memoized-hash overload: callers that already computed hash_key(key)
-  // (batched inserts, requeued records, lookup engines) must route through
-  // this instead of rehashing.
+  // must route through this instead of rehashing.
   [[nodiscard]] std::uint32_t bucket_of(std::uint64_t hash) const noexcept {
     return static_cast<std::uint32_t>(hash) & bucket_mask_;
   }
@@ -97,39 +86,13 @@ class BucketChainStore {
     return bucket_locks_[b];
   }
 
-  // Probe work a single chain walk performed — the batched drain records it
-  // per distinct key so repeat probes can be mirrored arithmetically.
-  struct ProbeCost {
-    std::uint32_t links = 0;
-    std::uint64_t bytes = 0;
-  };
-
   // Walks the device chain of bucket `b` for `key`; returns entry dev ptr or
-  // null. Caller holds the bucket lock. The ProbeCost overloads report the
-  // walk's cost to the caller WITHOUT touching RunStats — the batched drain
-  // folds many walks into one counter add per drain (same totals, no
-  // per-link shared-atomic traffic from the drain thread). The plain
-  // overloads charge the walk to RunStats, as the scalar path expects.
+  // null. Caller holds the bucket lock. Charges the walk (links, compared
+  // key bytes) to RunStats once, after the walk.
   [[nodiscard]] DevPtr find_in_chain(std::uint32_t b,
-                                     std::string_view key) const {
-    ProbeCost cost;
-    const DevPtr p = find_in_chain(b, key, cost);
-    stats_.add_chain_links(cost.links);
-    stats_.add_key_compare_bytes(cost.bytes);
-    return p;
-  }
-  [[nodiscard]] DevPtr find_in_chain(std::uint32_t b, std::string_view key,
-                                     ProbeCost& cost) const;
+                                     std::string_view key) const;
   [[nodiscard]] DevPtr find_key_entry(std::uint32_t b,
-                                      std::string_view key) const {
-    ProbeCost cost;
-    const DevPtr p = find_key_entry(b, key, cost);
-    stats_.add_chain_links(cost.links);
-    stats_.add_key_compare_bytes(cost.bytes);
-    return p;
-  }
-  [[nodiscard]] DevPtr find_key_entry(std::uint32_t b, std::string_view key,
-                                      ProbeCost& cost) const;
+                                      std::string_view key) const;
 
   // Resets every bucket's device head to null. Used after the flushed pages
   // leave the device: the chains then point into freed memory. Host chains

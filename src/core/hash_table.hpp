@@ -13,10 +13,8 @@
 // host between kernel launches, exactly as in Figure 5.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -33,7 +31,6 @@ namespace sepo::core {
 class SepoHashTable {
  public:
   SepoHashTable(gpusim::ExecContext& ctx, HashTableConfig cfg);
-  ~SepoHashTable();
 
   SepoHashTable(const SepoHashTable&) = delete;
   SepoHashTable& operator=(const SepoHashTable&) = delete;
@@ -50,12 +47,6 @@ class SepoHashTable {
   // Inserts <key, value> according to the configured organization.
   // Returns kPostpone when the required memory could not be allocated;
   // the caller must leave the task unmarked and re-issue it next iteration.
-  //
-  // With the batched insert pipeline on (cfg.batch_insert_capacity > 0) the
-  // record lands in the calling worker's CombineBuffer and the call returns
-  // kSuccess; the table itself owns postponement from then on — a drain
-  // that hits kPostpone re-queues the original record and retries it at the
-  // next iteration boundary (DESIGN.md §5d).
   Status insert(std::string_view key, std::span<const std::byte> value);
 
   // Convenience for 8-byte values.
@@ -85,22 +76,6 @@ class SepoHashTable {
   // Flushes everything still resident and returns the host-side table view.
   // The hash table must not be used for inserts afterwards.
   HostTable finalize();
-
-  // ------- batched insert pipeline (DESIGN.md §5d) -------
-
-  [[nodiscard]] bool batching() const noexcept { return !buffers_.empty(); }
-
-  // Records accepted by insert() but not yet durable in the store: buffered
-  // in a CombineBuffer or re-queued after a drain-time kPostpone. The
-  // driver keeps iterating until this reaches zero. Call between kernels.
-  [[nodiscard]] std::size_t pending_batched_inserts() const noexcept;
-
-  // Drains every worker's CombineBuffer into the store. Called from the
-  // kernel-exit epilogue and the iteration boundaries; exposed for tests
-  // and for hosts that insert outside kernel launches.
-  void drain_batches();
-
-  [[nodiscard]] CombineBufferTotals combine_buffer_totals() const noexcept;
 
   // ------- introspection -------
 
@@ -147,14 +122,6 @@ class SepoHashTable {
   // never wrong answers.
   void apply_pressure();
 
-  // The calling worker's CombineBuffer (worker 0 = host/submitting thread).
-  [[nodiscard]] CombineBuffer& worker_buffer() noexcept;
-  void drain_buffer(CombineBuffer& buf);
-  // Re-inserts drain-postponed records through the scalar policy path (with
-  // their memoized hashes). Failures go back on the queue for the next
-  // iteration. Called at begin_iteration, after the policy rebuilt chains.
-  void retry_requeued();
-
   gpusim::ExecContext& ctx_;
   gpusim::RunStats& stats_;
   BucketChainStore store_;
@@ -163,24 +130,6 @@ class SepoHashTable {
   // Pages seized by an injected memory-pressure spike (not usable by the
   // allocator until the spike passes).
   std::vector<std::uint32_t> pressure_pages_;
-
-  // ------- batched insert pipeline state (empty when the knob is off) ----
-  // One CombineBuffer per pool worker; workers only ever touch their own
-  // (index = gpusim::current_worker_index()), host-side drains run with the
-  // pool quiescent.
-  std::vector<std::unique_ptr<CombineBuffer>> buffers_;
-  // Drain-postponed records awaiting the next iteration. Guarded: inline
-  // (buffer-full) drains can run concurrently on several workers.
-  mutable std::mutex requeue_mu_;
-  std::vector<RequeuedRecord> requeue_;
-  // Real-work totals (see CombineBufferTotals). Atomics, not RunStats
-  // fields: they must not perturb the simulated counter set.
-  std::atomic<std::uint64_t> cb_scratch_hits_{0};
-  std::atomic<std::uint64_t> cb_precombined_{0};
-  std::atomic<std::uint64_t> cb_lock_saved_{0};
-  std::atomic<std::uint64_t> cb_drains_{0};
-  std::atomic<std::uint64_t> cb_records_{0};
-  std::atomic<std::uint64_t> cb_requeued_{0};
 
   bool finalized_ = false;
 };

@@ -58,75 +58,6 @@ Status insert_new_kv(BucketChainStore& store, std::uint32_t b,
   return Status::kSuccess;
 }
 
-void requeue_record(std::vector<RequeuedRecord>& requeue, std::string_view key,
-                    std::span<const std::byte> value, std::uint64_t hash) {
-  RequeuedRecord r;
-  r.key.assign(key.data(), key.size());
-  r.value.assign(value.begin(), value.end());
-  r.hash = hash;
-  requeue.push_back(std::move(r));
-}
-
-using DrainCtx = CombineBuffer::DrainScratch;
-
-// The shared bucket-run drain skeleton. Sorts the batch's bucket ids and
-// acquires each distinct bucket's PaddedBucketLock exactly once, in
-// ascending bucket order — a canonical order, so concurrent drains holding
-// overlapping lock sets cannot deadlock. With every lock held it replays
-// the log in *arrival* order: the global sequence of allocator (and page
-// pool) requests is then bit-identical to the scalar path, which matters
-// because the pool is a shared resource — when it runs dry mid-batch,
-// request order decides which record postpones. `process(e, ctx)` performs
-// one record's store operation and returns true when the record was
-// re-queued.
-template <typename ProcessFn>
-DrainOutcome drain_runs(BucketChainStore& store, CombineBuffer& buf,
-                        const ProcessFn& process) {
-  DrainOutcome out;
-  const std::span<const CombineBuffer::LogEntry> log = buf.log();
-  if (log.empty()) {
-    buf.clear();
-    return out;
-  }
-  out.records = log.size();
-  const std::span<CombineBuffer::Slot> slots = buf.slots();
-
-  DrainCtx& ctx = buf.drain_scratch();
-  ctx.locked.clear();
-  for (const CombineBuffer::Slot& s : slots) ctx.locked.push_back(s.bucket);
-  std::sort(ctx.locked.begin(), ctx.locked.end());
-  ctx.locked.erase(std::unique(ctx.locked.begin(), ctx.locked.end()),
-                   ctx.locked.end());
-  const std::size_t n = ctx.locked.size();
-  ctx.accesses.assign(n, 0);
-  if (ctx.prepends.size() < n) ctx.prepends.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ctx.prepends[i].clear();
-  ctx.chain_links = 0;
-  ctx.key_compare_bytes = 0;
-
-  for (const std::uint32_t b : ctx.locked)
-    store.lock(b).lock.lock(store.stats());
-  // Mirror the scalar path's one-acquire-per-record count; the loop above
-  // already recorded one real acquire per distinct bucket.
-  const std::uint64_t saved = log.size() - n;
-  store.stats().add_lock_acquires(saved);
-  out.lock_acquires_saved = saved;
-
-  for (const CombineBuffer::LogEntry& e : log)
-    if (process(e, ctx)) ++out.requeued;
-
-  for (std::size_t i = 0; i < n; ++i)
-    store.lock(ctx.locked[i]).accesses += ctx.accesses[i];
-  if (ctx.chain_links) store.stats().add_chain_links(ctx.chain_links);
-  if (ctx.key_compare_bytes)
-    store.stats().add_key_compare_bytes(ctx.key_compare_bytes);
-
-  for (auto it = ctx.locked.rbegin(); it != ctx.locked.rend(); ++it)
-    store.lock(*it).lock.unlock();
-  buf.clear();
-  return out;
-}
-
 class BasicPolicy final : public OrganizationPolicy {
  public:
   Status insert(BucketChainStore& store, std::uint32_t b, std::string_view key,
@@ -136,26 +67,6 @@ class BasicPolicy final : public OrganizationPolicy {
     gpusim::DeviceLockGuard guard(store.lock(b).lock, store.stats());
     ++store.lock(b).accesses;
     return insert_new_kv(store, b, key, value);
-  }
-
-  DrainOutcome drain_batch(BucketChainStore& store, CombineBuffer& buf,
-                           std::vector<RequeuedRecord>& requeue) override {
-    const std::span<CombineBuffer::Slot> slots = buf.slots();
-    return drain_runs(
-        store, buf, [&](const CombineBuffer::LogEntry& e, DrainCtx& ctx) {
-          // Basic keeps one slot per record and every record allocates, so
-          // there is nothing to amortize beyond the lock runs; count the
-          // access directly.
-          (void)ctx;
-          const CombineBuffer::Slot& s = slots[e.slot];
-          ++store.lock(s.bucket).accesses;
-          if (insert_new_kv(store, s.bucket, buf.slot_key(s),
-                            buf.log_value(e)) != Status::kSuccess) {
-            requeue_record(requeue, buf.slot_key(s), buf.log_value(e), s.hash);
-            return true;
-          }
-          return false;
-        });
   }
 };
 
@@ -176,82 +87,6 @@ class CombiningPolicy final : public OrganizationPolicy {
     }
     return insert_new_kv(store, b, key, value);
   }
-
-  DrainOutcome drain_batch(BucketChainStore& store, CombineBuffer& buf,
-                           std::vector<RequeuedRecord>& requeue) override {
-    const std::span<CombineBuffer::Slot> slots = buf.slots();
-    const bool precombined = buf.precombine();
-    const CombineFn combiner = store.config().combiner;
-    std::uint64_t combines = 0;
-
-    const DrainOutcome out = drain_runs(
-        store, buf, [&](const CombineBuffer::LogEntry& e, DrainCtx& ctx) {
-          CombineBuffer::Slot& s = slots[e.slot];
-
-          if (s.state == 1) {
-            // Repeat record of an already-resolved key: mirror the probe
-            // the scalar path would have paid, then combine. This is the
-            // hot path for skewed keys — everything accumulates locally.
-            ++ctx.accesses[s.dense];
-            ctx.mirror_repeat(s);
-            ++combines;
-            if (!precombined) {
-              auto* kv = store.device().ptr<KvEntry>(s.entry);
-              combiner(kv->value_data(), buf.log_value(e).data(),
-                       std::min(kv->val_len, e.val_len));
-            }
-            return false;
-          }
-
-          // First record of this key in the batch (or a key whose
-          // allocation failed before — re-attempt exactly like a scalar
-          // retry would).
-          const std::uint32_t b = s.bucket;
-          s.dense = ctx.dense_of(b);
-          ++ctx.accesses[s.dense];
-          BucketChainStore::ProbeCost cost;
-          const DevPtr existing =
-              store.find_in_chain(b, buf.slot_key(s), cost);
-          if (existing != gpusim::kDevNull) {
-            auto* kv = store.device().ptr<KvEntry>(existing);
-            const std::span<const std::byte> v =
-                precombined ? buf.slot_value(s) : buf.log_value(e);
-            combiner(kv->value_data(), v.data(),
-                     std::min<std::uint32_t>(
-                         kv->val_len, static_cast<std::uint32_t>(v.size())));
-            ++combines;
-            ctx.chain_links += cost.links;
-            ctx.key_compare_bytes += cost.bytes;
-            s.entry = existing;
-            s.depth_links = cost.links;
-            s.depth_bytes = cost.bytes;
-            ctx.mark_resolved(s);
-            s.state = 1;
-            return false;
-          }
-          ctx.chain_links += cost.links;
-          ctx.key_compare_bytes += cost.bytes;
-          const std::span<const std::byte> v =
-              precombined ? buf.slot_value(s) : buf.log_value(e);
-          if (insert_new_kv(store, b, buf.slot_key(s), v) !=
-              Status::kSuccess) {
-            // Leave the slot unresolved: every further record of this key
-            // replays the scalar retry (real probe + real alloc attempt)
-            // and re-queues.
-            requeue_record(requeue, buf.slot_key(s), buf.log_value(e), s.hash);
-            return true;
-          }
-          s.entry = store.bucket(b).head_dev.load(std::memory_order_relaxed);
-          s.depth_links = 1;  // freshly prepended: at the head
-          s.depth_bytes = s.key_len;
-          ctx.prepends[s.dense].push_back(s.key_len);
-          ctx.mark_resolved(s);
-          s.state = 1;
-          return false;
-        });
-    if (combines) store.stats().add_combines(combines);
-    return out;
-  }
 };
 
 class MultiValuedPolicy final : public OrganizationPolicy {
@@ -270,56 +105,6 @@ class MultiValuedPolicy final : public OrganizationPolicy {
       if (kp == gpusim::kDevNull) return Status::kPostpone;
     }
     return append_value(store, g, kp, value);
-  }
-
-  DrainOutcome drain_batch(BucketChainStore& store, CombineBuffer& buf,
-                           std::vector<RequeuedRecord>& requeue) override {
-    const std::span<CombineBuffer::Slot> slots = buf.slots();
-    return drain_runs(
-        store, buf, [&](const CombineBuffer::LogEntry& e, DrainCtx& ctx) {
-          CombineBuffer::Slot& s = slots[e.slot];
-          const std::uint32_t b = s.bucket;
-          const std::uint32_t g = store.group_of(b);
-
-          DevPtr kp;
-          if (s.state == 1) {
-            // Key already resolved by this batch: mirror the probe, reuse
-            // the cached KeyEntry.
-            ++ctx.accesses[s.dense];
-            ctx.mirror_repeat(s);
-            kp = s.entry;
-          } else {
-            s.dense = ctx.dense_of(b);
-            ++ctx.accesses[s.dense];
-            BucketChainStore::ProbeCost cost;
-            kp = store.find_key_entry(b, buf.slot_key(s), cost);
-            ctx.chain_links += cost.links;
-            ctx.key_compare_bytes += cost.bytes;
-            if (kp == gpusim::kDevNull) {
-              kp = insert_key_entry(store, b, g, buf.slot_key(s), s.key_len);
-              if (kp == gpusim::kDevNull) {
-                requeue_record(requeue, buf.slot_key(s), buf.log_value(e),
-                               s.hash);
-                return true;
-              }
-              s.depth_links = 1;
-              s.depth_bytes = s.key_len;
-              ctx.prepends[s.dense].push_back(s.key_len);
-            } else {
-              s.depth_links = cost.links;
-              s.depth_bytes = cost.bytes;
-            }
-            ctx.mark_resolved(s);
-            s.entry = kp;
-            s.state = 1;
-          }
-          if (append_value(store, g, kp, buf.log_value(e)) !=
-              Status::kSuccess) {
-            requeue_record(requeue, buf.slot_key(s), buf.log_value(e), s.hash);
-            return true;
-          }
-          return false;
-        });
   }
 
   void begin_iteration(BucketChainStore& store) override {

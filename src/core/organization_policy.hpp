@@ -16,18 +16,9 @@
 #include <vector>
 
 #include "core/bucket_store.hpp"
-#include "core/combine_buffer.hpp"
 #include "core/sepo.hpp"
 
 namespace sepo::core {
-
-// What one batched drain did, for the table-level combine_buffer totals and
-// the flight-recorder drain event.
-struct DrainOutcome {
-  std::uint64_t records = 0;              // log entries drained
-  std::uint64_t lock_acquires_saved = 0;  // scalar acquires minus real ones
-  std::uint64_t requeued = 0;             // records pushed to `requeue`
-};
 
 class OrganizationPolicy {
  public:
@@ -38,17 +29,6 @@ class OrganizationPolicy {
   virtual Status insert(BucketChainStore& store, std::uint32_t b,
                         std::string_view key,
                         std::span<const std::byte> value) = 0;
-
-  // Drains a worker's CombineBuffer into the store (DESIGN.md §5d): sorts
-  // the batch's distinct bucket ids, acquires each bucket's lock exactly
-  // once (ascending — deadlock-free against concurrent drains), then
-  // replays the records in arrival order so every simulated counter (probe
-  // links, compare bytes, combines, allocator and page-pool traffic) lands
-  // exactly where the scalar path would have put it. Records the allocator
-  // could not place are appended to `requeue` (original bytes + memoized
-  // hash) for the next SEPO iteration. The buffer is cleared on return.
-  virtual DrainOutcome drain_batch(BucketChainStore& store, CombineBuffer& buf,
-                                   std::vector<RequeuedRecord>& requeue) = 0;
 
   // Called at the start of each SEPO iteration, after postpone flags are
   // reset. Default: nothing to prepare. Multi-valued rebuilds the device

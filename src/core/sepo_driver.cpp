@@ -33,11 +33,7 @@ DriverResult SepoDriver::run(SepoHashTable& ht,
           : 1;
   std::uint32_t zero_progress = 0;
 
-  // With the batched insert pipeline on, a record can be marked done by its
-  // kernel yet still be buffered or re-queued inside the table; the run is
-  // only complete when those are durable too. (Scalar runs always report 0
-  // pending, so their loop is unchanged.)
-  while (!progress.all_done() || ht.pending_batched_inserts() > 0) {
+  while (!progress.all_done()) {
     if (result.iterations >= cfg_.max_iterations)
       throw std::runtime_error("SEPO driver exceeded max_iterations");
     ++result.iterations;
@@ -47,7 +43,6 @@ DriverResult SepoDriver::run(SepoHashTable& ht,
                       result.iterations);
 
     const std::size_t done_before = progress.done_count();
-    const std::size_t pending_before = ht.pending_batched_inserts();
     const gpusim::StatsSnapshot stats_before = ht.run_stats().snapshot();
     ht.begin_iteration();
     const bigkernel::PassResult pass =
@@ -68,10 +63,7 @@ DriverResult SepoDriver::run(SepoHashTable& ht,
                       result.iterations,
                       result.profiles.back().records_postponed);
 
-    // Progress = newly completed records, or the table draining its
-    // re-queued backlog (batched pipeline).
-    if (progress.done_count() == done_before &&
-        ht.pending_batched_inserts() >= pending_before) {
+    if (progress.done_count() == done_before) {
       if (++zero_progress >= zero_progress_limit)
         throw std::runtime_error(
             "SEPO iteration made no progress: an entry may exceed the heap "

@@ -10,8 +10,6 @@ double compute_time(const MachineDesc& m, const StatsSnapshot& s) {
   t += static_cast<double>(s.chain_links_walked) * m.sec_per_chain_link;
   t += static_cast<double>(s.alloc_ops) * m.sec_per_alloc;
   t += static_cast<double>(s.lock_acquires) * m.sec_per_lock;
-  t += static_cast<double>(s.lock_contended) * m.sec_per_contended_lock;
-  t += static_cast<double>(s.atomic_retries) * m.sec_per_atomic_retry;
   t += static_cast<double>(s.divergent_units) * m.sec_per_divergent_unit;
   t += static_cast<double>(s.kernel_launches) * m.sec_per_kernel_launch;
   return t;

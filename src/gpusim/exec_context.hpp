@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <utility>
 
 #include "gpusim/cost_model.hpp"
@@ -99,19 +98,7 @@ class ExecContext {
                Event after = {}) {
     const LaunchBaseline base = begin_launch(after, n_items);
     gpusim::launch(pool_, stats_, n_items, std::forward<Kernel>(kernel), cfg);
-    if (launch_epilogue_) launch_epilogue_();
     return finish_launch(base, n_items);
-  }
-
-  // Installs a callback that runs at every kernel exit — after the physical
-  // execution, before the launch is priced, on the submitting thread (the
-  // pool is quiescent). The batched insert pipeline uses it to drain its
-  // per-worker CombineBuffers so deferred store work lands inside the same
-  // priced launch window where the scalar path would have performed it;
-  // counter deltas, and with them the timeline, stay bit-identical. Pass
-  // an empty function to uninstall.
-  void set_launch_epilogue(std::function<void()> fn) noexcept {
-    launch_epilogue_ = std::move(fn);
   }
 
   // Schedules a d2h flush transfer of `bytes` (the caller already performed
@@ -158,7 +145,6 @@ class ExecContext {
   Stream flush_;
   FaultInjector* faults_ = nullptr;
   EventJournal* journal_ = nullptr;
-  std::function<void()> launch_epilogue_;
 };
 
 }  // namespace sepo::gpusim

@@ -19,7 +19,6 @@ const char* journal_kind_name(JournalEventKind k) noexcept {
     case JournalEventKind::kFlushBarrier: return "flush_barrier";
     case JournalEventKind::kIterationBegin: return "iteration_begin";
     case JournalEventKind::kIterationEnd: return "iteration_end";
-    case JournalEventKind::kBatchDrain: return "batch_drain";
   }
   return "unknown";
 }

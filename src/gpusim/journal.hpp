@@ -52,9 +52,8 @@ enum class JournalEventKind : std::uint32_t {
   kFlushBarrier = 10,   // arg0 = pages (0 when unknown), arg1 = bytes flushed
   kIterationBegin = 11, // arg0 = iteration number
   kIterationEnd = 12,   // arg0 = iteration number, arg1 = records postponed
-  kBatchDrain = 13,     // arg0 = records drained, arg1 = records re-queued
 };
-inline constexpr int kNumJournalEventKinds = 14;
+inline constexpr int kNumJournalEventKinds = 13;
 
 // Stable lowercase name ("page_acquire", ...) used by the JSONL dump.
 [[nodiscard]] const char* journal_kind_name(JournalEventKind k) noexcept;

@@ -26,11 +26,9 @@ RunOutcome MapReduceRuntime::run(std::string_view input, const MrSpec& spec,
   if (spec.mode == Mode::kMapReduce) {
     tcfg.org = core::Organization::kCombining;
     tcfg.combiner = spec.combine;
-    tcfg.combiner_assoc_comm = spec.combine_assoc_comm;
   } else {
     tcfg.org = core::Organization::kMultiValued;
     tcfg.combiner = nullptr;
-    tcfg.combiner_assoc_comm = false;
   }
   table_ = std::make_unique<core::SepoHashTable>(ctx_, tcfg);
 

@@ -8,14 +8,6 @@
 // resume counter makes the first k-1 (already accepted) emissions no-ops so
 // nothing is double-inserted. Within one execution only the single virtual
 // thread running the record touches its counter.
-//
-// Batched inserts (--batch-insert): ht_.insert accepts the record at
-// buffer time and returns kSuccess immediately; a drain that later hits
-// kPostpone re-queues the original record inside the table
-// (SepoHashTable::retry_requeued), not through this resume path. The
-// emitter still sees kPostpone for allocation failures surfaced
-// synchronously on the scalar path or when a buffer add itself cannot
-// proceed.
 #pragma once
 
 #include "common/progress.hpp"

@@ -55,10 +55,6 @@ struct MrSpec {
   // Reduce/combine callback for kMapReduce ("the reduce phase is embedded
   // into the map phase", §V). Ignored for kMapGroup.
   core::CombineFn combine = nullptr;
-  // Declares `combine` associative AND commutative, licensing the batched
-  // insert pipeline to pre-apply it inside per-worker CombineBuffers
-  // (DESIGN.md §5d). Integer sum / OR / max qualify; f64 sum does not.
-  bool combine_assoc_comm = false;
 };
 
 }  // namespace sepo::mapreduce

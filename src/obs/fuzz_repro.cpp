@@ -67,7 +67,6 @@ Json to_json(const apps::FuzzPlan& p) {
   j.set("num_buckets", p.num_buckets);
   j.set("workers", static_cast<std::uint64_t>(p.workers));
   j.set("basic_halt_frac", p.basic_halt_frac);
-  j.set("batch_insert", p.batch_insert);
   j.set("faults", std::move(f));
   j.set("corrupt_digest_xor_hex", u64_hex(p.corrupt_digest_xor));
   return j;
@@ -132,10 +131,6 @@ std::optional<apps::FuzzPlan> fuzz_plan_from_json(const Json& j,
   p.workers = j["workers"].as_u64();
   if (!j["basic_halt_frac"].is_number()) return bad("basic_halt_frac");
   p.basic_halt_frac = j["basic_halt_frac"].as_double();
-  // Optional (absent in pre-batching repro files): default to the scalar
-  // path so old artifacts replay exactly as recorded.
-  if (j["batch_insert"].is_number())
-    p.batch_insert = static_cast<std::uint32_t>(j["batch_insert"].as_u64());
 
   const Json& f = j["faults"];
   if (!f.is_object()) return bad("faults");

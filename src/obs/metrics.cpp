@@ -158,18 +158,6 @@ Json to_json(const apps::RunResult& r) {
   Json hist = Json::array();
   for (const std::uint64_t n : r.bucket_histogram) hist.push_back(n);
   j.set("bucket_histogram", std::move(hist));
-  // v5: batched-insert pipeline totals (all-zero when the knob is off).
-  // Kept out of "stats" on purpose — the simulated counters must stay
-  // bit-identical between scalar and batched runs.
-  Json cb = Json::object();
-  cb.set("enabled", r.combine_buffer.enabled);
-  cb.set("scratch_hits", r.combine_buffer.scratch_hits);
-  cb.set("precombined_records", r.combine_buffer.precombined_records);
-  cb.set("lock_acquires_saved", r.combine_buffer.lock_acquires_saved);
-  cb.set("drain_flushes", r.combine_buffer.drain_flushes);
-  cb.set("drained_records", r.combine_buffer.drained_records);
-  cb.set("requeued_records", r.combine_buffer.requeued_records);
-  j.set("combine_buffer", std::move(cb));
   return j;
 }
 

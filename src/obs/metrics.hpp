@@ -7,9 +7,9 @@
 // schema, so benches and the CLI can emit reports that are diffable across
 // PRs (sepo_cli metrics-diff) instead of only human-readable tables.
 //
-// Schema sketch (schema_version 5):
+// Schema sketch (schema_version 6):
 //   {
-//     "schema_version": 5,
+//     "schema_version": 6,
 //     "tool": "fig6_speedup",
 //     "runs": [
 //       { "app": "...", "impl": "sepo-gpu", "sim_seconds": ...,
@@ -34,22 +34,21 @@
 //                                        "h2d": {...}, "d2h": {...},
 //                                        "remote": {...} } }, ... ],
 //         "bucket_histogram": [N, ...],
-//         "combine_buffer": { "enabled": bool, "scratch_hits": N,
-//                             "precombined_records": N,
-//                             "lock_acquires_saved": N, "drain_flushes": N,
-//                             "drained_records": N, "requeued_records": N },
 //         ...caller extras... }
 //     ],
 //     "tables": { "<name>": [ {<header>: <cell>, ...}, ... ] }
 //   }
 //
 // Schema history:
-//   v5  batched inserts: adds the "combine_buffer" object — lifetime totals
-//       of the per-worker combining-buffer pipeline (DESIGN.md §5d). These
-//       are *wall-clock-side* counters: the simulated "stats" counters stay
-//       bit-identical between scalar and batched runs, so v4 files remain
-//       diffable with a warning ("combine_buffer" is simply absent there;
-//       enabled=false runs write it with all-zero totals).
+//   v6  one insert path: drops the v5 batched-insert totals object (the
+//       batched insert pipeline is gone), and GPU "sim_seconds" no longer
+//       prices the measured host lock contention / atomic retries (the
+//       counters are still reported in "stats"). metrics-diff compares the
+//       shared fields across v3..v6 with a warning.
+//   v5  batched inserts: adds a per-run object of lifetime totals of the
+//       per-worker combining-buffer insert pipeline (wall-clock-side
+//       counters; the simulated "stats" stayed bit-identical between scalar
+//       and batched runs).
 //   v4  flight recorder: adds the "timeseries" array — one occupancy sample
 //       per SEPO iteration boundary (gpusim::OccupancySample: page pool
 //       used/free/seized, staging-ring slot states, per-engine clock/busy),
@@ -81,7 +80,7 @@
 
 namespace sepo::obs {
 
-inline constexpr int kMetricsSchemaVersion = 5;
+inline constexpr int kMetricsSchemaVersion = 6;
 
 // Schema of BENCH_host.json, the *wall-clock* benchmark file written by
 // bench/host_perf (distinct from the simulated-time metrics schema above):

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -205,6 +206,61 @@ TEST(HostHeapTest, SlotsStoredOutOfOrder) {
   heap.store_page(s1, page, 64);
   EXPECT_EQ(*heap.ptr<std::uint8_t>(heap.addr(s1, 0)), 1u);
   EXPECT_EQ(*heap.ptr<std::uint8_t>(heap.addr(s2, 0)), 2u);
+}
+
+// ---- HostHeap lock-free publication ----
+
+// Writers store disjoint slots while readers spin on slot_stored and then
+// read the published contents: the release/acquire pair must make every
+// published page fully visible. Run under TSan via the sanitize label.
+TEST(HostHeapConcurrencyTest, ConcurrentStoreAndReadAreRaceFree) {
+  constexpr std::size_t kPage = 256;
+  constexpr int kWriters = 4;
+  constexpr int kSlotsPerWriter = 200;
+  alloc::HostHeap heap(kPage);
+  std::vector<std::uint64_t> slots(kWriters * kSlotsPerWriter);
+  for (auto& s : slots) s = heap.reserve_slot();
+
+  std::atomic<bool> fail{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kWriters * 2);
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      std::byte page[kPage];
+      for (int i = 0; i < kSlotsPerWriter; ++i) {
+        const std::uint64_t slot = slots[w * kSlotsPerWriter + i];
+        std::fill(page, page + kPage, static_cast<std::byte>(slot & 0xff));
+        heap.store_page(slot, page, kPage);
+      }
+    });
+    threads.emplace_back([&, w] {
+      for (int i = kSlotsPerWriter - 1; i >= 0; --i) {
+        const std::uint64_t slot = slots[w * kSlotsPerWriter + i];
+        while (!heap.slot_stored(slot)) std::this_thread::yield();
+        const auto* p = heap.ptr<std::uint8_t>(heap.addr(slot, 0));
+        const auto* q = heap.ptr<std::uint8_t>(heap.addr(slot, kPage - 1));
+        if (*p != (slot & 0xff) || *q != (slot & 0xff)) fail = true;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(fail.load());
+  EXPECT_EQ(heap.stored_bytes(), slots.size() * kPage);
+  EXPECT_EQ(heap.reserved_slots(), slots.size());
+}
+
+TEST(HostHeapTest, RestoreKeepsPublishedPointerStable) {
+  alloc::HostHeap heap(64);
+  const std::uint64_t slot = heap.reserve_slot();
+  std::byte page[64] = {};
+  page[0] = std::byte{1};
+  heap.store_page(slot, page, 64);
+  const auto* before = heap.ptr<>(heap.addr(slot, 0));
+  page[0] = std::byte{2};
+  heap.store_page(slot, page, 64);  // recycled page, flushed again
+  EXPECT_EQ(heap.ptr<>(heap.addr(slot, 0)), before);
+  EXPECT_EQ(*heap.ptr<std::uint8_t>(heap.addr(slot, 0)), 2u);
+  EXPECT_EQ(heap.stored_bytes(), 64u);  // counted once, not per store
 }
 
 // ---- BucketGroupAllocator ----

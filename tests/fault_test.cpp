@@ -6,6 +6,7 @@
 // typed RunError.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -212,11 +213,13 @@ TEST(FaultExecTest, KernelAbortsArePricedAndRetried) {
   cfg.kernel_abort_rate = 0.5;
   FaultInjector inj(cfg);
   rig.ctx.set_faults(&inj);
-  std::uint64_t executed = 0;
+  std::atomic<std::uint64_t> executed{0};
   for (int i = 0; i < 24; ++i)
-    (void)rig.ctx.launch(8, [&](std::size_t) { ++executed; });
+    (void)rig.ctx.launch(8, [&](std::size_t) {
+      executed.fetch_add(1, std::memory_order_relaxed);
+    });
   // Every launch eventually executed exactly once despite aborts.
-  EXPECT_EQ(executed, 24u * 8u);
+  EXPECT_EQ(executed.load(), 24u * 8u);
   const FaultSummary& fs = rig.ctx.timeline().fault_summary();
   const auto& compute = fs.engine[static_cast<int>(TimelineResource::kCompute)];
   ASSERT_GT(compute.faults, 0u);

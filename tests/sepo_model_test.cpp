@@ -3,6 +3,7 @@
 // regression (DESIGN.md "resident-key cap").
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 
 #include "core/sepo.hpp"
@@ -173,7 +174,7 @@ TEST(HostTableCanonTest, MergedDuplicatesAreCounted) {
   const RecordIndex idx = index_lines(input);
   ProgressTracker progress(idx.size(), /*multi_emit=*/true);
   SepoDriver driver;
-  std::uint64_t emitted = 0;
+  std::atomic<std::uint64_t> emitted{0};
   (void)driver.run(
       ht, pipe, input, idx, progress,
       [&](std::size_t rec, std::string_view body) {
@@ -189,7 +190,7 @@ TEST(HostTableCanonTest, MergedDuplicatesAreCounted) {
                   Status::kPostpone)
                 return Status::kPostpone;
               progress.advance(rec, idx_e);
-              ++emitted;
+              emitted.fetch_add(1, std::memory_order_relaxed);
             }
             ++idx_e;
           }
@@ -204,7 +205,7 @@ TEST(HostTableCanonTest, MergedDuplicatesAreCounted) {
     total += test::as_u64(v);
   });
   EXPECT_EQ(total, 3000u * 8u);
-  EXPECT_EQ(total, emitted);
+  EXPECT_EQ(total, emitted.load());
 }
 
 }  // namespace

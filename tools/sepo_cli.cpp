@@ -22,8 +22,9 @@
 // out of device memory, fault-retry exhaustion), duplicate/unknown
 // --fault-* flags, fuzz failures found, or invalid/unreadable/incomparable
 // metrics files (metrics-diff exits 2 when the two files' schema versions
-// differ beyond the adjacent v3/v4 pair, which stays comparable on shared
-// fields with a warning); metrics-diff additionally exits 3 when
+// differ outside v3..v6, which stay comparable on shared fields with a
+// warning, or when a baseline run has no counterpart in the newer file);
+// metrics-diff additionally exits 3 when
 // sim_seconds regressed beyond the threshold; `fuzz --repro` exits 4 when
 // the replayed verdict differs from the recorded one.
 #include <algorithm>
@@ -69,9 +70,6 @@ struct Options {
   // Host ThreadPool size (0 = hardware concurrency); stripped from argv by
   // apps::pool_workers_from_args before parse() runs.
   std::size_t workers = 0;
-  // Batched-insert capacity (0 = scalar path); stripped from argv by
-  // apps::batch_insert_from_args (`--batch-insert on|off|N`).
-  std::uint32_t batch_insert = 0;
   bool csv = false;
   gpusim::FaultConfig faults;  // all rates zero: injection disabled
   // True when --seed was given explicitly. `fuzz` has its own default master
@@ -135,10 +133,12 @@ void usage() {
                "  compare --app A [--impl I] run I (default gpu) vs the reference\n"
                "                             baseline, verify digests\n"
                "  metrics-check FILE         validate a metrics JSON file\n"
-               "  metrics-diff OLD NEW       compare two metrics files; exits 3 when\n"
-               "                             sim_seconds regressed > --max-regress-pct\n"
+               "  metrics-diff OLD NEW       compare two metrics files run by run\n"
+               "                             (app/impl/dataset); exits 2 when a run\n"
+               "                             is missing, 3 when sim_seconds\n"
+               "                             regressed > --max-regress-pct\n"
                "  report FILE                render a run report from a metrics file\n"
-               "                             (schema v3 or v4): per-iteration table,\n"
+               "                             (schema v3..v6): per-iteration table,\n"
                "                             occupancy high-water marks, fault summary\n"
                "                             [--journal J.jsonl] [--last N]\n"
                "  bench-check FILE           validate a BENCH_host.json wall-clock file\n"
@@ -462,7 +462,6 @@ int cmd_run(const Options& o, const obs::OutputOptions& out) {
   cfg.gpu.device_bytes = o.device_kb << 10;
   cfg.gpu.faults = o.faults;
   cfg.gpu.pool_workers = o.workers;
-  cfg.gpu.batch_insert = o.batch_insert;
   cfg.cpu.num_threads = o.threads;
   cfg.cpu.pool_workers = o.workers;
 
@@ -546,8 +545,7 @@ int cmd_compare(const Options& o, const obs::OutputOptions& out) {
     cfg.gpu.device_bytes = o.device_kb << 10;
     cfg.gpu.faults = o.faults;
     cfg.gpu.pool_workers = o.workers;
-    cfg.gpu.batch_insert = o.batch_insert;
-    cfg.gpu.trace = rec.get();
+      cfg.gpu.trace = rec.get();
     cfg.cpu.num_threads = o.threads;
     cfg.cpu.pool_workers = o.workers;
     if (rec) rec->begin_section(o.app + "/" + test->name());
@@ -648,21 +646,6 @@ std::vector<std::string> check_metrics(const obs::Json& m) {
     // paths.
     if (!r["timeseries"].is_array())
       problems.push_back(where + ".timeseries missing");
-    // v5: the batched-insert pipeline totals. Always an object — enabled
-    // false with all-zero counters when the knob is off (and on baselines,
-    // which have no combining buffer).
-    const obs::Json& cb = r["combine_buffer"];
-    if (!cb.is_object()) {
-      problems.push_back(where + ".combine_buffer missing");
-    } else {
-      if (!cb["enabled"].is_bool())
-        problems.push_back(where + ".combine_buffer.enabled missing");
-      for (const char* k :
-           {"scratch_hits", "precombined_records", "lock_acquires_saved",
-            "drain_flushes", "drained_records", "requeued_records"})
-        if (!cb[k].is_number())
-          problems.push_back(where + ".combine_buffer." + k + " missing");
-    }
   }
   return problems;
 }
@@ -679,6 +662,25 @@ int cmd_metrics_check(const std::string& path) {
   return 0;
 }
 
+// v3..v6 differ only in additive / dropped objects (v4 adds "timeseries",
+// v5 adds the batched-insert totals, v6 drops them again), so files across
+// that range stay comparable on their shared fields.
+bool readable_schema(std::int64_t v) {
+  return v >= 3 && v <= obs::kMetricsSchemaVersion;
+}
+
+// A run's identity in metrics-diff: app/impl plus the input it ran on — the
+// "dataset" extra when the writer recorded one, else "input_bytes". Keying
+// by app/impl alone would pair a sweep's dataset #2..#4 runs with #1.
+std::string run_key(const obs::Json& r) {
+  std::string k = r["app"].as_string() + "/" + r["impl"].as_string();
+  if (r["dataset"].is_number())
+    k += "/#" + std::to_string(r["dataset"].as_i64());
+  else if (r["input_bytes"].is_number())
+    k += "/" + std::to_string(r["input_bytes"].as_u64()) + "B";
+  return k;
+}
+
 int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
                      double max_regress_pct) {
   const auto older = load_metrics(old_path);
@@ -686,15 +688,12 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
   if (!older || !newer) return 2;
 
   // Files written under different schemas are incomparable (exit 2), which
-  // is distinct from "comparable but regressed" (exit 3). Exception:
-  // v3..v5 differ only by additive objects (v4 adds "timeseries", v5 adds
-  // "combine_buffer"), so an older baseline stays diffable against a newer
-  // file — compare the shared fields and warn.
+  // is distinct from "comparable but regressed" (exit 3). Exception: within
+  // v3..v6 compare the shared fields and warn.
   const std::int64_t old_v = (*older)["schema_version"].as_i64();
   const std::int64_t new_v = (*newer)["schema_version"].as_i64();
   if (old_v != new_v) {
-    const auto adjacent = [](std::int64_t v) { return v >= 3 && v <= 5; };
-    if (!adjacent(old_v) || !adjacent(new_v)) {
+    if (!readable_schema(old_v) || !readable_schema(new_v)) {
       std::fprintf(stderr,
                    "schema mismatch: %s is v%lld, %s is v%lld — not comparable\n",
                    old_path.c_str(), static_cast<long long>(old_v),
@@ -703,31 +702,28 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
     }
     std::fprintf(stderr,
                  "warning: schema v%lld vs v%lld — comparing shared fields "
-                 "(newer versions only add the \"timeseries\" / "
-                 "\"combine_buffer\" objects)\n",
+                 "(v3..v6 differ only in added or dropped objects)\n",
                  static_cast<long long>(old_v),
                  static_cast<long long>(new_v));
   }
 
-  // Baseline run objects by (app, impl); first occurrence wins.
+  // Baseline run objects by run_key; first occurrence wins.
   std::map<std::string, const obs::Json*> base;
-  for (const auto& r : (*older)["runs"].elements()) {
-    const std::string k = r["app"].as_string() + "/" + r["impl"].as_string();
-    base.emplace(k, &r);
-  }
+  for (const auto& r : (*older)["runs"].elements())
+    base.emplace(run_key(r), &r);
+  std::set<std::string> seen;
 
   TablePrinter table({"run", "old sim_ms", "new sim_ms", "delta %"});
   bool regressed = false;
-  std::size_t matched = 0;
   for (const auto& r : (*newer)["runs"].elements()) {
-    const std::string k = r["app"].as_string() + "/" + r["impl"].as_string();
+    const std::string k = run_key(r);
     const auto it = base.find(k);
     if (it == base.end()) {
       table.add_row({k, "-", TablePrinter::fmt(r["sim_seconds"].as_double() * 1e3, 3),
                      "new"});
       continue;
     }
-    ++matched;
+    seen.insert(k);
     const double o = (*it->second)["sim_seconds"].as_double();
     const double n = r["sim_seconds"].as_double();
     // Relative-epsilon comparison: the simulated-time fields are
@@ -760,9 +756,22 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
         drift((std::string("timeline.") + f).c_str(), ot[f].as_double(),
               nt[f].as_double());
   }
+  // A baseline run the newer file lacks is a refusal, not a pass: the
+  // comparison no longer covers what the baseline measured.
+  for (const auto& [k, r] : base) {
+    if (seen.count(k) != 0) continue;
+    table.add_row(
+        {k, TablePrinter::fmt((*r)["sim_seconds"].as_double() * 1e3, 3), "-",
+         "missing"});
+  }
   table.print(std::cout);
-  if (matched == 0) {
-    std::fprintf(stderr, "no (app, impl) pairs in common\n");
+  if (seen.empty()) {
+    std::fprintf(stderr, "no runs in common\n");
+    return 2;
+  }
+  if (seen.size() < base.size()) {
+    std::fprintf(stderr, "%zu baseline run(s) missing from %s\n",
+                 base.size() - seen.size(), new_path.c_str());
     return 2;
   }
   if (regressed) {
@@ -816,20 +825,6 @@ std::vector<std::string> check_bench(const obs::Json& m) {
           "journal_overhead_pct " +
           TablePrinter::fmt(overhead->as_double(), 2) +
           " exceeds the 10% event-journal overhead budget");
-  }
-  // Batched-insert gate: full (non-tiny) runs must show the batched insert
-  // pipeline at >= 2x over the scalar path on the skewed Zipf workload
-  // (DESIGN.md §5d). Tiny runs are exempt — at 150k items each worker sees
-  // too few records per distinct key for the drain amortization to pay off,
-  // and the tiny fixture exists for schema/plumbing smoke, not performance.
-  const obs::Json* zipf = m.find("insert_batched_speedup_zipf");
-  if (zipf != nullptr && m["tiny"].is_bool() && !m["tiny"].as_bool()) {
-    if (!zipf->is_number())
-      problems.push_back("insert_batched_speedup_zipf not a number");
-    else if (zipf->as_double() < 2.0)
-      problems.push_back("insert_batched_speedup_zipf " +
-                         TablePrinter::fmt(zipf->as_double(), 2) +
-                         " below the 2x batched-insert budget");
   }
   return problems;
 }
@@ -998,16 +993,16 @@ void report_hot_buckets(const obs::Json& r) {
     std::printf("  hottest buckets: %s\n", line.c_str());
 }
 
-// Renders a human-readable post-mortem from a metrics file (schema v3 or
-// v4; v3 predates the occupancy time-series, so that section is absent)
+// Renders a human-readable post-mortem from a metrics file (schema v3..v6;
+// v3 predates the occupancy time-series, so that section is absent)
 // plus, optionally, a JSONL journal dump written via --journal-out.
 int cmd_report(const std::string& metrics_path,
                const std::string& journal_path, std::size_t last_n) {
   const auto m = load_metrics(metrics_path);
   if (!m) return 2;
   const std::int64_t v = (*m)["schema_version"].as_i64();
-  if (v != obs::kMetricsSchemaVersion && v != 3) {
-    std::fprintf(stderr, "%s: schema v%lld not supported (want v3 or v%d)\n",
+  if (!readable_schema(v)) {
+    std::fprintf(stderr, "%s: schema v%lld not supported (want v3..v%d)\n",
                  metrics_path.c_str(), static_cast<long long>(v),
                  obs::kMetricsSchemaVersion);
     return 2;
@@ -1188,7 +1183,6 @@ int cmd_fuzz(const Options& o) {
 int main(int argc, char** argv) {
   const obs::OutputOptions out = obs::OutputOptions::from_args(argc, argv);
   const std::size_t workers = pool_workers_from_args(argc, argv);
-  const std::uint32_t batch_insert = batch_insert_from_args(argc, argv);
 
   // The metrics/bench file commands take positional paths, not run options.
   if (argc >= 2 && (std::strcmp(argv[1], "metrics-check") == 0 ||
@@ -1249,7 +1243,6 @@ int main(int argc, char** argv) {
     return err_exit;
   }
   opts->workers = workers;
-  opts->batch_insert = batch_insert;
   if (opts->command == "list") return cmd_list();
   if (opts->command == "engines") return cmd_engines();
   if (opts->command == "run") return cmd_run(*opts, out);

@@ -6,12 +6,15 @@
 // place that times the host for its own sake: how fast the virtual GPU
 // executes, which is what bounds every bench/ctest run. It times
 //
-//   counter_bump_atomic    the pre-change hot-path shape: per-item
+//   counter_bump_atomic    the original hot-path shape: per-item
 //                          std::function dispatch, every virtual thread
-//                          bumping the shared RunStats atomics
+//                          bumping one shared set of atomics (a bench-local
+//                          copy of the old RunStats, SharedAtomicStats)
 //   counter_bump_sharded   the same counter workload through gpusim::launch:
-//                          devirtualized dispatch + per-worker WorkerStats
-//                          shards (the contention-free path)
+//                          devirtualized dispatch + RunStats' per-worker
+//                          counter shards (the contention-free path)
+//   counter_bump_parties   the same workload through ThreadPool::run_parties
+//                          with no launch: the CPU-baseline shape
 //   journal_disabled       sharded counter workload with a nullable
 //                          EventJournal* left null (the branch every journal
 //                          hook costs when no journal is installed)
@@ -28,8 +31,8 @@
 // and writes BENCH_host.json (obs::kBenchSchemaVersion) when --metrics-out
 // is given; `sepo_cli bench-check` validates it, `sepo_cli bench-diff`
 // compares two of them. Each bench takes the best of --reps runs to damp
-// scheduler noise. The atomic/sharded pair double-checks bit-identity: their
-// merged counter totals must match exactly or the binary exits 1, and the
+// scheduler noise. The three counter rows double-check bit-identity: their
+// counter totals must match exactly or the binary exits 1, and the
 // journal pair repeats the same check (recording events must not perturb the
 // metered counters). The journal pair's relative cost is written as
 // journal_overhead_pct; `sepo_cli bench-check` fails the file when it
@@ -37,6 +40,7 @@
 //
 //   host_perf [--tiny] [--workers N] [--reps N] [--metrics-out=FILE]
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -67,11 +71,41 @@ using namespace sepo::gpusim;
 
 namespace {
 
+// The original RunStats shape, kept here as the baseline the counter rows
+// are measured against: one shared relaxed atomic per counter, bumped with
+// fetch_add from every thread. Generated from the same counter list.
+class SharedAtomicStats {
+ public:
+#define SEPO_X(field, comment)                                                 \
+  void add_##field(std::uint64_t n = 1) noexcept {                             \
+    field##_.fetch_add(n, std::memory_order_relaxed);                          \
+  }
+  SEPO_STATS_FIELDS(SEPO_X)
+#undef SEPO_X
+  void add_chain_links(std::uint64_t n = 1) noexcept {
+    add_chain_links_walked(n);
+  }
+
+  [[nodiscard]] StatsSnapshot snapshot() const noexcept {
+    StatsSnapshot s;
+#define SEPO_X(field, comment) s.field = field##_.load(std::memory_order_relaxed);
+    SEPO_STATS_FIELDS(SEPO_X)
+#undef SEPO_X
+    return s;
+  }
+
+ private:
+#define SEPO_X(field, comment) std::atomic<std::uint64_t> field##_{0};
+  SEPO_STATS_FIELDS(SEPO_X)
+#undef SEPO_X
+};
+
 // The deterministic per-item counter workload shared with the
 // CounterShardTest fixture (tests/counter_shard_test.cpp): bumps derived
 // from a splitmix of the item index, so totals are independent of threading
 // and batch order.
-void fixture_kernel(RunStats& stats, std::size_t i) {
+template <typename Stats>
+void fixture_kernel(Stats& stats, std::size_t i) {
   std::uint64_t x = (i + 1) * 0x9E3779B97F4A7C15ull;
   x ^= x >> 30;
   x *= 0xBF58476D1CE4E5B9ull;
@@ -123,12 +157,12 @@ BenchResult bench(const std::string& name, std::uint64_t items, int reps,
   return r;
 }
 
-// Reproduces the pre-change hot path exactly: RunStats is not sharded (every
-// bump is a relaxed fetch_add on the shared atomics) and both the grid body
-// and the per-item kernel go through std::function, as the old non-template
+// Reproduces the original hot path exactly: every bump is a relaxed
+// fetch_add on one shared set of atomics, and both the grid body and the
+// per-item kernel go through std::function, as the old non-template
 // launch/parallel_for did.
-void run_atomic_path(ThreadPool& pool, RunStats& stats, std::size_t items,
-                     std::size_t grid) {
+void run_atomic_path(ThreadPool& pool, SharedAtomicStats& stats,
+                     std::size_t items, std::size_t grid) {
   const std::function<void(std::size_t)> kernel = [&stats](std::size_t i) {
     fixture_kernel(stats, i);
   };
@@ -273,19 +307,34 @@ int main(int argc, char** argv) {
 
   std::vector<BenchResult> results;
 
-  // Hot-path pair: identical counter math through the old and new path; the
-  // totals must be bit-identical (that is the sharding invariant).
-  RunStats stats_atomic;
-  results.push_back(bench("counter_bump_atomic", items, reps, [&] {
+  // Hot-path rows: identical counter math through the old shared atomics,
+  // a kernel launch, and persistent parties; the totals must be
+  // bit-identical (that is the sharding invariant).
+  SharedAtomicStats stats_atomic;
+  const BenchResult atomic = bench("counter_bump_atomic", items, reps, [&] {
     run_atomic_path(pool, stats_atomic, items, grid);
-  }));
+  });
   RunStats stats_sharded;
-  results.push_back(bench("counter_bump_sharded", items, reps, [&] {
+  const BenchResult sharded = bench("counter_bump_sharded", items, reps, [&] {
     launch(pool, stats_sharded, items,
            [&stats_sharded](std::size_t i) { fixture_kernel(stats_sharded, i); },
            {.grid_threads = grid});
+  });
+  RunStats stats_parties;
+  const std::size_t parties = pool.worker_count();
+  results.push_back(atomic);
+  results.push_back(sharded);
+  results.push_back(bench("counter_bump_parties", items, reps, [&] {
+    pool.run_parties(parties, [&](std::size_t p) {
+      for (std::size_t i = items * p / parties; i < items * (p + 1) / parties;
+           ++i)
+        fixture_kernel(stats_parties, i);
+    });
   }));
-  if (stats_atomic.snapshot() != stats_sharded.snapshot()) {
+  StatsSnapshot parties_total = stats_parties.snapshot();
+  parties_total.kernel_launches = stats_sharded.snapshot().kernel_launches;
+  if (stats_atomic.snapshot() != stats_sharded.snapshot() ||
+      parties_total != stats_sharded.snapshot()) {
     std::fprintf(stderr,
                  "FATAL: sharded counter totals diverge from the atomic "
                  "path\n");
@@ -327,8 +376,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double journal_overhead_pct =
-      (results[3].wall_seconds - results[2].wall_seconds) /
-      results[2].wall_seconds * 100.0;
+      (je.wall_seconds - jd.wall_seconds) / jd.wall_seconds * 100.0;
 
   // Scheduling overhead alone: a kernel the compiler cannot delete but that
   // does no metering or work.
@@ -371,8 +419,7 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt(r.ops_per_sec / 1e6, 2)});
   table.print(std::cout);
 
-  const double speedup =
-      results[0].wall_seconds / results[1].wall_seconds;
+  const double speedup = atomic.wall_seconds / sharded.wall_seconds;
   std::printf("\ncounter-bump speedup (sharded vs atomic hot path): %.2fx\n",
               speedup);
   std::printf("journal overhead (event recording vs disabled): %.2f%% "

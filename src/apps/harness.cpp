@@ -6,6 +6,7 @@
 
 #include "baselines/mapcg.hpp"
 #include "common/hashing.hpp"
+#include "gpusim/worker_id.hpp"
 
 namespace sepo::apps {
 
@@ -34,6 +35,11 @@ std::size_t pool_workers_from_args(int& argc, char** argv) {
   }
   argc = w;
   argv[argc] = nullptr;
+  if (workers > gpusim::kMaxPoolWorkers) {
+    std::fprintf(stderr, "--workers %zu exceeds the maximum of %zu\n", workers,
+                 gpusim::kMaxPoolWorkers);
+    std::exit(1);
+  }
   return workers;
 }
 

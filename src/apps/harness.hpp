@@ -136,8 +136,9 @@ struct RunError {
 // strips a `--workers N` / `--workers=N` flag from argv (compacting argc like
 // obs::OutputOptions::from_args) and returns its value; falls back to the
 // SEPO_WORKERS environment variable, then to 0 (= hardware concurrency, the
-// ThreadPool default). Plumb the result into GpuConfig/CpuConfig
-// .pool_workers to sweep host parallelism in perf runs.
+// ThreadPool default). A count above gpusim::kMaxPoolWorkers is a usage
+// error: it is reported and the process exits 1. Plumb the result into
+// GpuConfig/CpuConfig .pool_workers to sweep host parallelism in perf runs.
 [[nodiscard]] std::size_t pool_workers_from_args(int& argc, char** argv);
 
 // One measured run of one implementation of one app.

@@ -179,7 +179,7 @@ template <typename Entry>
 void ChainedHostTable::push(std::uint32_t b, Entry* e) {
   e->next = static_cast<Entry*>(heads_[b].load(std::memory_order_relaxed));
   heads_[b].store(e, std::memory_order_release);
-  entry_count_.fetch_add(1, std::memory_order_relaxed);
+  tallies_.add(kEntries, 1);
   stats_.add_inserts_new();
 }
 
@@ -234,7 +234,7 @@ void ChainedHostTable::insert_multivalued(std::uint32_t tid, std::uint32_t b,
   ve->next = ke->vhead;
   ke->vhead = ve;
   remote(vsz + sizeof(void*));  // value entry + the key's list head
-  value_count_.fetch_add(1, std::memory_order_relaxed);
+  tallies_.add(kValues, 1);
   stats_.add_value_appends();
 }
 

@@ -40,6 +40,7 @@
 #include "gpusim/exec_context.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/pcie.hpp"
+#include "gpusim/sharded_counters.hpp"
 #include "mapreduce/spec.hpp"
 
 namespace sepo::baselines {
@@ -90,11 +91,12 @@ class ChainedHostTable {
                                const std::vector<std::span<const std::byte>>&)>&
           fn) const;
 
+  // Exact when no insert is in flight.
   [[nodiscard]] std::size_t entry_count() const noexcept {
-    return entry_count_.load(std::memory_order_relaxed);
+    return tallies_.sum(kEntries);
   }
   [[nodiscard]] std::size_t value_count() const noexcept {
-    return value_count_.load(std::memory_order_relaxed);
+    return tallies_.sum(kValues);
   }
   // Total bytes handed out by the heap (table memory footprint).
   [[nodiscard]] std::size_t allocated_bytes() const noexcept;
@@ -160,8 +162,10 @@ class ChainedHostTable {
   // CPU: one arena per thread slot. Pinned: one arena behind heap_lock_.
   std::vector<Arena> arenas_;
   gpusim::DeviceLock heap_lock_;
-  std::atomic<std::size_t> entry_count_{0};
-  std::atomic<std::size_t> value_count_{0};
+  // Chain entries pushed and multi-valued values appended, counted per
+  // worker like RunStats.
+  enum Tally : std::size_t { kEntries, kValues, kNumTallies };
+  gpusim::ShardedCounters<kNumTallies> tallies_;
 };
 
 // Emitter into a ChainedHostTable from worker thread `tid` (never

@@ -46,7 +46,7 @@ MapCgRuntime::MapCgRuntime(gpusim::ExecContext& ctx, MapCgConfig cfg)
 
 gpusim::DevPtr MapCgRuntime::global_alloc(std::uint32_t bytes) {
   bytes = (bytes + 7u) & ~7u;
-  serial_atomic_ops_.fetch_add(1, std::memory_order_relaxed);
+  tallies_.add(kSerialAtomicOps, 1);
   stats_.add_alloc_ops();
   const std::uint64_t off =
       arena_used_.fetch_add(bytes, std::memory_order_relaxed);
@@ -90,7 +90,7 @@ core::Status MapCgRuntime::insert(std::string_view key,
     std::memcpy(kn->key_data(), key.data(), key_len);
     heads_[b].store(kp, std::memory_order_release);
     stats_.add_inserts_new();
-    key_count_.fetch_add(1, std::memory_order_relaxed);
+    tallies_.add(kKeys, 1);
   }
   const auto val_len = static_cast<std::uint32_t>(value.size());
   const gpusim::DevPtr vp = global_alloc(
@@ -103,7 +103,7 @@ core::Status MapCgRuntime::insert(std::string_view key,
   if (val_len) std::memcpy(vn->value_data(), value.data(), val_len);
   kn->vhead = vp;
   stats_.add_value_appends();
-  value_count_.fetch_add(1, std::memory_order_relaxed);
+  tallies_.add(kValues, 1);
   return core::Status::kSuccess;
 }
 

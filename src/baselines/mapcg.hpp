@@ -13,6 +13,7 @@
 //     inserted KV pairs", §VI-C).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -24,6 +25,7 @@
 #include "gpusim/device.hpp"
 #include "gpusim/exec_context.hpp"
 #include "gpusim/launch.hpp"
+#include "gpusim/sharded_counters.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "mapreduce/spec.hpp"
 
@@ -63,16 +65,16 @@ class MapCgRuntime {
           fn) const;
 
   [[nodiscard]] std::size_t key_count() const noexcept {
-    return key_count_.load(std::memory_order_relaxed);
+    return tallies_.sum(kKeys);
   }
   [[nodiscard]] std::size_t value_count() const noexcept {
-    return value_count_.load(std::memory_order_relaxed);
+    return tallies_.sum(kValues);
   }
 
   // Number of operations on the single global allocation counter — feeds the
   // cost model's serial-atomic term.
   [[nodiscard]] std::uint64_t serial_atomic_ops() const noexcept {
-    return serial_atomic_ops_;
+    return tallies_.sum(kSerialAtomicOps);
   }
 
   [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
@@ -124,11 +126,14 @@ class MapCgRuntime {
 
   gpusim::DevPtr arena_base_ = gpusim::kDevNull;
   std::size_t arena_size_ = 0;
+  // The modelled device bump allocator: one shared atomic offset, on purpose.
   std::atomic<std::uint64_t> arena_used_{0};
-  std::atomic<std::uint64_t> serial_atomic_ops_{0};
 
-  std::atomic<std::size_t> key_count_{0};
-  std::atomic<std::size_t> value_count_{0};
+  // Host-side tallies, counted per worker like RunStats. Operations on
+  // arena_used_ are the priced serial atomics; counting them must not add a
+  // second shared atomic.
+  enum Tally : std::size_t { kKeys, kValues, kSerialAtomicOps, kNumTallies };
+  gpusim::ShardedCounters<kNumTallies> tallies_;
   bool reduced_ = false;
 };
 

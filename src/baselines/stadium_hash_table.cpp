@@ -85,7 +85,7 @@ void StadiumHashTable::insert(std::string_view key,
   // Entry list order must mirror the fingerprint order (newest first).
   e->next = entry_heads_[b].load(std::memory_order_relaxed);
   entry_heads_[b].store(e, std::memory_order_release);
-  entry_count_.fetch_add(1, std::memory_order_relaxed);
+  entry_count_.add(0, 1);
   stats_.add_inserts_new();
 }
 

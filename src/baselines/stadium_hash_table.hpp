@@ -35,6 +35,7 @@
 #include "gpusim/device.hpp"
 #include "gpusim/exec_context.hpp"
 #include "gpusim/launch.hpp"
+#include "gpusim/sharded_counters.hpp"
 
 namespace sepo::baselines {
 
@@ -69,8 +70,9 @@ class StadiumHashTable {
       const std::function<void(std::string_view, std::span<const std::byte>)>&
           fn) const;
 
+  // Exact when no insert is in flight.
   [[nodiscard]] std::size_t entry_count() const noexcept {
-    return entry_count_.load(std::memory_order_relaxed);
+    return entry_count_.sum(0);
   }
   // Device memory consumed by the fingerprint index.
   [[nodiscard]] std::size_t index_bytes() const noexcept {
@@ -136,7 +138,7 @@ class StadiumHashTable {
   gpusim::DeviceLock host_lock_;
   std::vector<std::unique_ptr<std::byte[]>> host_chunks_;
   std::size_t used_in_chunk_ = 0;
-  std::atomic<std::size_t> entry_count_{0};
+  gpusim::ShardedCounters<1> entry_count_;  // counted per worker
   std::atomic<std::size_t> index_blocks_used_{0};
 };
 

@@ -4,20 +4,18 @@
 // what makes the reproduction independent of the host machine.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "gpusim/worker_id.hpp"
+#include "gpusim/sharded_counters.hpp"
 
 namespace sepo::gpusim {
 
 class TraceHook;
 
 // The single source of truth for the counter set. StatsSnapshot fields,
-// RunStats atomics/adders, snapshot(), reset(), arithmetic, and the JSON
+// RunStats fields/adders, snapshot(), reset(), arithmetic, and the JSON
 // serializer (obs::to_json) are all generated from this list, so adding a
 // counter is one line here and one nowhere else.
 //
@@ -71,7 +69,7 @@ struct StatsSnapshot {
 
   // Saturating per-field difference (deltas between two points in a run;
   // counters are monotone so saturation only guards against misuse). The
-  // debug assert makes that misuse — e.g. a shard-merge bug producing an
+  // debug assert makes that misuse — e.g. a shard-fold bug producing an
   // "after" snapshot smaller than "before" — fail loudly in the asan/tsan
   // presets instead of silently clamping to zero.
   StatsSnapshot& operator-=(const StatsSnapshot& o) {
@@ -104,40 +102,16 @@ struct StatsSnapshot {
   }
 };
 
-// One pool worker's private counter shard: plain (non-atomic) fields on a
-// worker-exclusive set of cache lines. Kernel code bumps its own shard with
-// ordinary additions — no lock-prefixed RMW, no line shared with any other
-// worker — and gpusim::launch merges all shards into the canonical RunStats
-// atomics at kernel exit, while the virtual threads are quiescent. Generated
-// from the same SEPO_STATS_FIELDS X-macro, so the shard cannot drift from
-// the counter set.
-struct alignas(kCacheLineBytes) WorkerStats {
-#define SEPO_X(field, comment) std::uint64_t field = 0; /* comment */
-  SEPO_STATS_FIELDS(SEPO_X)
-#undef SEPO_X
-};
-
-// Thread-safe accumulating counters. Counts are read only between kernel
-// launches, when virtual threads are quiescent.
-//
-// Two metering paths:
-//  * Outside a kernel (host code, CPU-baseline parties): relaxed fetch_add
-//    on the shared atomics — correct from any thread, any time.
-//  * Inside a kernel (between begin_sharding/end_sharding, installed by
-//    gpusim::launch): each pool worker bumps its private WorkerStats shard;
-//    end_sharding folds the shards back into the atomics. Because uint64
-//    addition is commutative and wraps mod 2^64, the merged totals are
-//    bit-identical to what the all-atomic path would have produced, and the
-//    merge happens at the exact quiescent point (kernel exit) where
-//    snapshots, trace hooks, and the fault injector already observe totals.
+// Thread-safe accumulating counters, metered through per-worker shards
+// (ShardedCounters): a kernel or run_parties body bumps its worker's private
+// cache lines, host code bumps the host shard, and snapshot() folds them.
+// Counts are read only at quiescent points (between launches and jobs), so
+// every snapshot is exact.
 class RunStats {
  public:
 #define SEPO_X(field, comment)                                                 \
   void add_##field(std::uint64_t n = 1) noexcept {                             \
-    if (WorkerStats* shard = shards_)                                          \
-      shard[current_worker_index()].field += n;                                \
-    else                                                                       \
-      bump(field##_, n);                                                       \
+    counters_.add(k_##field, n);                                               \
   }
   SEPO_STATS_FIELDS(SEPO_X)
 #undef SEPO_X
@@ -147,20 +121,20 @@ class RunStats {
     add_chain_links_walked(n);
   }
 
+  // Folds the shards. Call from the host between launches; a pool worker
+  // reading mid-job would see other workers' counts in flight.
   [[nodiscard]] StatsSnapshot snapshot() const noexcept {
+    assert(current_worker_slot() == kHostSlot &&
+           "RunStats::snapshot() is read at quiescent points only");
+    const auto sums = counters_.sum();
     StatsSnapshot s;
-#define SEPO_X(field, comment)                                                 \
-  s.field = field##_.load(std::memory_order_relaxed);
+#define SEPO_X(field, comment) s.field = sums[k_##field];
     SEPO_STATS_FIELDS(SEPO_X)
 #undef SEPO_X
     return s;
   }
 
-  void reset() noexcept {
-#define SEPO_X(field, comment) field##_.store(0, std::memory_order_relaxed);
-    SEPO_STATS_FIELDS(SEPO_X)
-#undef SEPO_X
-  }
+  void reset() noexcept { counters_.reset(); }
 
   // Optional telemetry hook (obs::TraceRecorder). Install before a run, from
   // the host, while virtual threads are quiescent; null (the default) keeps
@@ -169,65 +143,16 @@ class RunStats {
   void set_trace_hook(TraceHook* hook) noexcept { trace_hook_ = hook; }
   [[nodiscard]] TraceHook* trace_hook() const noexcept { return trace_hook_; }
 
-  // --- sharded metering (installed by gpusim::launch) ---
-  // Call from the host while virtual threads are quiescent, before the
-  // kernel's pool job is published: the pool's job-publication mutex then
-  // orders the plain shards_ write before any worker's read. Shard storage
-  // is owned here and reused across launches, so steady-state launches do
-  // not allocate.
-  void begin_sharding(std::size_t workers) {
-    assert(shards_ == nullptr && "launches do not nest");
-    if (shard_storage_.size() < workers) shard_storage_.resize(workers);
-    std::fill_n(shard_storage_.begin(), workers, WorkerStats{});
-    n_shards_ = workers;
-    shards_ = shard_storage_.data();
-  }
-
-  // Folds the shards into the atomics and returns to the all-atomic path.
-  // Idempotent; called at kernel exit (again: virtual threads quiescent, the
-  // pool's completion wait ordered every shard write before this read).
-  void end_sharding() noexcept {
-    WorkerStats* const shards = shards_;
-    if (shards == nullptr) return;
-    shards_ = nullptr;
-    for (std::size_t w = 0; w < n_shards_; ++w) {
-#define SEPO_X(field, comment)                                                 \
-  if (shards[w].field != 0) bump(field##_, shards[w].field);
-      SEPO_STATS_FIELDS(SEPO_X)
-#undef SEPO_X
-    }
-  }
-
-  [[nodiscard]] bool sharded() const noexcept { return shards_ != nullptr; }
-
  private:
-  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) noexcept {
-    c.fetch_add(n, std::memory_order_relaxed);
-  }
-
-#define SEPO_X(field, comment) std::atomic<std::uint64_t> field##_{0};
-  SEPO_STATS_FIELDS(SEPO_X)
+  enum Field : std::size_t {
+#define SEPO_X(field, comment) k_##field,
+    SEPO_STATS_FIELDS(SEPO_X)
 #undef SEPO_X
+    kNumFields
+  };
+
+  ShardedCounters<kNumFields> counters_;
   TraceHook* trace_hook_ = nullptr;
-  WorkerStats* shards_ = nullptr;  // non-null only while a kernel executes
-  std::size_t n_shards_ = 0;
-  std::vector<WorkerStats> shard_storage_;
-};
-
-// RAII sharding scope for one kernel launch: constructor installs one shard
-// per pool worker, destructor merges them back — exception-safe, so a
-// throwing kernel still leaves totals consistent.
-class StatsShardScope {
- public:
-  StatsShardScope(RunStats& stats, std::size_t workers) : stats_(stats) {
-    stats_.begin_sharding(workers);
-  }
-  ~StatsShardScope() { stats_.end_sharding(); }
-  StatsShardScope(const StatsShardScope&) = delete;
-  StatsShardScope& operator=(const StatsShardScope&) = delete;
-
- private:
-  RunStats& stats_;
 };
 
 }  // namespace sepo::gpusim

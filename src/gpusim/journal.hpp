@@ -3,13 +3,13 @@
 // An EventJournal is a per-worker, cache-line-sharded, fixed-capacity ring
 // buffer of typed events. It answers "what was the allocator / fault machinery
 // doing right before this run died?" — the question end-of-run aggregate
-// counters cannot. The hot path is deliberately shaped like the WorkerStats
-// counter shards (PR 6): record() is one plain index bump plus a struct store
-// into the calling worker's own cache-line-aligned shard — no locks, no
-// atomics on the event path, no allocation. Shards are drained only at
-// quiescent points (after a run completes, or from the error path once every
-// kernel has unwound), where the same job-publication ordering that makes the
-// counter-shard merge safe makes these plain reads safe.
+// counters cannot. The hot path is deliberately shaped like the per-worker
+// counter shards (gpusim::ShardedCounters): record() is one plain index bump
+// plus a struct store into the calling worker's own cache-line-aligned shard
+// — no locks, no atomics on the event path, no allocation. Shards are drained
+// only at quiescent points (after a run completes, or from the error path
+// once every kernel has unwound), where the same job-completion ordering that
+// makes counter snapshots exact makes these plain reads safe.
 //
 // Timestamps are *simulated* seconds. Worker threads cannot read the Timeline
 // directly (its doubles are host-owned), so the host publishes the current
@@ -146,7 +146,7 @@ class EventJournal {
  private:
   // Plain (non-atomic) head: each shard is written by exactly one worker,
   // and drains happen only when workers are quiescent — the same
-  // memory-ordering argument as WorkerStats (counters.hpp). The alignas
+  // memory-ordering argument as ShardedCounters. The alignas
   // keeps neighbouring shards' heads off each other's cache lines; unique_ptr
   // keeps shard addresses stable across ensure_shards() growth.
   struct alignas(kCacheLineBytes) Shard {

@@ -29,16 +29,12 @@ struct LaunchConfig {
 
 namespace detail {
 
-// Distributes items over grid threads and runs them on the pool, with the
-// counters sharded for exactly the kernel's duration: every stats bump from
-// inside the kernel lands in the executing worker's private WorkerStats
-// line, and the shards fold back into the canonical atomics when the scope
-// closes — after the pool has quiesced, before any snapshot can observe the
-// totals. Host-side bumps outside this scope keep using the atomics.
+// Distributes items over grid threads and runs them on the pool. Every stats
+// bump from inside the kernel lands in the executing worker's own counter
+// shard (RunStats); the pool's join orders those writes before any snapshot.
 template <typename Kernel>
-void run_grid(ThreadPool& pool, RunStats& stats, std::size_t n_items,
-              Kernel& kernel, const LaunchConfig& cfg) {
-  StatsShardScope shards(stats, pool.worker_count());
+void run_grid(ThreadPool& pool, std::size_t n_items, Kernel& kernel,
+              const LaunchConfig& cfg) {
   const std::size_t grid = cfg.grid_threads == 0 ? n_items : cfg.grid_threads;
   if (grid >= n_items) {
     pool.parallel_for(n_items, kernel);
@@ -63,16 +59,15 @@ void launch(ThreadPool& pool, RunStats& stats, std::size_t n_items,
   TraceHook* const hook = stats.trace_hook();
   if (!hook) {
     stats.add_kernel_launches();
-    if (n_items != 0) detail::run_grid(pool, stats, n_items, kernel, cfg);
+    if (n_items != 0) detail::run_grid(pool, n_items, kernel, cfg);
     return;
   }
   // Telemetry: report the counter delta this kernel produced (including its
   // own launch cost). Launches are serial on the host side, so before/after
-  // snapshots bracket exactly this kernel's events — run_grid's shard scope
-  // has already folded by the time the "after" snapshot is taken.
+  // snapshots bracket exactly this kernel's events.
   const StatsSnapshot before = stats.snapshot();
   stats.add_kernel_launches();
-  if (n_items != 0) detail::run_grid(pool, stats, n_items, kernel, cfg);
+  if (n_items != 0) detail::run_grid(pool, n_items, kernel, cfg);
   hook->on_kernel(stats.snapshot() - before, n_items);
 }
 

@@ -9,9 +9,10 @@
 // compute Table III's lower bounds.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 
+#include "gpusim/sharded_counters.hpp"
 #include "gpusim/trace_hook.hpp"
 
 namespace sepo::gpusim {
@@ -50,22 +51,22 @@ class PcieBus {
 
   // Bulk host-to-device copy (input staging).
   void h2d(std::uint64_t bytes) noexcept {
-    h2d_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    h2d_txns_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(kH2dBytes, bytes);
+    counters_.add(kH2dTxns, 1);
     if (trace_hook_) trace_hook_->on_h2d(bytes);
   }
 
   // Bulk device-to-host copy (heap flushes).
   void d2h(std::uint64_t bytes) noexcept {
-    d2h_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    d2h_txns_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(kD2hBytes, bytes);
+    counters_.add(kD2hTxns, 1);
     if (trace_hook_) trace_hook_->on_d2h(bytes);
   }
 
   // Small remote access from a device thread to pinned host memory.
   void remote(std::uint64_t bytes) noexcept {
-    remote_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    remote_txns_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(kRemoteBytes, bytes);
+    counters_.add(kRemoteTxns, 1);
     if (trace_hook_) trace_hook_->on_remote(bytes);
   }
 
@@ -74,21 +75,20 @@ class PcieBus {
   void set_trace_hook(TraceHook* hook) noexcept { trace_hook_ = hook; }
   [[nodiscard]] TraceHook* trace_hook() const noexcept { return trace_hook_; }
 
+  // Folds the per-worker shards; exact at quiescent points (RunStats).
   [[nodiscard]] PcieSnapshot snapshot() const noexcept {
+    const auto c = counters_.sum();
     PcieSnapshot s;
-    s.h2d_bytes = h2d_bytes_.load(std::memory_order_relaxed);
-    s.h2d_txns = h2d_txns_.load(std::memory_order_relaxed);
-    s.d2h_bytes = d2h_bytes_.load(std::memory_order_relaxed);
-    s.d2h_txns = d2h_txns_.load(std::memory_order_relaxed);
-    s.remote_bytes = remote_bytes_.load(std::memory_order_relaxed);
-    s.remote_txns = remote_txns_.load(std::memory_order_relaxed);
+    s.h2d_bytes = c[kH2dBytes];
+    s.h2d_txns = c[kH2dTxns];
+    s.d2h_bytes = c[kD2hBytes];
+    s.d2h_txns = c[kD2hTxns];
+    s.remote_bytes = c[kRemoteBytes];
+    s.remote_txns = c[kRemoteTxns];
     return s;
   }
 
-  void reset() noexcept {
-    h2d_bytes_ = h2d_txns_ = d2h_bytes_ = d2h_txns_ = remote_bytes_ =
-        remote_txns_ = 0;
-  }
+  void reset() noexcept { counters_.reset(); }
 
   [[nodiscard]] const PcieParams& params() const noexcept { return params_; }
 
@@ -121,11 +121,21 @@ class PcieBus {
   }
 
  private:
+  enum Counter : std::size_t {
+    kH2dBytes,
+    kH2dTxns,
+    kD2hBytes,
+    kD2hTxns,
+    kRemoteBytes,
+    kRemoteTxns,
+    kNumCounters
+  };
+
   PcieParams params_;
   TraceHook* trace_hook_ = nullptr;
-  std::atomic<std::uint64_t> h2d_bytes_{0}, h2d_txns_{0};
-  std::atomic<std::uint64_t> d2h_bytes_{0}, d2h_txns_{0};
-  std::atomic<std::uint64_t> remote_bytes_{0}, remote_txns_{0};
+  // Per-worker shards: a pinned-baseline kernel meters millions of remote
+  // accesses, and one shared pair of atomics would serialize every worker.
+  ShardedCounters<kNumCounters> counters_;
 };
 
 }  // namespace sepo::gpusim

@@ -1,21 +1,18 @@
 #include "gpusim/thread_pool.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace sepo::gpusim {
 
-namespace {
-// Index of this OS thread within the pool whose job it is running. Helpers
-// set it once at startup; the submitting thread pins it to 0 for the span of
-// each job it participates in (see run_job), so the value is always in
-// [0, worker_count) of the pool that owns the current job.
-thread_local std::size_t t_worker_index = 0;
-}  // namespace
-
-std::size_t current_worker_index() noexcept { return t_worker_index; }
-
 ThreadPool::ThreadPool(std::size_t workers) {
+  if (workers > kMaxPoolWorkers)
+    throw std::invalid_argument("ThreadPool: " + std::to_string(workers) +
+                                " workers exceeds the maximum of " +
+                                std::to_string(kMaxPoolWorkers));
   if (workers == 0) {
     const unsigned hc = std::thread::hardware_concurrency();
-    workers = hc > 0 ? hc : 1;
+    workers = std::min<std::size_t>(hc > 0 ? hc : 1, kMaxPoolWorkers);
   }
   // The calling thread is always participant 0; spawn workers-1 helpers with
   // indices 1..workers-1.
@@ -35,7 +32,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
-  t_worker_index = index;
+  detail::t_worker_slot = index;
   std::uint64_t seen = 0;
   while (true) {
     Job* job = nullptr;
@@ -91,12 +88,12 @@ void ThreadPool::run_job(std::size_t n, std::size_t batch, BatchFn invoke,
   }
   cv_work_.notify_all();
   // Participate as worker 0 of *this* pool for the span of the job; save and
-  // restore so a submitter that is itself a helper of some other pool does
-  // not leak a foreign index into this pool's shard addressing.
-  const std::size_t saved_index = t_worker_index;
-  t_worker_index = 0;
+  // restore so the submitter returns to its own slot afterwards (the host
+  // slot, or its index in some other pool).
+  const std::size_t saved_slot = detail::t_worker_slot;
+  detail::t_worker_slot = 0;
   help(job);
-  t_worker_index = saved_index;
+  detail::t_worker_slot = saved_slot;
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [&] {

@@ -22,7 +22,9 @@ namespace sepo::gpusim {
 
 class ThreadPool {
  public:
-  // `workers == 0` selects the hardware concurrency.
+  // `workers == 0` selects the hardware concurrency, capped at
+  // kMaxPoolWorkers; an explicit count above kMaxPoolWorkers throws
+  // std::invalid_argument.
   explicit ThreadPool(std::size_t workers = 0);
   ~ThreadPool();
 

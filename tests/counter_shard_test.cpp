@@ -1,20 +1,23 @@
-// Sharded-counter equivalence (gpusim::WorkerStats, DESIGN.md §5 "host
+// Per-worker counter shards (gpusim::ShardedCounters, DESIGN.md §5a "host
 // execution performance").
 //
-// gpusim::launch installs one counter shard per pool worker for the kernel's
-// duration and merges them back at kernel exit. Because uint64 addition is
-// commutative, the merged totals must be *bit-identical* to what the
-// all-atomic metering path produces — that invariant is what keeps every
-// simulated result unchanged by the perf work. The fixture totals below were
-// recorded against the pre-change, single-atomic RunStats implementation;
-// they pin the invariant across future refactors.
+// RunStats and PcieBus keep one counter shard per pool worker plus a host
+// shard, on every thread, and snapshot() sums them. Because uint64 addition
+// is commutative, the sums must be *bit-identical* to what one shared set of
+// atomics would count — that invariant is what keeps every simulated result
+// unchanged by the metering work. The fixture totals below were recorded
+// against the original single-atomic RunStats implementation; they pin the
+// invariant across future refactors.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "gpusim/counters.hpp"
 #include "gpusim/launch.hpp"
+#include "gpusim/pcie.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "gpusim/trace_hook.hpp"
 
@@ -75,14 +78,14 @@ TEST(CounterShardTest, MergedTotalsMatchPreChangeFixture) {
   launch(pool, stats, kItems,
          [&stats](std::size_t i) { fixture_kernel(stats, i); },
          {.grid_threads = kGrid});
-  EXPECT_FALSE(stats.sharded()) << "launch must merge shards at kernel exit";
   EXPECT_EQ(stats.snapshot(), recorded_fixture());
 }
 
 TEST(CounterShardTest, ShardedPathEqualsAtomicPath) {
-  // The same workload through both metering paths: sharded (inside launch)
-  // and all-atomic (direct bumps outside any launch). Bit-identical totals,
-  // modulo the launch counter the atomic path never sees.
+  // The same workload through both bump shapes: pool-worker shards (inside
+  // launch) and the host shard's fetch_add (direct bumps outside any pool
+  // job). Bit-identical totals, modulo the launch counter the host loop never
+  // sees.
   ThreadPool pool(4);
   RunStats sharded;
   launch(pool, sharded, kItems,
@@ -107,25 +110,97 @@ TEST(CounterShardTest, FixtureStableAcrossWorkerCounts) {
   }
 }
 
-TEST(CounterShardTest, AtomicPathUsedOutsideLaunch) {
-  // Host-side bumps (e.g. CPU-baseline parties) never see shards installed.
-  RunStats stats;
-  EXPECT_FALSE(stats.sharded());
-  stats.add_hash_ops(7);
-  EXPECT_EQ(stats.snapshot().hash_ops, 7u);
+// The fixture minus the launch: what the workload alone counts when it runs
+// outside gpusim::launch.
+StatsSnapshot recorded_fixture_without_launch() {
+  StatsSnapshot f = recorded_fixture();
+  f.kernel_launches = 0;
+  return f;
 }
 
-TEST(CounterShardTest, ShardScopeMergesOnce) {
-  RunStats stats;
-  {
-    StatsShardScope scope(stats, 2);
-    ASSERT_TRUE(stats.sharded());
-    stats.add_hash_ops(3);  // lands in shard 0 (calling thread)
-    EXPECT_EQ(stats.snapshot().hash_ops, 0u) << "merge happens at scope exit";
-    stats.end_sharding();  // explicit early end: scope exit must be a no-op
-    EXPECT_EQ(stats.snapshot().hash_ops, 3u);
+// Runs fixture items [lo, hi) of an even split of kItems into `parts`.
+void fixture_part(RunStats& stats, std::size_t part, std::size_t parts) {
+  for (std::size_t i = kItems * part / parts; i < kItems * (part + 1) / parts;
+       ++i)
+    fixture_kernel(stats, i);
+}
+
+TEST(CounterShardTest, RunPartiesCountsExactlyAtAnyWorkerCount) {
+  // The CPU-baseline shape: persistent parties through run_parties, with no
+  // launch and no scope around them. More parties than workers, so some
+  // worker runs several parties into its one shard.
+  for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
+    ThreadPool pool(workers);
+    RunStats stats;
+    constexpr std::size_t kParties = 8;
+    pool.run_parties(kParties, [&stats](std::size_t party) {
+      fixture_part(stats, party, kParties);
+    });
+    EXPECT_EQ(stats.snapshot(), recorded_fixture_without_launch())
+        << "workers=" << workers;
   }
-  EXPECT_EQ(stats.snapshot().hash_ops, 3u);
+}
+
+TEST(CounterShardTest, RawThreadsShareTheHostShardWithoutLoss) {
+  // Threads outside any pool all land on the host shard; its fetch_add must
+  // not lose a count however many of them bump at once.
+  RunStats stats;
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back(
+        [&stats, t] { fixture_part(stats, t, kThreads); });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(stats.snapshot(), recorded_fixture_without_launch());
+}
+
+TEST(CounterShardTest, HostAndPoolBumpsInterleaveExactly) {
+  // A raw thread bumps the host shard while a pool job bumps the worker
+  // shards of the same RunStats, and snapshots taken meanwhile never run
+  // backwards (the tsan preset checks the concurrent read is race-free).
+  ThreadPool pool(4);
+  RunStats stats;
+  std::atomic<bool> done{false};
+  std::thread host([&] {
+    fixture_part(stats, 0, 2);
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::uint64_t now = stats.snapshot().hash_ops;
+      EXPECT_GE(now, last);
+      last = now;
+    }
+  });
+  pool.run_parties(4, [&stats](std::size_t party) {
+    for (std::size_t i = kItems / 2 + (kItems / 2) * party / 4;
+         i < kItems / 2 + (kItems / 2) * (party + 1) / 4; ++i)
+      fixture_kernel(stats, i);
+  });
+  done.store(true, std::memory_order_release);
+  host.join();
+  EXPECT_EQ(stats.snapshot(), recorded_fixture_without_launch());
+}
+
+TEST(CounterShardTest, PcieRemoteFromKernelSumsExactly) {
+  // The pinned baseline's shape: every virtual thread meters small remote
+  // accesses on the device bus from inside a kernel.
+  std::uint64_t want_bytes = 0;
+  for (std::size_t i = 0; i < kItems; ++i) want_bytes += 8 + i % 61;
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(workers);
+    RunStats stats;
+    PcieBus bus;
+    launch(pool, stats, kItems,
+           [&bus](std::size_t i) { bus.remote(8 + i % 61); },
+           {.grid_threads = kGrid});
+    bus.h2d(4096);  // host-side bulk copy: the host shard
+    const PcieSnapshot s = bus.snapshot();
+    EXPECT_EQ(s.remote_txns, kItems) << "workers=" << workers;
+    EXPECT_EQ(s.remote_bytes, want_bytes) << "workers=" << workers;
+    EXPECT_EQ(s.h2d_txns, 1u);
+    EXPECT_EQ(s.h2d_bytes, 4096u);
+    bus.reset();
+    EXPECT_EQ(bus.snapshot().remote_txns, 0u);
+  }
 }
 
 // Hook that records the deltas launch() reports.

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -55,20 +57,50 @@ TEST(ThreadPoolTest, RunPartiesGivesDistinctIds) {
 }
 
 TEST(ThreadPoolTest, WorkerIndexStaysInRange) {
-  // current_worker_index() addresses WorkerStats shards sized to
+  // current_worker_index() addresses per-worker buffers sized to
   // worker_count(); an out-of-range index would corrupt neighboring memory.
   ThreadPool pool(4);
   std::atomic<int> bad{0};
   std::vector<std::atomic<int>> seen(pool.worker_count());
+  // Helpers hold their items until the submitter has run one, so a
+  // descheduled submitter cannot find every batch already claimed; the
+  // deadline turns a submitter that never participates into a failure below
+  // instead of a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
   pool.parallel_for(100000, [&](std::size_t) {
     const std::size_t w = current_worker_index();
-    if (w >= seen.size())
+    if (w >= seen.size()) {
       bad.fetch_add(1);
-    else
-      seen[w].fetch_add(1);
+      return;
+    }
+    seen[w].fetch_add(1);
+    while (w != 0 && seen[0].load() == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
   });
   EXPECT_EQ(bad.load(), 0);
   EXPECT_GT(seen[0].load(), 0) << "submitting thread participates as 0";
+}
+
+TEST(ThreadPoolTest, SubmitterUsesHostSlotOutsideJobs) {
+  // Meters tell pool workers (single-writer shards) from everyone else (the
+  // shared host shard) by slot, so the submitter must hold slot 0 only while
+  // it runs a job.
+  ThreadPool pool(2);
+  EXPECT_EQ(current_worker_slot(), kHostSlot);
+  EXPECT_EQ(current_worker_index(), 0u);
+  std::atomic<int> bad{0};
+  pool.run_parties(2, [&](std::size_t) {
+    if (current_worker_slot() >= pool.worker_count()) bad.fetch_add(1);
+  });
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(current_worker_slot(), kHostSlot);
+}
+
+TEST(ThreadPoolTest, RejectsMoreWorkersThanMeterShards) {
+  EXPECT_THROW(ThreadPool(kMaxPoolWorkers + 1), std::invalid_argument);
+  EXPECT_LE(ThreadPool().worker_count(), kMaxPoolWorkers);
 }
 
 TEST(ThreadPoolTest, StressReuseManyRoundsVaryingSizes) {

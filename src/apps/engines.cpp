@@ -142,7 +142,7 @@ class StadiumEmitter final : public mapreduce::Emitter {
 // like digest_kv / digest_groups. keys = distinct keys after the merge;
 // stats.inserts_new keeps the raw stored-pair count.
 void digest_stadium(const AppInfo& app,
-                    const baselines::StadiumHashTable& table, RunResult& r) {
+                    const baselines::ChainedHostTable& table, RunResult& r) {
   switch (app.standalone->organization()) {
     case core::Organization::kBasic: {
       std::uint64_t sum = 0, pairs = 0;
@@ -228,7 +228,7 @@ class StadiumEngine final : public Engine {
       // the run fails structurally rather than returning a partial table.
       r.error = run_error_from(e);
     }
-    const auto load = table ? table->bucket_load()
+    const auto load = table ? table->table().bucket_load()
                             : gpusim::BucketLoad{};
     r.stats = sim.stats.snapshot();
     r.pcie = sim.dev.bus().snapshot();
@@ -236,7 +236,7 @@ class StadiumEngine final : public Engine {
                 .max_same_lock_ops = load.max_bucket_accesses,
                 .serial_atomic_ops = 0};
     r.iterations = 1;
-    if (!r.error) digest_stadium(app, *table, r);
+    if (!r.error) digest_stadium(app, table->table(), r);
     // No timeline commands are scheduled on this path; the analytic model
     // (which reads the bus meters) is the one that carries the cost.
     r.sim_seconds = gpu_sim_seconds(r.stats, sim.dev.bus(), r.pcie, r.serial,

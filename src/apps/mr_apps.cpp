@@ -67,13 +67,6 @@ struct MapCgReducedView {
     rt.for_each_reduced(fn);
   }
 };
-struct MapCgGroupView {
-  const baselines::MapCgRuntime& rt;
-  template <typename Fn>
-  void for_each_group(const Fn& fn) const {
-    rt.for_each_group(fn);
-  }
-};
 
 }  // namespace
 
@@ -207,9 +200,7 @@ RunResult run_mr_mapcg(const MrApp& app, std::string_view input,
   gpusim::RunStats& stats = sim.stats;
   gpusim::ExecContext& ctx = sim.ctx;
 
-  baselines::MapCgConfig mcfg;
-  mcfg.num_buckets = cfg.num_buckets;
-  baselines::MapCgRuntime mapcg(ctx, mcfg);
+  baselines::MapCgRuntime mapcg(ctx, {.num_buckets = cfg.num_buckets});
 
   RunResult r;
   r.impl = "mapcg";
@@ -227,15 +218,16 @@ RunResult run_mr_mapcg(const MrApp& app, std::string_view input,
 
   r.stats = stats.snapshot();
   r.pcie = dev.bus().snapshot();
-  const auto load = mapcg.bucket_load();
+  const baselines::ChainedHostTable& table = mapcg.table();
+  const auto load = table.bucket_load();
   r.serial = {.total_lock_ops = load.total_accesses,
               .max_same_lock_ops = load.max_bucket_accesses,
-              .serial_atomic_ops = mapcg.serial_atomic_ops()};
+              .serial_atomic_ops = table.serial_atomic_ops()};
   r.iterations = 1;
   if (!r.error) {
-    r.keys = mapcg.key_count();
+    r.keys = table.entry_count();
     r.checksum = app.mode == mapreduce::Mode::kMapGroup
-                     ? digest_groups(MapCgGroupView{mapcg})
+                     ? digest_groups(table)
                      : digest_kv(MapCgReducedView{mapcg});
   }
   fill_gpu_times(r, ctx, dev.bus());

@@ -4,9 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "common/hashing.hpp"
-#include "core/entry_layout.hpp"
-
 namespace sepo::baselines {
 
 namespace {
@@ -19,58 +16,10 @@ constexpr std::uint32_t kCpuArenas = 64;  // thread slots, tid % kCpuArenas
 
 }  // namespace
 
-// Entry layouts: native pointers within the host heap, payload after the
-// header, each field 8-byte padded.
-struct ChainedHostTable::KvEntry {  // basic / combining
-  KvEntry* next;
-  std::uint32_t key_len, val_len;
-  [[nodiscard]] char* key_data() noexcept {
-    return reinterpret_cast<char*>(this + 1);
-  }
-  [[nodiscard]] const char* key_data() const noexcept {
-    return reinterpret_cast<const char*>(this + 1);
-  }
-  [[nodiscard]] std::string_view key() const noexcept {
-    return {key_data(), key_len};
-  }
-  [[nodiscard]] std::byte* value_data() noexcept {
-    return reinterpret_cast<std::byte*>(this + 1) + core::pad8(key_len);
-  }
-  [[nodiscard]] const std::byte* value_data() const noexcept {
-    return reinterpret_cast<const std::byte*>(this + 1) + core::pad8(key_len);
-  }
-};
-
-struct ChainedHostTable::ValueEntry {
-  ValueEntry* next;
-  std::uint32_t val_len, pad_;
-  [[nodiscard]] std::byte* value_data() noexcept {
-    return reinterpret_cast<std::byte*>(this + 1);
-  }
-  [[nodiscard]] const std::byte* value_data() const noexcept {
-    return reinterpret_cast<const std::byte*>(this + 1);
-  }
-};
-
-struct ChainedHostTable::KeyEntry {  // multi-valued
-  KeyEntry* next;
-  ValueEntry* vhead;
-  std::uint32_t key_len, pad_;
-  [[nodiscard]] char* key_data() noexcept {
-    return reinterpret_cast<char*>(this + 1);
-  }
-  [[nodiscard]] const char* key_data() const noexcept {
-    return reinterpret_cast<const char*>(this + 1);
-  }
-  [[nodiscard]] std::string_view key() const noexcept {
-    return {key_data(), key_len};
-  }
-};
-
 ChainedHostTable::ChainedHostTable(gpusim::RunStats& stats,
                                    ChainedHostTableConfig cfg,
-                                   gpusim::PcieBus* bus)
-    : stats_(stats), cfg_(cfg), bus_(bus) {
+                                   gpusim::PcieBus* bus, gpusim::Device* dev)
+    : stats_(stats), cfg_(cfg), bus_(bus), dev_(dev) {
   if (cfg_.num_buckets == 0 || (cfg_.num_buckets & (cfg_.num_buckets - 1)))
     throw std::invalid_argument("num_buckets must be a power of two");
   if (cfg_.org == core::Organization::kCombining && cfg_.combiner == nullptr)
@@ -79,21 +28,31 @@ ChainedHostTable::ChainedHostTable(gpusim::RunStats& stats,
   heads_ = std::vector<std::atomic<void*>>(cfg_.num_buckets);
   for (auto& h : heads_) h.store(nullptr, std::memory_order_relaxed);
   locks_ = std::vector<gpusim::PaddedBucketLock>(cfg_.num_buckets);
-  arenas_ = std::vector<Arena>(bus_ == nullptr ? kCpuArenas : 1);
+  if (dev_ == nullptr)
+    arenas_ = std::vector<Arena>(bus_ == nullptr ? kCpuArenas : 1);
 }
 
 ChainedHostTable::ChainedHostTable(gpusim::RunStats& stats,
                                    ChainedHostTableConfig cfg)
-    : ChainedHostTable(stats, cfg, nullptr) {}
+    : ChainedHostTable(stats, cfg, nullptr, nullptr) {}
 
 ChainedHostTable::ChainedHostTable(gpusim::ExecContext& ctx,
-                                   ChainedHostTableConfig cfg)
-    : ChainedHostTable(ctx.stats(), cfg, &ctx.device().bus()) {
+                                   ChainedHostTableConfig cfg,
+                                   EntryMemory entries)
+    : ChainedHostTable(
+          ctx.stats(), cfg,
+          entries == EntryMemory::kPinnedHost ? &ctx.device().bus() : nullptr,
+          entries == EntryMemory::kDevice ? &ctx.device() : nullptr) {
   // Bucket heads + locks are device-resident.
   ctx.device().alloc_static(static_cast<std::size_t>(cfg_.num_buckets) * 12);
 }
 
 ChainedHostTable::~ChainedHostTable() = default;
+
+void ChainedHostTable::carve_device_heap() {
+  device_heap_bytes_ = dev_->mem_free();
+  device_heap_ = dev_->ptr(dev_->alloc_static(device_heap_bytes_, 64));
+}
 
 void* ChainedHostTable::Arena::bump(std::size_t bytes,
                                     std::size_t chunk_bytes) {
@@ -114,6 +73,16 @@ void* ChainedHostTable::Arena::bump(std::size_t bytes,
 void* ChainedHostTable::alloc(std::uint32_t tid, std::size_t bytes) {
   bytes = core::pad8(bytes);
   stats_.add_alloc_ops();
+  if (dev_ != nullptr) {
+    tallies_.add(kSerialAtomicOps, 1);
+    const std::uint64_t off =
+        device_heap_used_.fetch_add(bytes, std::memory_order_relaxed);
+    if (off + bytes > device_heap_bytes_) {
+      stats_.add_alloc_fails();
+      return nullptr;
+    }
+    return device_heap_ + off;
+  }
   if (bus_ == nullptr)
     return arenas_[tid % arenas_.size()].bump(bytes, kCpuChunkBytes);
   gpusim::DeviceLockGuard guard(heap_lock_, stats_);
@@ -121,36 +90,14 @@ void* ChainedHostTable::alloc(std::uint32_t tid, std::size_t bytes) {
 }
 
 std::size_t ChainedHostTable::allocated_bytes() const noexcept {
-  std::size_t n = 0;
+  std::size_t n = device_heap_used_.load(std::memory_order_relaxed);
   for (const Arena& a : arenas_) n += a.used;
   return n;
 }
 
-std::uint32_t ChainedHostTable::bucket_of(std::string_view key) const noexcept {
-  return static_cast<std::uint32_t>(hash_key(key)) & bucket_mask_;
-}
-
-void ChainedHostTable::insert(std::uint32_t tid, std::string_view key,
-                              std::span<const std::byte> value) {
-  stats_.add_hash_ops();
-  const std::uint32_t b = bucket_of(key);
-  switch (cfg_.org) {
-    case core::Organization::kBasic:
-      insert_basic(tid, b, key, value);
-      return;
-    case core::Organization::kCombining:
-      insert_combining(tid, b, key, value);
-      return;
-    case core::Organization::kMultiValued:
-      insert_multivalued(tid, b, key, value);
-      return;
-  }
-}
-
 template <typename Entry>
 Entry* ChainedHostTable::find(std::uint32_t b, std::string_view key) {
-  for (auto* e = static_cast<Entry*>(heads_[b].load(std::memory_order_relaxed));
-       e != nullptr; e = e->next) {
+  for (auto* e = chain<Entry>(b); e != nullptr; e = e->next) {
     stats_.add_chain_links();
     remote(sizeof(Entry) + e->key_len);
     stats_.add_key_compare_bytes(std::min<std::size_t>(e->key_len, key.size()));
@@ -167,6 +114,7 @@ ChainedHostTable::KvEntry* ChainedHostTable::new_kv(
   const std::size_t sz =
       sizeof(KvEntry) + core::pad8(key_len) + core::pad8(val_len);
   auto* e = static_cast<KvEntry*>(alloc(tid, sz));
+  if (e == nullptr) return nullptr;
   e->key_len = key_len;
   e->val_len = val_len;
   std::memcpy(e->key_data(), key.data(), key_len);
@@ -175,49 +123,32 @@ ChainedHostTable::KvEntry* ChainedHostTable::new_kv(
   return e;
 }
 
-template <typename Entry>
-void ChainedHostTable::push(std::uint32_t b, Entry* e) {
-  e->next = static_cast<Entry*>(heads_[b].load(std::memory_order_relaxed));
-  heads_[b].store(e, std::memory_order_release);
-  tallies_.add(kEntries, 1);
-  stats_.add_inserts_new();
-}
-
-void ChainedHostTable::insert_basic(std::uint32_t tid, std::uint32_t b,
-                                    std::string_view key,
-                                    std::span<const std::byte> value) {
-  KvEntry* e = new_kv(tid, key, value);
-  gpusim::DeviceLockGuard guard(locks_[b].lock, stats_);
-  ++locks_[b].accesses;
-  push(b, e);
-}
-
-void ChainedHostTable::insert_combining(std::uint32_t tid, std::uint32_t b,
-                                        std::string_view key,
-                                        std::span<const std::byte> value) {
-  gpusim::DeviceLockGuard guard(locks_[b].lock, stats_);
-  ++locks_[b].accesses;
+core::Status ChainedHostTable::insert_combining(
+    std::uint32_t tid, std::uint32_t b, std::string_view key,
+    std::span<const std::byte> value) {
   if (KvEntry* e = find<KvEntry>(b, key)) {
     cfg_.combiner(e->value_data(), value.data(),
                   std::min<std::uint32_t>(
                       e->val_len, static_cast<std::uint32_t>(value.size())));
     remote(2 * e->val_len);  // read-modify-write of the value
     stats_.add_combines();
-    return;
+    return core::Status::kSuccess;
   }
-  push(b, new_kv(tid, key, value));
+  KvEntry* e = new_kv(tid, key, value);
+  if (e == nullptr) return core::Status::kPostpone;
+  push(b, e);
+  return core::Status::kSuccess;
 }
 
-void ChainedHostTable::insert_multivalued(std::uint32_t tid, std::uint32_t b,
-                                          std::string_view key,
-                                          std::span<const std::byte> value) {
-  gpusim::DeviceLockGuard guard(locks_[b].lock, stats_);
-  ++locks_[b].accesses;
+core::Status ChainedHostTable::insert_multivalued(
+    std::uint32_t tid, std::uint32_t b, std::string_view key,
+    std::span<const std::byte> value) {
   KeyEntry* ke = find<KeyEntry>(b, key);
   if (ke == nullptr) {
     const auto key_len = static_cast<std::uint32_t>(key.size());
     const std::size_t ksz = sizeof(KeyEntry) + core::pad8(key_len);
     ke = static_cast<KeyEntry*>(alloc(tid, ksz));
+    if (ke == nullptr) return core::Status::kPostpone;
     ke->vhead = nullptr;
     ke->key_len = key_len;
     ke->pad_ = 0;
@@ -228,6 +159,7 @@ void ChainedHostTable::insert_multivalued(std::uint32_t tid, std::uint32_t b,
   const auto val_len = static_cast<std::uint32_t>(value.size());
   const std::size_t vsz = sizeof(ValueEntry) + core::pad8(val_len);
   auto* ve = static_cast<ValueEntry*>(alloc(tid, vsz));
+  if (ve == nullptr) return core::Status::kPostpone;
   ve->val_len = val_len;
   ve->pad_ = 0;
   if (val_len) std::memcpy(ve->value_data(), value.data(), val_len);
@@ -236,13 +168,13 @@ void ChainedHostTable::insert_multivalued(std::uint32_t tid, std::uint32_t b,
   remote(vsz + sizeof(void*));  // value entry + the key's list head
   tallies_.add(kValues, 1);
   stats_.add_value_appends();
+  return core::Status::kSuccess;
 }
 
 std::optional<std::span<const std::byte>> ChainedHostTable::lookup(
     std::string_view key) const {
-  for (const auto* e = static_cast<const KvEntry*>(
-           heads_[bucket_of(key)].load(std::memory_order_acquire));
-       e != nullptr; e = e->next)
+  for (const auto* e = chain<KvEntry>(bucket_of(hash_key(key))); e != nullptr;
+       e = e->next)
     if (e->key() == key) return std::span{e->value_data(), e->val_len};
   return std::nullopt;
 }
@@ -250,18 +182,16 @@ std::optional<std::span<const std::byte>> ChainedHostTable::lookup(
 std::vector<std::span<const std::byte>> ChainedHostTable::lookup_all(
     std::string_view key) const {
   std::vector<std::span<const std::byte>> out;
-  for (const auto* e = static_cast<const KvEntry*>(
-           heads_[bucket_of(key)].load(std::memory_order_acquire));
-       e != nullptr; e = e->next)
+  for (const auto* e = chain<KvEntry>(bucket_of(hash_key(key))); e != nullptr;
+       e = e->next)
     if (e->key() == key) out.emplace_back(e->value_data(), e->val_len);
   return out;
 }
 
 std::optional<std::vector<std::span<const std::byte>>>
 ChainedHostTable::lookup_group(std::string_view key) const {
-  for (const auto* e = static_cast<const KeyEntry*>(
-           heads_[bucket_of(key)].load(std::memory_order_acquire));
-       e != nullptr; e = e->next) {
+  for (const auto* e = chain<KeyEntry>(bucket_of(hash_key(key))); e != nullptr;
+       e = e->next) {
     if (e->key() != key) continue;
     std::vector<std::span<const std::byte>> vals;
     for (const auto* v = e->vhead; v != nullptr; v = v->next)
@@ -274,10 +204,8 @@ ChainedHostTable::lookup_group(std::string_view key) const {
 void ChainedHostTable::for_each(
     const std::function<void(std::string_view, std::span<const std::byte>)>&
         fn) const {
-  for (const auto& head : heads_)
-    for (const auto* e =
-             static_cast<const KvEntry*>(head.load(std::memory_order_acquire));
-         e != nullptr; e = e->next)
+  for (std::uint32_t b = 0; b < num_buckets(); ++b)
+    for (const auto* e = chain<KvEntry>(b); e != nullptr; e = e->next)
       fn(e->key(), std::span{e->value_data(), e->val_len});
 }
 
@@ -286,10 +214,8 @@ void ChainedHostTable::for_each_group(
                              const std::vector<std::span<const std::byte>>&)>&
         fn) const {
   std::vector<std::span<const std::byte>> vals;
-  for (const auto& head : heads_) {
-    for (const auto* e =
-             static_cast<const KeyEntry*>(head.load(std::memory_order_acquire));
-         e != nullptr; e = e->next) {
+  for (std::uint32_t b = 0; b < num_buckets(); ++b) {
+    for (const auto* e = chain<KeyEntry>(b); e != nullptr; e = e->next) {
       vals.clear();
       for (const auto* v = e->vhead; v != nullptr; v = v->next)
         vals.emplace_back(v->value_data(), v->val_len);

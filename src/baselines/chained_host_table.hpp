@@ -1,5 +1,6 @@
-// Chained hash table in host memory: the CPU baseline (paper §VI-B) and the
-// pinned-memory baseline (§VI-D) are one table with two placements.
+// Chained hash table of the baselines: the CPU baseline (paper §VI-B),
+// MapCG (§VI-C), the pinned-memory baseline (§VI-D) and the data store
+// behind Stadium's device index (§VII) are one table with three placements.
 //
 // §VI-B: "The CPU-based versions use a hash table design similar to our
 // GPU-based hash table design except that they do not use the SEPO model of
@@ -9,7 +10,7 @@
 // CPU memory). Everything else is kept in GPU memory for higher memory
 // performance (e.g. locks)."
 //
-// Both placements share closed addressing, separate chaining, per-bucket
+// Every placement shares closed addressing, separate chaining, per-bucket
 // locks, the three bucket organizations and one set of native-pointer entry
 // layouts. The constructor picks the placement:
 //
@@ -22,8 +23,15 @@
 //     shared pinned heap behind a device lock, so every entry read and write
 //     is a GPU thread crossing the PCIe bus, one small transaction per
 //     access, metered on the bus's remote counters.
+//   * ExecContext& + EntryMemory::kDevice — device placement (MapCG). Bucket
+//     array and locks as in the pinned placement; entries come from one
+//     device region that carve_device_heap() claims once the caller has
+//     staged its input. Each allocation is one fetch_add on a single shared
+//     offset — a priced serial atomic, the serialization the bucket-group
+//     allocator of §IV-A avoids. No bus traffic: entries are device-resident.
 //
-// No placement ever postpones: host memory is treated as unbounded.
+// Host memory is treated as unbounded, so the CPU and pinned placements
+// never postpone; a full device heap makes insert return kPostpone.
 #pragma once
 
 #include <atomic>
@@ -35,8 +43,11 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hashing.hpp"
+#include "core/entry_layout.hpp"
 #include "core/sepo.hpp"
 #include "gpusim/counters.hpp"
+#include "gpusim/device.hpp"
 #include "gpusim/exec_context.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/pcie.hpp"
@@ -51,27 +62,143 @@ struct ChainedHostTableConfig {
   core::CombineFn combiner = nullptr;
 };
 
+// Where a device-backed table keeps its entries.
+enum class EntryMemory { kPinnedHost, kDevice };
+
 class ChainedHostTable {
  public:
+  // Entry layouts: native pointers within the heap, payload after the
+  // header, each field 8-byte padded.
+  struct KvEntry {  // basic / combining
+    KvEntry* next;
+    std::uint32_t key_len, val_len;
+    [[nodiscard]] char* key_data() noexcept {
+      return reinterpret_cast<char*>(this + 1);
+    }
+    [[nodiscard]] const char* key_data() const noexcept {
+      return reinterpret_cast<const char*>(this + 1);
+    }
+    [[nodiscard]] std::string_view key() const noexcept {
+      return {key_data(), key_len};
+    }
+    [[nodiscard]] std::byte* value_data() noexcept {
+      return reinterpret_cast<std::byte*>(this + 1) + core::pad8(key_len);
+    }
+    [[nodiscard]] const std::byte* value_data() const noexcept {
+      return reinterpret_cast<const std::byte*>(this + 1) +
+             core::pad8(key_len);
+    }
+  };
+
+  struct ValueEntry {
+    ValueEntry* next;
+    std::uint32_t val_len, pad_;
+    [[nodiscard]] std::byte* value_data() noexcept {
+      return reinterpret_cast<std::byte*>(this + 1);
+    }
+    [[nodiscard]] const std::byte* value_data() const noexcept {
+      return reinterpret_cast<const std::byte*>(this + 1);
+    }
+  };
+
+  struct KeyEntry {  // multi-valued; vhead is the newest value
+    KeyEntry* next;
+    ValueEntry* vhead;
+    std::uint32_t key_len, pad_;
+    [[nodiscard]] char* key_data() noexcept {
+      return reinterpret_cast<char*>(this + 1);
+    }
+    [[nodiscard]] const char* key_data() const noexcept {
+      return reinterpret_cast<const char*>(this + 1);
+    }
+    [[nodiscard]] std::string_view key() const noexcept {
+      return {key_data(), key_len};
+    }
+  };
+
+  // The default under-lock hook of insert: does nothing.
+  struct NoHook {
+    void operator()(std::uint32_t, std::uint64_t) const noexcept {}
+  };
+
   // CPU placement: per-thread arenas, events recorded into `stats`.
   ChainedHostTable(gpusim::RunStats& stats, ChainedHostTableConfig cfg);
-  // Pinned placement: the context's device hosts the bucket array and
-  // supplies the bus to meter; remote traffic lands on the context's
-  // timeline via the kernels that issue it (ExecContext::launch).
-  ChainedHostTable(gpusim::ExecContext& ctx, ChainedHostTableConfig cfg);
+  // Pinned or device placement: the context's device hosts the bucket array
+  // and supplies the bus to meter (pinned) or the entry heap (device);
+  // remote traffic lands on the context's timeline via the kernels that
+  // issue it (ExecContext::launch).
+  ChainedHostTable(gpusim::ExecContext& ctx, ChainedHostTableConfig cfg,
+                   EntryMemory entries = EntryMemory::kPinnedHost);
   ~ChainedHostTable();
 
   ChainedHostTable(const ChainedHostTable&) = delete;
   ChainedHostTable& operator=(const ChainedHostTable&) = delete;
 
+  // Device placement: claims all remaining free device memory as the entry
+  // heap. Call once, before the first insert.
+  void carve_device_heap();
+
   // Inserts from worker thread `tid`, which selects the thread arena in the
   // CPU placement (concurrent callers must pass distinct tids); the pinned
-  // heap is shared and ignores it. Always succeeds.
-  void insert(std::uint32_t tid, std::string_view key,
-              std::span<const std::byte> value);
+  // and device heaps are shared and ignore it. `under_lock(bucket, hash)`
+  // runs under the bucket's lock right before the chain is touched, so a
+  // front index kept beside the chain (Stadium's) stays in chain order.
+  // Returns kPostpone when the device heap is full, else kSuccess.
+  template <typename UnderLock = NoHook>
+  core::Status insert(std::uint32_t tid, std::string_view key,
+                      std::span<const std::byte> value,
+                      UnderLock&& under_lock = {}) {
+    stats_.add_hash_ops();
+    const std::uint64_t h = hash_key(key);
+    const std::uint32_t b = bucket_of(h);
+    if (cfg_.org == core::Organization::kBasic) {
+      // Basic never probes: the entry is built before the lock is taken.
+      KvEntry* e = new_kv(tid, key, value);
+      if (e == nullptr) return core::Status::kPostpone;
+      with_bucket(b, [&] {
+        under_lock(b, h);
+        push(b, e);
+      });
+      return core::Status::kSuccess;
+    }
+    return with_bucket(b, [&] {
+      under_lock(b, h);
+      return cfg_.org == core::Organization::kCombining
+                 ? insert_combining(tid, b, key, value)
+                 : insert_multivalued(tid, b, key, value);
+    });
+  }
 
-  void insert_u64(std::uint32_t tid, std::string_view key, std::uint64_t v) {
-    insert(tid, key, std::as_bytes(std::span{&v, 1}));
+  core::Status insert_u64(std::uint32_t tid, std::string_view key,
+                          std::uint64_t v) {
+    return insert(tid, key, std::as_bytes(std::span{&v, 1}));
+  }
+
+  // Runs fn() under bucket `b`'s lock, tallying one access for the cost
+  // model's serialization term.
+  template <typename Fn>
+  decltype(auto) with_bucket(std::uint32_t b, Fn&& fn) {
+    gpusim::DeviceLockGuard guard(locks_[b].lock, stats_);
+    ++locks_[b].accesses;
+    return fn();
+  }
+
+  [[nodiscard]] std::uint32_t num_buckets() const noexcept {
+    return bucket_mask_ + 1;
+  }
+  [[nodiscard]] std::uint32_t bucket_of(std::uint64_t hash) const noexcept {
+    return static_cast<std::uint32_t>(hash) & bucket_mask_;
+  }
+  // Head of bucket `b`'s chain as the organization's entry type (KvEntry or
+  // KeyEntry); newest first.
+  template <typename Entry>
+  [[nodiscard]] Entry* chain(std::uint32_t b) noexcept {
+    return static_cast<Entry*>(heads_[b].load(std::memory_order_acquire));
+  }
+  template <typename Entry>
+  [[nodiscard]] const Entry* chain(std::uint32_t b) const noexcept {
+    return static_cast<const Entry*>(
+        heads_[b].load(std::memory_order_acquire));
   }
 
   // --- queries (single-threaded, after population; never metered: the
@@ -98,6 +225,11 @@ class ChainedHostTable {
   [[nodiscard]] std::size_t value_count() const noexcept {
     return tallies_.sum(kValues);
   }
+  // Operations on the device heap's single shared offset, for the cost
+  // model's serial-atomic term; zero in the host placements.
+  [[nodiscard]] std::uint64_t serial_atomic_ops() const noexcept {
+    return tallies_.sum(kSerialAtomicOps);
+  }
   // Total bytes handed out by the heap (table memory footprint).
   [[nodiscard]] std::size_t allocated_bytes() const noexcept;
 
@@ -107,10 +239,6 @@ class ChainedHostTable {
   }
 
  private:
-  struct KvEntry;
-  struct KeyEntry;
-  struct ValueEntry;
-
   // Chunked bump allocator. An entry larger than a chunk gets its own
   // exact-size chunk and leaves the current bump chunk in place.
   struct Arena {
@@ -122,54 +250,71 @@ class ChainedHostTable {
   };
 
   ChainedHostTable(gpusim::RunStats& stats, ChainedHostTableConfig cfg,
-                   gpusim::PcieBus* bus);
+                   gpusim::PcieBus* bus, gpusim::Device* dev);
 
+  // Returns null only when the device heap is full.
   void* alloc(std::uint32_t tid, std::size_t bytes);
-  // Meters one remote transaction in the pinned placement; free on the CPU.
+  // Meters one remote transaction in the pinned placement; free elsewhere.
   void remote(std::size_t bytes) const noexcept {
     if (bus_ != nullptr) bus_->remote(bytes);
   }
 
-  [[nodiscard]] std::uint32_t bucket_of(std::string_view key) const noexcept;
   // Walks bucket `b`'s chain (caller holds its lock), counting every link
   // and compared key byte and metering each remote header + key read.
   template <typename Entry>
   Entry* find(std::uint32_t b, std::string_view key);
-  // Allocates and fills a key/value entry, metering its remote write.
+  // Allocates and fills a key/value entry, metering its remote write; null
+  // when the device heap is full.
   KvEntry* new_kv(std::uint32_t tid, std::string_view key,
                   std::span<const std::byte> value);
   // Prepends a new entry to bucket `b`'s chain (caller holds its lock).
   template <typename Entry>
-  void push(std::uint32_t b, Entry* e);
+  void push(std::uint32_t b, Entry* e) {
+    e->next = static_cast<Entry*>(heads_[b].load(std::memory_order_relaxed));
+    heads_[b].store(e, std::memory_order_release);
+    tallies_.add(kEntries, 1);
+    stats_.add_inserts_new();
+  }
 
-  void insert_basic(std::uint32_t tid, std::uint32_t b, std::string_view key,
-                    std::span<const std::byte> value);
-  void insert_combining(std::uint32_t tid, std::uint32_t b,
-                        std::string_view key,
-                        std::span<const std::byte> value);
-  void insert_multivalued(std::uint32_t tid, std::uint32_t b,
-                          std::string_view key,
-                          std::span<const std::byte> value);
+  // Caller holds bucket `b`'s lock.
+  core::Status insert_combining(std::uint32_t tid, std::uint32_t b,
+                                std::string_view key,
+                                std::span<const std::byte> value);
+  core::Status insert_multivalued(std::uint32_t tid, std::uint32_t b,
+                                  std::string_view key,
+                                  std::span<const std::byte> value);
 
   gpusim::RunStats& stats_;
   ChainedHostTableConfig cfg_;
-  gpusim::PcieBus* bus_;  // null in the CPU placement
+  gpusim::PcieBus* bus_;   // pinned placement only
+  gpusim::Device* dev_;    // device placement only
   std::uint32_t bucket_mask_;
   std::vector<std::atomic<void*>> heads_;
   // Lock + access tally per bucket on private cache lines
   // (gpusim::PaddedBucketLock); accesses incremented under the bucket lock.
   std::vector<gpusim::PaddedBucketLock> locks_;
   // CPU: one arena per thread slot. Pinned: one arena behind heap_lock_.
+  // Device: none.
   std::vector<Arena> arenas_;
   gpusim::DeviceLock heap_lock_;
-  // Chain entries pushed and multi-valued values appended, counted per
-  // worker like RunStats.
-  enum Tally : std::size_t { kEntries, kValues, kNumTallies };
+  // Device heap: the modelled bump allocator, one shared atomic offset on
+  // purpose.
+  std::byte* device_heap_ = nullptr;
+  std::size_t device_heap_bytes_ = 0;
+  std::atomic<std::uint64_t> device_heap_used_{0};
+  // Chain entries pushed, multi-valued values appended and device-heap
+  // offset operations, counted per worker like RunStats (counting the
+  // priced serial atomics must not add a second shared atomic).
+  enum Tally : std::size_t {
+    kEntries,
+    kValues,
+    kSerialAtomicOps,
+    kNumTallies
+  };
   gpusim::ShardedCounters<kNumTallies> tallies_;
 };
 
-// Emitter into a ChainedHostTable from worker thread `tid` (never
-// postpones).
+// Emitter into a host-placement ChainedHostTable from worker thread `tid`.
 class ChainedHostEmitter final : public mapreduce::Emitter {
  public:
   ChainedHostEmitter(ChainedHostTable& table, std::uint32_t tid) noexcept
@@ -177,8 +322,7 @@ class ChainedHostEmitter final : public mapreduce::Emitter {
 
   core::Status emit(std::string_view key,
                     std::span<const std::byte> value) override {
-    table_.insert(tid_, key, value);
-    return core::Status::kSuccess;
+    return table_.insert(tid_, key, value);
   }
 
  private:

@@ -1,5 +1,5 @@
 // Unit tests for the baseline implementations: the chained host table in
-// its CPU and pinned placements, and the demand-paging simulator.
+// its CPU, pinned and device placements, and the demand-paging simulator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -144,6 +144,29 @@ TEST(ChainedHostTableTest, PinnedBucketArrayIsDeviceResident) {
   ChainedHostTable t(rig.ctx, {.num_buckets = 1024,
                                .combiner = core::combine_sum_u64});
   EXPECT_EQ(rig.dev.static_used() - before, 1024u * 12u);
+}
+
+// ---- ChainedHostTable, device placement (MapCG) ----
+
+TEST(ChainedHostTableTest, DeviceHeapIsOneSharedOffsetThatPostponesWhenFull) {
+  Rig rig(64u << 10);
+  ChainedHostTable t(rig.ctx,
+                     {.org = core::Organization::kMultiValued,
+                      .num_buckets = 64},
+                     EntryMemory::kDevice);
+  t.carve_device_heap();
+  EXPECT_EQ(rig.dev.mem_free(), 0u);  // the heap took the rest of the device
+  std::uint64_t n = 0;
+  while (t.insert_u64(0, "k" + std::to_string(n), n) ==
+         core::Status::kSuccess)
+    ++n;
+  EXPECT_GT(n, 100u);
+  const gpusim::StatsSnapshot s = rig.stats.snapshot();
+  EXPECT_EQ(s.alloc_fails, 1u);
+  EXPECT_EQ(t.serial_atomic_ops(), s.alloc_ops);  // one per allocation
+  EXPECT_EQ(rig.dev.bus().snapshot().remote_txns, 0u);  // device-resident
+  EXPECT_EQ(as_u64(t.lookup_group("k7")->front()), 7u);
+  EXPECT_EQ(t.value_count(), n);
 }
 
 // Entries larger than a heap chunk get their own exact-size chunk. Both

@@ -230,7 +230,7 @@ TEST(MapCgTest, WordCountReducesCorrectly) {
   mapcg.run(input, {.mode = Mode::kMapReduce, .map = map_words,
                     .combine = core::combine_sum_u64});
   const auto ref = word_reference(input);
-  EXPECT_EQ(mapcg.key_count(), ref.size());
+  EXPECT_EQ(mapcg.table().entry_count(), ref.size());
   std::size_t checked = 0;
   mapcg.for_each_reduced([&](std::string_view k,
                              std::span<const std::byte> v) {
@@ -238,7 +238,7 @@ TEST(MapCgTest, WordCountReducesCorrectly) {
     ++checked;
   });
   EXPECT_EQ(checked, ref.size());
-  EXPECT_GT(mapcg.serial_atomic_ops(), 0u);
+  EXPECT_GT(mapcg.table().serial_atomic_ops(), 0u);
 }
 
 TEST(MapCgTest, FailsWhenDeviceMemoryExhausted) {
@@ -259,13 +259,13 @@ TEST(MapCgTest, GroupModeKeepsValueLists) {
   for (int i = 0; i < 500; ++i) os << "v" << i << " k" << (i % 5) << "\n";
   const std::string input = os.str();
   mapcg.run(input, {.mode = Mode::kMapGroup, .map = map_pairs});
-  EXPECT_EQ(mapcg.key_count(), 5u);
-  EXPECT_EQ(mapcg.value_count(), 500u);
+  EXPECT_EQ(mapcg.table().entry_count(), 5u);
+  EXPECT_EQ(mapcg.table().value_count(), 500u);
   std::size_t values = 0;
-  mapcg.for_each_group([&](std::string_view,
-                           const std::vector<std::span<const std::byte>>& v) {
-    values += v.size();
-  });
+  mapcg.table().for_each_group(
+      [&](std::string_view, const std::vector<std::span<const std::byte>>& v) {
+        values += v.size();
+      });
   EXPECT_EQ(values, 500u);
 }
 

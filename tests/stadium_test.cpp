@@ -1,6 +1,7 @@
 // Tests for the Stadium-hashing-style baseline (§VII related work).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 
@@ -23,7 +24,7 @@ TEST(StadiumTest, StoresAndFindsAllDuplicates) {
   t.insert_u64("dup", 2);
   t.insert_u64("other", 3);
   // §VII: duplicates are separate pairs — no combining.
-  EXPECT_EQ(t.entry_count(), 3u);
+  EXPECT_EQ(t.table().entry_count(), 3u);
   const auto vals = t.lookup_all("dup");
   ASSERT_EQ(vals.size(), 2u);
   EXPECT_EQ(as_u64(vals[0]) + as_u64(vals[1]), 3u);
@@ -67,8 +68,8 @@ TEST(StadiumTest, MatchesBasicReferenceDigest) {
     stadium.insert_u64(k, v);
     reference.insert_u64(0, k, v);
   }
-  EXPECT_EQ(stadium.entry_count(), reference.entry_count());
-  EXPECT_EQ(apps::digest_kv(stadium), apps::digest_kv(reference));
+  EXPECT_EQ(stadium.table().entry_count(), reference.entry_count());
+  EXPECT_EQ(apps::digest_kv(stadium.table()), apps::digest_kv(reference));
   EXPECT_GT(stadium.index_bytes(), 0u);
   // The index is compact: a few bytes per pair.
   EXPECT_LT(stadium.index_bytes(), 20000u * 8u);
@@ -84,6 +85,27 @@ TEST(StadiumTest, IndexExhaustsDeviceMemoryWithoutSepo) {
     threw = true;  // no postponement path exists in this design
   }
   EXPECT_TRUE(threw);
+}
+
+// An entry larger than one pinned heap chunk gets a chunk of its own rather
+// than overrunning the current one.
+TEST(StadiumTest, OversizedEntryRoundTrips) {
+  Rig rig(1u << 20);
+  StadiumHashTable t(rig.ctx, {.num_buckets = 256});
+  std::vector<std::byte> big((1u << 20) + 64);
+  for (std::size_t i = 0; i < big.size(); ++i)
+    big[i] = static_cast<std::byte>(i * 131 + 7);
+  t.insert_u64("before", 1);
+  t.insert("big", big);
+  t.insert_u64("after", 2);
+  const auto vals = t.lookup_all("big");
+  ASSERT_EQ(vals.size(), 1u);
+  EXPECT_TRUE(std::equal(vals[0].begin(), vals[0].end(), big.begin(),
+                         big.end()));
+  ASSERT_EQ(t.lookup_all("before").size(), 1u);
+  EXPECT_EQ(as_u64(t.lookup_all("before")[0]), 1u);
+  ASSERT_EQ(t.lookup_all("after").size(), 1u);
+  EXPECT_EQ(as_u64(t.lookup_all("after")[0]), 2u);
 }
 
 }  // namespace

@@ -10,37 +10,13 @@
 #include <string>
 
 #include "apps/engine.hpp"
+#include "test_util.hpp"
 
 namespace sepo::apps {
 namespace {
 
 constexpr std::size_t kInputBytes = 48u << 10;
 constexpr std::uint64_t kSeed = 5;
-
-// Every nonzero counter as "name=value" in declaration order, then the PCIe
-// totals and the result fields. A zero counter that turns nonzero (or the
-// reverse) changes the string as surely as a changed value.
-std::string fingerprint(const RunResult& r) {
-  std::string s;
-  const auto put = [&s](const char* name, std::uint64_t v) {
-    if (v == 0) return;
-    if (!s.empty()) s += ' ';
-    s += name;
-    s += '=';
-    s += std::to_string(v);
-  };
-  r.stats.for_each_field(put);
-  put("h2d_bytes", r.pcie.h2d_bytes);
-  put("h2d_txns", r.pcie.h2d_txns);
-  put("d2h_bytes", r.pcie.d2h_bytes);
-  put("d2h_txns", r.pcie.d2h_txns);
-  put("remote_bytes", r.pcie.remote_bytes);
-  put("remote_txns", r.pcie.remote_txns);
-  put("keys", r.keys);
-  put("checksum", r.checksum);
-  put("table_bytes", r.table_bytes);
-  return s;
-}
 
 struct Golden {
   const char* app;
@@ -185,7 +161,7 @@ TEST(BaselineGoldenCounterTest, ChainedHostTableEnginesMatchRecordedCounters) {
     const RunResult r =
         engine->run(*app, app->generate(kInputBytes, kSeed), cfg);
     ASSERT_FALSE(r.error) << r.error.message;
-    EXPECT_EQ(fingerprint(r), g.fingerprint);
+    EXPECT_EQ(test::golden_fingerprint(r), g.fingerprint);
     EXPECT_DOUBLE_EQ(r.sim_seconds, g.sim_seconds);
   }
 }

@@ -27,6 +27,10 @@
 //                          keys (hot keys hammer few bucket locks)
 //   insert_scalar_uniform  the same inserts under uniform keys
 //   fig6_pvc_gpu           an end-to-end Page View Count SEPO-GPU run
+//   pc_sepo_mr_d4          an end-to-end Patent Citation sepo-mr run at
+//                          dataset #4 (8 SEPO iterations, multi-valued)
+//   dna_sepo_gpu_d4        an end-to-end DNA Assembly sepo-gpu run at
+//                          dataset #4 (table ~4.5x the device heap)
 //
 // and writes BENCH_host.json (obs::kBenchSchemaVersion) when --metrics-out
 // is given; `sepo_cli bench-check` validates it, `sepo_cli bench-diff`
@@ -48,12 +52,14 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <cmath>
 #include <span>
 
 #include "apps/datagen.hpp"
+#include "apps/engine.hpp"
 #include "apps/standalone_app.hpp"
 #include "common/table_printer.hpp"
 #include "core/hash_table.hpp"
@@ -407,6 +413,27 @@ int main(int argc, char** argv) {
       const apps::RunResult r = pvc.run_gpu(input, gcfg);
       if (r.error || r.checksum == 0) {
         std::fprintf(stderr, "FATAL: pvc run failed\n");
+        std::exit(1);
+      }
+    }));
+  }
+
+  // End-to-end rows at paper dataset #4: one full engine run per rep, on
+  // the jobbench pc-group and dna-spill jobs (seed 1).
+  for (const auto& [row, app_key, engine_name] :
+       {std::tuple{"pc_sepo_mr_d4", "pc", "sepo-mr"},
+        std::tuple{"dna_sepo_gpu_d4", "dna", "sepo-gpu"}}) {
+    const apps::AppInfo& app = *apps::find_app(app_key);
+    const apps::Engine& engine = *apps::find_engine(engine_name);
+    const std::size_t bytes =
+        tiny ? (64u << 10) : apps::table1_bytes(app.table1_key(), 4);
+    const std::string input = app.generate(bytes, 1);
+    apps::EngineConfig ecfg;
+    ecfg.gpu.pool_workers = workers;
+    results.push_back(bench(row, bytes, reps, [&] {
+      const apps::RunResult r = engine.run(app, input, ecfg);
+      if (r.error || r.checksum == 0) {
+        std::fprintf(stderr, "FATAL: %s run failed\n", row);
         std::exit(1);
       }
     }));

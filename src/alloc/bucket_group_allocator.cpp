@@ -65,7 +65,11 @@ Allocation BucketGroupAllocator::alloc(std::uint32_t group, PageClass cls,
 }
 
 void BucketGroupAllocator::mark_postponed(std::uint32_t group) noexcept {
-  if (group_postponed_[group].exchange(1, std::memory_order_relaxed) == 0)
+  // Most failed allocations hit a group that is already postponing; a plain
+  // load keeps the flag's line shared instead of taking it exclusive.
+  auto& flag = group_postponed_[group];
+  if (flag.load(std::memory_order_relaxed) == 0 &&
+      flag.exchange(1, std::memory_order_relaxed) == 0)
     postponed_groups_.fetch_add(1, std::memory_order_relaxed);
 }
 

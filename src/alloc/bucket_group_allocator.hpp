@@ -73,12 +73,17 @@ class BucketGroupAllocator {
   [[nodiscard]] PagePool& pool() noexcept { return pool_; }
   [[nodiscard]] HostHeap& host_heap() noexcept { return host_heap_; }
 
- private:
-  struct Slot {
+  // One (group, page-class) active page and its lock. Every pool worker
+  // allocates in every group, so each slot gets its own cache line; eight
+  // packed slots would share one, and every lock handoff would invalidate
+  // the other seven. Host layout only, like gpusim::PaddedBucketLock; no
+  // slot is charged to the device.
+  struct alignas(gpusim::kCacheLineBytes) Slot {
     gpusim::DeviceLock lock;
     std::uint32_t page = kInvalidPage;
   };
 
+ private:
   [[nodiscard]] Slot& slot(std::uint32_t group, PageClass cls) noexcept {
     return slots_[static_cast<std::size_t>(group) * num_classes_ +
                   static_cast<std::uint32_t>(cls)];

@@ -13,6 +13,7 @@
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/journal.hpp"
+#include "gpusim/worker_id.hpp"
 
 namespace sepo::alloc {
 
@@ -75,9 +76,11 @@ class PagePool {
 
   // --- Per-page metadata (host side; a real implementation would keep this
   // in device memory beside the heap, the layout is an implementation
-  // detail the paper leaves open). ---
+  // detail the paper leaves open). Each page's metadata has its own cache
+  // line, so bumps into two active pages never contend; the padding is host
+  // layout only and is not charged to the device. ---
 
-  struct PageMeta {
+  struct alignas(gpusim::kCacheLineBytes) PageMeta {
     std::atomic<std::uint32_t> used{0};        // bump offset within the page
     std::atomic<std::uint32_t> pending_keys{0};// multi-valued §IV-C bookkeeping
     std::atomic<std::uint64_t> host_slot{0};   // 1-based mirror-heap slot; 0 = none

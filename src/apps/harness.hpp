@@ -15,6 +15,7 @@
 #include "common/strings.hpp"
 #include "common/timer.hpp"
 #include "core/iteration_profile.hpp"
+#include "core/sepo_driver.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/exec_context.hpp"
@@ -185,6 +186,15 @@ struct RunResult {
 void choose_chunking(const RecordIndex& idx, const GpuConfig& cfg,
                      bigkernel::PipelineConfig& pcfg);
 
+// Result of a finished SEPO run (sepo-gpu, sepo-mr): counters, PCIe totals
+// and simulated times from `sim`, footprint and bucket load from `ht`,
+// iterations and profiles from `dres`, and keys, digest and occupancy from
+// the finalized `table` (implemented in standalone_app.cpp).
+[[nodiscard]] RunResult sepo_run_result(const char* impl, const SimRun& sim,
+                                        const core::SepoHashTable& ht,
+                                        const core::DriverResult& dres,
+                                        const core::HostTable& table);
+
 // Order-independent digests used to cross-validate implementations.
 [[nodiscard]] std::uint64_t checksum_kv(std::string_view key,
                                         std::uint64_t value) noexcept;
@@ -192,31 +202,53 @@ void choose_chunking(const RecordIndex& idx, const GpuConfig& cfg,
     std::string_view key, const std::byte* value,
     std::size_t value_len) noexcept;
 
+// One entry's term of digest_kv.
+[[nodiscard]] inline std::uint64_t kv_digest_term(
+    std::string_view key, std::span<const std::byte> value) noexcept {
+  return checksum_kv_bytes(key, value.data(), value.size());
+}
+
+// One key group's term of digest_groups; insensitive to value order.
+[[nodiscard]] inline std::uint64_t group_digest_term(
+    std::string_view key,
+    const std::vector<std::span<const std::byte>>& vals) noexcept {
+  std::uint64_t vsum = 0;
+  for (const auto& v : vals)
+    vsum += hash_bytes(reinterpret_cast<const char*>(v.data()), v.size());
+  return hash_combine(hash_key(key), mix64(vsum));
+}
+
 // Order-independent digest of a finished KV table (anything exposing
-// for_each(fn(key, value_bytes))).
+// for_each(fn(key, value_bytes))): the wrapping sum of kv_digest_term.
 template <typename Table>
 [[nodiscard]] std::uint64_t digest_kv(const Table& t) {
   std::uint64_t sum = 0;
   t.for_each([&](std::string_view k, std::span<const std::byte> v) {
-    sum += checksum_kv_bytes(k, v.data(), v.size());
+    sum += kv_digest_term(k, v);
   });
   return sum;
 }
 
 // Order-independent digest of a grouped table (anything exposing
-// for_each_group(fn(key, values))); insensitive to value order and to how
-// duplicate key entries were merged.
+// for_each_group(fn(key, values))): the wrapping sum of group_digest_term,
+// so it is also insensitive to how duplicate key entries were merged.
 template <typename Table>
 [[nodiscard]] std::uint64_t digest_groups(const Table& t) {
   std::uint64_t sum = 0;
   t.for_each_group([&](std::string_view k,
                        const std::vector<std::span<const std::byte>>& vals) {
-    std::uint64_t vsum = 0;
-    for (const auto& v : vals)
-      vsum += hash_bytes(reinterpret_cast<const char*>(v.data()), v.size());
-    sum += hash_combine(hash_key(k), mix64(vsum));
+    sum += group_digest_term(k, vals);
   });
   return sum;
+}
+
+// The finalized SEPO table sums the same terms per bucket range on its
+// pool; wrapping addition makes that the same number.
+[[nodiscard]] inline std::uint64_t digest_kv(const core::HostTable& t) {
+  return t.sum_entries(kv_digest_term);
+}
+[[nodiscard]] inline std::uint64_t digest_groups(const core::HostTable& t) {
+  return t.sum_groups(group_digest_term);
 }
 
 // Simulated time for a GPU-side run — legacy analytic model, kept as the

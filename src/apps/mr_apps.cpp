@@ -111,7 +111,8 @@ RunResult run_mr_sepo(const MrApp& app, std::string_view input,
   rcfg.table.num_buckets = cfg.num_buckets;
   rcfg.table.buckets_per_group = cfg.buckets_per_group;
   rcfg.table.page_size = cfg.page_size;
-  choose_chunking(index_lines(input), cfg, rcfg.pipeline);
+  const RecordIndex index = index_lines(input);
+  choose_chunking(index, cfg, rcfg.pipeline);
 
   // Constructed inside the try: the runtime's table can already exceed the
   // device (typed DeviceOutOfMemory), and like any other structural failure
@@ -131,7 +132,7 @@ RunResult run_mr_sepo(const MrApp& app, std::string_view input,
   mapreduce::RunOutcome out;
   try {
     runtime.emplace(ctx, rcfg);
-    out = runtime->run(input, app.spec());
+    out = runtime->run(input, index, app.spec());
   } catch (const gpusim::FaultError& e) {
     return fail(e);
   } catch (const std::bad_alloc& e) {
@@ -141,27 +142,8 @@ RunResult run_mr_sepo(const MrApp& app, std::string_view input,
     return fail(e);
   }
 
-  RunResult r;
-  r.impl = "sepo-mr";
-  r.stats = stats.snapshot();
-  r.pcie = dev.bus().snapshot();
-  const auto load = runtime->table()->bucket_load();
-  r.serial = {.total_lock_ops = load.total_accesses,
-              .max_same_lock_ops = load.max_bucket_accesses,
-              .serial_atomic_ops = 0};
-  r.iterations = out.driver.iterations;
-  r.table_bytes = runtime->table()->table_stats().table_bytes;
-  r.heap_bytes = runtime->table()->page_pool().heap_bytes();
-  r.keys = out.table->entry_count();
-  r.checksum = app.mode == mapreduce::Mode::kMapGroup
-                   ? digest_groups(*out.table)
-                   : digest_kv(*out.table);
-  r.iteration_profiles = out.driver.profiles;
-  r.timeseries = out.driver.timeseries;
-  r.bucket_histogram = out.table->occupancy_histogram();
-  fill_gpu_times(r, ctx, dev.bus());
-  r.wall_seconds = sim.timer.seconds();
-  return r;
+  return sepo_run_result("sepo-mr", sim, *runtime->table(), out.driver,
+                         *out.table);
 }
 
 RunResult run_mr_phoenix(const MrApp& app, std::string_view input,

@@ -58,6 +58,33 @@ void choose_chunking(const RecordIndex& idx, const GpuConfig& cfg,
   }
 }
 
+RunResult sepo_run_result(const char* impl, const SimRun& sim,
+                          const core::SepoHashTable& ht,
+                          const core::DriverResult& dres,
+                          const core::HostTable& table) {
+  const auto load = ht.bucket_load();
+  RunResult r;
+  r.impl = impl;
+  r.stats = sim.stats.snapshot();
+  r.pcie = sim.dev.bus().snapshot();
+  r.serial = {.total_lock_ops = load.total_accesses,
+              .max_same_lock_ops = load.max_bucket_accesses,
+              .serial_atomic_ops = 0};
+  r.iterations = dres.iterations;
+  r.table_bytes = ht.table_stats().table_bytes;
+  r.heap_bytes = ht.page_pool().heap_bytes();
+  r.keys = table.entry_count();
+  r.checksum = table.organization() == core::Organization::kMultiValued
+                   ? digest_groups(table)
+                   : digest_kv(table);
+  r.iteration_profiles = dres.profiles;
+  r.timeseries = dres.timeseries;
+  r.bucket_histogram = table.occupancy_histogram();
+  fill_gpu_times(r, sim.ctx, sim.dev.bus());
+  r.wall_seconds = sim.timer.seconds();
+  return r;
+}
+
 RunResult StandaloneApp::run_gpu(std::string_view input,
                                  const GpuConfig& cfg) const {
   SimRun sim(cfg);
@@ -120,30 +147,7 @@ RunResult StandaloneApp::run_gpu(std::string_view input,
     return fail(e);
   }
 
-  const auto table_stats = ht->table_stats();
-  const auto load = ht->bucket_load();
-  const core::HostTable table = ht->finalize();
-
-  RunResult r;
-  r.impl = "sepo-gpu";
-  r.stats = stats.snapshot();
-  r.pcie = dev.bus().snapshot();
-  r.serial = {.total_lock_ops = load.total_accesses,
-              .max_same_lock_ops = load.max_bucket_accesses,
-              .serial_atomic_ops = 0};
-  r.iterations = dres.iterations;
-  r.table_bytes = table_stats.table_bytes;
-  r.heap_bytes = ht->page_pool().heap_bytes();
-  r.keys = table.entry_count();
-  r.checksum = organization() == core::Organization::kMultiValued
-                   ? digest_groups(table)
-                   : digest_kv(table);
-  r.iteration_profiles = dres.profiles;
-  r.timeseries = dres.timeseries;
-  r.bucket_histogram = table.occupancy_histogram();
-  fill_gpu_times(r, ctx, dev.bus());
-  r.wall_seconds = sim.timer.seconds();
-  return r;
+  return sepo_run_result("sepo-gpu", sim, *ht, dres, ht->finalize());
 }
 
 RunResult StandaloneApp::run_cpu(std::string_view input,

@@ -84,7 +84,8 @@ HostTable SepoHashTable::finalize() {
   finalized_ = true;
 
   return HostTable(store_.config().org, store_.take_host_heads(),
-                   store_.host_heap(), store_.config().combiner);
+                   store_.host_heap(), store_.config().combiner,
+                   &store_.ctx().pool());
 }
 
 std::vector<std::uint64_t> SepoHashTable::resident_chain_histogram(

@@ -110,6 +110,9 @@ class SepoHashTable {
     return store_.allocator();
   }
   [[nodiscard]] alloc::PagePool& page_pool() noexcept { return store_.pool(); }
+  [[nodiscard]] const alloc::PagePool& page_pool() const noexcept {
+    return store_.pool();
+  }
 
   // The storage layer, exposed for store-level tests and extensions that
   // pair a custom policy with the stock store.

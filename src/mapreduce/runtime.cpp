@@ -11,6 +11,11 @@ MapReduceRuntime::MapReduceRuntime(gpusim::ExecContext& ctx, RuntimeConfig cfg)
 
 RunOutcome MapReduceRuntime::run(std::string_view input, const MrSpec& spec,
                                  const Partitioner& partition) {
+  return run(input, partition ? partition(input) : index_lines(input), spec);
+}
+
+RunOutcome MapReduceRuntime::run(std::string_view input,
+                                 const RecordIndex& index, const MrSpec& spec) {
   if (table_)
     throw std::logic_error(
         "MapReduceRuntime::run may be called once per runtime: the heap "
@@ -32,8 +37,6 @@ RunOutcome MapReduceRuntime::run(std::string_view input, const MrSpec& spec,
   }
   table_ = std::make_unique<core::SepoHashTable>(ctx_, tcfg);
 
-  const RecordIndex index =
-      partition ? partition(input) : index_lines(input);
   ProgressTracker progress(index.size(), /*multi_emit=*/true);
 
   core::SepoDriver driver(cfg_.driver);

@@ -45,6 +45,11 @@ class MapReduceRuntime {
   RunOutcome run(std::string_view input, const MrSpec& spec,
                  const Partitioner& partition = {});
 
+  // Same job over a record index the caller already built for `input`
+  // (e.g. to size the pipeline's chunks), so the input is scanned once.
+  RunOutcome run(std::string_view input, const RecordIndex& index,
+                 const MrSpec& spec);
+
   [[nodiscard]] core::SepoHashTable* table() noexcept { return table_.get(); }
 
  private:

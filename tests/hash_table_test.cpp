@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
 
+#include "alloc/bucket_group_allocator.hpp"
+#include "alloc/page_pool.hpp"
+#include "apps/harness.hpp"
 #include "core/hash_table.hpp"
 #include "gpusim/launch.hpp"
 #include "test_util.hpp"
@@ -294,6 +298,164 @@ TEST(TableStatsTest, TracksResidentAndFlushedBytes) {
   EXPECT_EQ(s2.resident_entry_bytes, 0u);
   EXPECT_EQ(s2.flushed_bytes, s1.resident_entry_bytes);
   EXPECT_EQ(s2.table_bytes, s1.table_bytes);
+}
+
+// The allocator's per-(group, class) slots and the page pool's per-page
+// metadata are padded to a cache line on the host. The padding must stay host
+// layout: a default-config table on the default 4 MiB device charges the
+// device exactly what it did with the packed layout, so the simulated heap
+// never shrinks.
+TEST(HostLayoutGuardTest, PaddingIsHostOnly) {
+  static_assert(alignof(alloc::BucketGroupAllocator::Slot) ==
+                gpusim::kCacheLineBytes);
+  static_assert(alignof(alloc::PagePool::PageMeta) == gpusim::kCacheLineBytes);
+  Rig rig(4u << 20);
+  HashTableConfig cfg;
+  cfg.combiner = combine_sum_u64;
+  SepoHashTable ht(rig.ctx, cfg);
+  EXPECT_EQ(rig.dev.static_used(), 4186176u);
+  EXPECT_EQ(ht.page_pool().heap_bytes(), 3858432u);
+}
+
+// ---- HostTable finalize walk: parallel ranges match the serial walk ----
+
+// Everything a reader can observe of a finalized table, in visit order.
+struct FinalizedView {
+  std::vector<std::string> visit;  // for_each / for_each_group, in order
+  std::size_t keys = 0;
+  std::size_t values = 0;
+  std::size_t merged = 0;
+  std::vector<std::uint64_t> hist4, hist16;
+  std::uint64_t digest = 0;         // HostTable overload (per-range sums)
+  std::uint64_t serial_digest = 0;  // generic for_each digest
+  std::vector<std::string> lookups;
+};
+
+// Exposes only for_each / for_each_group, so the generic digest templates
+// (one sum on the calling thread) run over the same table.
+struct SerialVisit {
+  const HostTable& t;
+  template <typename Fn>
+  void for_each(const Fn& fn) const { t.for_each(fn); }
+  template <typename Fn>
+  void for_each_group(const Fn& fn) const { t.for_each_group(fn); }
+};
+
+std::string group_string(std::string_view key,
+                         const std::vector<std::span<const std::byte>>& vals) {
+  std::string s(key);
+  for (const auto& v : vals) s += "|" + test::bytes_to_string(v);
+  return s;
+}
+
+// Fills a table of organization `org` with the same records over three
+// iterations, serially on the calling thread so chain order does not depend
+// on the pool; keys recur across iterations, so flushed entries come back as
+// duplicates. Then finalizes it on a pool of `workers` workers.
+FinalizedView finalize_at(Organization org, std::size_t workers,
+                          std::size_t records) {
+  Rig rig(8u << 20, workers);
+  HashTableConfig cfg = small_cfg(org);
+  cfg.num_buckets = 1u << 12;  // 16 bucket ranges
+  cfg.buckets_per_group = 256;
+  SepoHashTable ht(rig.ctx, cfg);
+  for (std::size_t it = 0; it < 3; ++it) {
+    ht.begin_iteration();
+    for (std::size_t i = 0; i < records; ++i) {
+      const std::string key = "k" + std::to_string((i * 7 + it * 131) % 2500);
+      const std::uint64_t v = i + it * records;
+      EXPECT_EQ(ht.insert(key, bytes_of(v)), Status::kSuccess);
+    }
+    ht.end_iteration();
+  }
+  const HostTable t = ht.finalize();
+
+  FinalizedView view;
+  const bool grouped = org == Organization::kMultiValued;
+  if (grouped) {
+    t.for_each_group([&](std::string_view k, const auto& vals) {
+      view.visit.push_back(group_string(k, vals));
+    });
+    view.digest = apps::digest_groups(t);
+    view.serial_digest = apps::digest_groups(SerialVisit{t});
+  } else {
+    t.for_each([&](std::string_view k, std::span<const std::byte> v) {
+      view.visit.push_back(std::string(k) + "=" +
+                           std::to_string(test::as_u64(v)));
+    });
+    view.digest = apps::digest_kv(t);
+    view.serial_digest = apps::digest_kv(SerialVisit{t});
+  }
+  view.keys = t.entry_count();
+  view.values = t.value_count();
+  view.merged = t.merged_duplicates();
+  view.hist4 = t.occupancy_histogram(4);
+  view.hist16 = t.occupancy_histogram(16);
+  for (const char* k : {"k0", "k7", "k131", "k2499", "absent"}) {
+    if (grouped) {
+      const auto g = t.lookup_group(k);
+      view.lookups.push_back(g ? group_string(k, *g) : "-");
+    } else {
+      const auto v = t.lookup(k);
+      view.lookups.push_back(v ? std::to_string(test::as_u64(*v)) : "-");
+    }
+  }
+  return view;
+}
+
+void expect_serial_equals_parallel(Organization org, std::size_t records) {
+  const FinalizedView one = finalize_at(org, 1, records);
+  const FinalizedView four = finalize_at(org, 4, records);
+  EXPECT_EQ(one.visit, four.visit);
+  EXPECT_EQ(one.keys, four.keys);
+  EXPECT_EQ(one.values, four.values);
+  EXPECT_EQ(one.merged, four.merged);
+  EXPECT_EQ(one.hist4, four.hist4);
+  EXPECT_EQ(one.hist16, four.hist16);
+  EXPECT_EQ(one.digest, four.digest);
+  EXPECT_EQ(one.lookups, four.lookups);
+  // The per-range sum is the same number as one sum over every entry.
+  EXPECT_EQ(one.digest, one.serial_digest);
+  EXPECT_EQ(four.digest, four.serial_digest);
+  // Recorded counts agree with what a reader visits.
+  EXPECT_EQ(one.keys, one.visit.size());
+  std::uint64_t histogram_keys = 0;
+  for (std::size_t n = 0; n < one.hist16.size(); ++n)
+    histogram_keys += n * one.hist16[n];
+  if (one.hist16.back() == 0) {
+    EXPECT_EQ(histogram_keys, one.keys);
+  }
+}
+
+TEST(HostTableFinalizeTest, BasicMatchesSerialWalk) {
+  expect_serial_equals_parallel(Organization::kBasic, 2000);
+  EXPECT_EQ(finalize_at(Organization::kBasic, 4, 2000).keys, 6000u);
+}
+
+TEST(HostTableFinalizeTest, CombiningMatchesSerialWalk) {
+  expect_serial_equals_parallel(Organization::kCombining, 2000);
+  const FinalizedView v = finalize_at(Organization::kCombining, 4, 2000);
+  EXPECT_GT(v.merged, 0u);  // flushed keys came back as duplicates
+  EXPECT_EQ(v.keys + v.merged, 6000u);
+}
+
+TEST(HostTableFinalizeTest, MultiValuedMatchesSerialWalk) {
+  expect_serial_equals_parallel(Organization::kMultiValued, 2000);
+  const FinalizedView v = finalize_at(Organization::kMultiValued, 4, 2000);
+  EXPECT_GT(v.merged, 0u);
+  EXPECT_EQ(v.values, 6000u);
+}
+
+TEST(HostTableFinalizeTest, EmptyTableMatchesSerialWalk) {
+  for (const Organization org :
+       {Organization::kBasic, Organization::kCombining,
+        Organization::kMultiValued}) {
+    expect_serial_equals_parallel(org, 0);
+    const FinalizedView v = finalize_at(org, 4, 0);
+    EXPECT_EQ(v.keys, 0u);
+    EXPECT_EQ(v.values, 0u);
+    EXPECT_EQ(v.hist16[0], 1u << 12);
+  }
 }
 
 }  // namespace

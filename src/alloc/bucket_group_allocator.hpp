@@ -34,8 +34,10 @@ struct Allocation {
 
 class BucketGroupAllocator {
  public:
-  // `num_classes` is 1 for the basic/combining organizations and 2 for the
-  // multi-valued organization (separate key and value pages, §IV-B).
+  // `num_classes` is 1 for the basic/combining organizations and 3 for the
+  // multi-valued organization (separate key and value pages, §IV-B): slots
+  // are indexed by PageClass value, so a multi-valued table leaves its
+  // kGeneric slot unused.
   BucketGroupAllocator(PagePool& pool, HostHeap& host_heap,
                        std::uint32_t num_groups, std::uint32_t num_classes = 1);
 

@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
@@ -94,14 +95,17 @@ TEST(CombiningTest, CombineCountersAreRecorded) {
   EXPECT_EQ(s.hash_ops, 10u);
 }
 
-TEST(CombiningTest, ResidentChainHistogramCoversEntries) {
+// Inserts 300 records over 150 distinct keys and checks the resident chain
+// histogram mid-iteration (end_iteration flushes pages and empties chains):
+// every bucket is counted once, and the chains hold `want_entries` entries.
+void check_resident_chain_histogram(Organization org,
+                                    std::uint64_t want_entries) {
   Rig rig(8u << 20);
-  SepoHashTable ht(rig.ctx,
-                   small_cfg(Organization::kCombining));
+  SepoHashTable ht(rig.ctx, small_cfg(org));
   ht.begin_iteration();
-  for (int i = 0; i < 200; ++i)
-    ASSERT_EQ(ht.insert_u64("key" + std::to_string(i), 1), Status::kSuccess);
-  // Captured mid-iteration: end_iteration flushes pages and empties chains.
+  for (int i = 0; i < 300; ++i)
+    ASSERT_EQ(ht.insert_u64("key" + std::to_string(i % 150), 1),
+              Status::kSuccess);
   const auto hist = ht.resident_chain_histogram();
   ASSERT_FALSE(hist.empty());
   std::uint64_t buckets = 0, entries = 0;
@@ -109,8 +113,22 @@ TEST(CombiningTest, ResidentChainHistogramCoversEntries) {
     buckets += hist[len];
     entries += hist[len] * len;  // last bin aggregates: lower bound
   }
-  EXPECT_EQ(buckets, (1u << 10));  // every bucket accounted for
-  EXPECT_EQ(entries, 200u);        // all chains shorter than the last bin
+  EXPECT_EQ(buckets, (1u << 10));    // every bucket accounted for
+  EXPECT_EQ(entries, want_entries);  // all chains shorter than the last bin
+}
+
+TEST(CombiningTest, ResidentChainHistogramCoversEntries) {
+  check_resident_chain_histogram(Organization::kCombining, 150);
+}
+
+TEST(BasicTest, ResidentChainHistogramCoversEntries) {
+  // Duplicate keys stay separate entries.
+  check_resident_chain_histogram(Organization::kBasic, 300);
+}
+
+TEST(MultiValuedTest, ResidentChainHistogramCoversEntries) {
+  // Chains hold one key entry per distinct key; values hang off it.
+  check_resident_chain_histogram(Organization::kMultiValued, 150);
 }
 
 TEST(BasicTest, DuplicateKeysKeptSeparately) {
@@ -247,25 +265,60 @@ TEST(VariableLengthTest, KeysAndValuesOfManySizes) {
   }
 }
 
-TEST(ConcurrencyTest, ParallelCombiningMatchesSerialSum) {
-  Rig rig(32u << 20);
-  SepoHashTable ht(rig.ctx,
-                   small_cfg(Organization::kCombining));
+// 20000 inserts of the value 1 over 37 keys from every pool worker: heavy
+// duplication, so heavy lock contention on a few buckets.
+constexpr std::size_t kParallelInserts = 20000;
+constexpr std::size_t kParallelKeys = 37;
+
+void insert_in_parallel(Rig& rig, SepoHashTable& ht) {
   ht.begin_iteration();
-  constexpr std::size_t kN = 20000;
-  constexpr std::size_t kKeys = 37;  // heavy duplication -> lock contention
-  gpusim::launch(rig.pool, rig.stats, kN, [&](std::size_t i) {
-    const std::string key = "key-" + std::to_string(i % kKeys);
+  gpusim::launch(rig.pool, rig.stats, kParallelInserts, [&](std::size_t i) {
+    const std::string key = "key-" + std::to_string(i % kParallelKeys);
     ASSERT_EQ(ht.insert_u64(key, 1), Status::kSuccess);
   });
   ht.end_iteration();
+}
+
+TEST(ConcurrencyTest, ParallelCombiningMatchesSerialSum) {
+  Rig rig(32u << 20);
+  SepoHashTable ht(rig.ctx, small_cfg(Organization::kCombining));
+  insert_in_parallel(rig, ht);
   const HostTable t = ht.finalize();
   std::uint64_t total = 0;
   t.for_each([&](std::string_view, std::span<const std::byte> v) {
     total += as_u64(v);
   });
-  EXPECT_EQ(total, kN);
-  EXPECT_EQ(t.entry_count(), kKeys);
+  EXPECT_EQ(total, kParallelInserts);
+  EXPECT_EQ(t.entry_count(), kParallelKeys);
+}
+
+TEST(ConcurrencyTest, ParallelBasicKeepsEveryInsert) {
+  Rig rig(32u << 20);
+  SepoHashTable ht(rig.ctx, small_cfg(Organization::kBasic));
+  insert_in_parallel(rig, ht);
+  const HostTable t = ht.finalize();
+  EXPECT_EQ(t.entry_count(), kParallelInserts);
+  std::set<std::string> keys;
+  t.for_each([&](std::string_view k, std::span<const std::byte>) {
+    keys.emplace(k);
+  });
+  EXPECT_EQ(keys.size(), kParallelKeys);
+}
+
+TEST(ConcurrencyTest, ParallelMultiValuedGroupsEveryValue) {
+  Rig rig(32u << 20);
+  SepoHashTable ht(rig.ctx, small_cfg(Organization::kMultiValued));
+  insert_in_parallel(rig, ht);
+  const HostTable t = ht.finalize();
+  std::size_t groups = 0, values = 0;
+  t.for_each_group([&](std::string_view,
+                       const std::vector<std::span<const std::byte>>& vs) {
+    ++groups;
+    values += vs.size();
+  });
+  EXPECT_EQ(groups, kParallelKeys);
+  EXPECT_EQ(values, kParallelInserts);
+  EXPECT_EQ(t.value_count(), kParallelInserts);
 }
 
 TEST(FindResidentTest, FindsOnlyResidentEntries) {
@@ -282,6 +335,16 @@ TEST(FindResidentTest, FindsOnlyResidentEntries) {
   ht.end_iteration();
   ht.begin_iteration();
   EXPECT_EQ(ht.find_resident("here"), nullptr);
+}
+
+TEST(FindResidentTest, ThrowsOnMultiValued) {
+  // A multi-valued chain holds KeyEntry records, which a KvEntry* cannot
+  // name: the lookup refuses rather than misread a resident key as absent.
+  Rig rig(8u << 20);
+  SepoHashTable ht(rig.ctx, small_cfg(Organization::kMultiValued));
+  ht.begin_iteration();
+  ASSERT_EQ(ht.insert_u64("here", 5), Status::kSuccess);
+  EXPECT_THROW((void)ht.find_resident("here"), std::logic_error);
 }
 
 TEST(TableStatsTest, TracksResidentAndFlushedBytes) {

@@ -21,7 +21,6 @@
 #include "common/strings.hpp"
 #include "common/table_printer.hpp"
 #include "core/hash_table.hpp"
-#include "core/sepo_driver.hpp"
 #include "core/sepo_lookup.hpp"
 #include "gpusim/cost_model.hpp"
 #include "mapreduce/sepo_emitter.hpp"
@@ -41,21 +40,15 @@ int main() {
   gpusim::RunStats build_stats;
   gpusim::ExecContext build_ctx(build_dev, pool, build_stats);
   const RecordIndex idx = index_lines(input);
-  bigkernel::PipelineConfig pcfg;
-  choose_chunking(idx, GpuConfig{}, pcfg);
-  bigkernel::InputPipeline pipe(build_ctx, pcfg);
+  bigkernel::InputPipeline pipe(build_ctx, choose_chunking(idx, GpuConfig{}));
   core::HashTableConfig tcfg;
   tcfg.combiner = core::combine_sum_u64;
   core::SepoHashTable ht(build_ctx, tcfg);
-  ProgressTracker progress(idx.size());
-  core::SepoDriver driver;
-  (void)driver.run(ht, pipe, input, idx, progress,
-                   [&](std::size_t rec, std::string_view body) {
-                     mapreduce::SepoEmitter em(ht, progress, rec);
-                     pvc.map_record(body, em);
-                     return em.failed() ? core::Status::kPostpone
-                                        : core::Status::kSuccess;
-                   });
+  (void)mapreduce::run_sepo_job(
+      ht, pipe, input, idx,
+      [&](std::string_view body, mapreduce::Emitter& em) {
+        pvc.map_record(body, em);
+      });
   const core::HostTable table = ht.finalize();
   std::printf("table: %zu keys, %s serialized\n", table.entry_count(),
               TablePrinter::fmt_bytes(ht.table_stats().table_bytes).c_str());

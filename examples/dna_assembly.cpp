@@ -20,7 +20,6 @@
 #include "apps/standalone_app.hpp"
 #include "bigkernel/pipeline.hpp"
 #include "common/parse.hpp"
-#include "core/sepo_driver.hpp"
 #include "core/sepo_lookup.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/exec_context.hpp"
@@ -53,20 +52,15 @@ int main(int argc, char** argv) {
   gpusim::RunStats stats;
   gpusim::ExecContext ctx(dev, pool, stats);
   const RecordIndex idx = index_lines(input);
-  bigkernel::PipelineConfig pcfg;
-  apps::choose_chunking(idx, apps::GpuConfig{}, pcfg);
-  bigkernel::InputPipeline pipe(ctx, pcfg);
+  bigkernel::InputPipeline pipe(ctx,
+                                apps::choose_chunking(idx, apps::GpuConfig{}));
   core::HashTableConfig tcfg;
   tcfg.combiner = app.combiner();
   core::SepoHashTable table(ctx, tcfg);
-  ProgressTracker progress(idx.size(), /*multi_emit=*/true);
-  core::SepoDriver driver;
-  const core::DriverResult res = driver.run(
-      table, pipe, input, idx, progress,
-      [&](std::size_t rec, std::string_view body) {
-        mapreduce::SepoEmitter em(table, progress, rec);
+  const core::DriverResult res = mapreduce::run_sepo_job(
+      table, pipe, input, idx,
+      [&](std::string_view body, mapreduce::Emitter& em) {
         app.map_record(body, em);
-        return em.failed() ? core::Status::kPostpone : core::Status::kSuccess;
       });
   const core::HostTable kmers = table.finalize();
   std::printf("phase 1: %zu distinct %zu-mers in %u SEPO iterations, "

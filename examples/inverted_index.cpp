@@ -13,7 +13,6 @@
 #include "bigkernel/pipeline.hpp"
 #include "common/parse.hpp"
 #include "common/strings.hpp"
-#include "core/sepo_driver.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/exec_context.hpp"
 #include "mapreduce/sepo_emitter.hpp"
@@ -43,9 +42,8 @@ int main(int argc, char** argv) {
   gpusim::ExecContext ctx(device, pool, stats);
 
   const RecordIndex index = index_lines(input);
-  bigkernel::PipelineConfig pcfg;
-  apps::choose_chunking(index, apps::GpuConfig{}, pcfg);
-  bigkernel::InputPipeline pipe(ctx, pcfg);
+  bigkernel::InputPipeline pipe(
+      ctx, apps::choose_chunking(index, apps::GpuConfig{}));
 
   core::HashTableConfig tcfg;
   tcfg.org = core::Organization::kMultiValued;  // <link, [pages...]>
@@ -54,14 +52,12 @@ int main(int argc, char** argv) {
   tcfg.page_size = 8u << 10;
   core::SepoHashTable table(ctx, tcfg);
 
-  ProgressTracker progress(index.size(), /*multi_emit=*/true);
-  core::SepoDriver driver;
-  const core::DriverResult res = driver.run(
-      table, pipe, input, index, progress,
-      [&](std::size_t rec, std::string_view body) {
-        mapreduce::SepoEmitter em(table, progress, rec);
-        app.map_record(body, em);  // emits <href, pagePath> per link
-        return em.failed() ? core::Status::kPostpone : core::Status::kSuccess;
+  // Emits <href, pagePath> per link; records whose emits are postponed are
+  // re-executed in later SEPO iterations.
+  const core::DriverResult res = mapreduce::run_sepo_job(
+      table, pipe, input, index,
+      [&](std::string_view body, mapreduce::Emitter& em) {
+        app.map_record(body, em);
       });
 
   const core::HostTable host = table.finalize();

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   gpusim::ExecContext ctx(device, pool, stats);
   mapreduce::RuntimeConfig rcfg;
   // Size the staging ring to the input's record lengths and the device.
-  apps::choose_chunking(index_lines(input), apps::GpuConfig{}, rcfg.pipeline);
+  rcfg.pipeline = apps::choose_chunking(index_lines(input), apps::GpuConfig{});
   mapreduce::MapReduceRuntime runtime(ctx, rcfg);
   const mapreduce::RunOutcome out = runtime.run(input, wc.mr->spec());
 

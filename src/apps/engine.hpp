@@ -8,7 +8,7 @@
 // apps and engines here instead of keeping its own string if/else chain, so
 // adding a backend is one registration, not a cross-cutting edit.
 //
-// All engines are constructed and listed in engines.cpp — deliberately one
+// All engines are rows of one static table in engines.cpp — deliberately one
 // translation unit, because self-registration statics spread across a static
 // library get dropped by the linker unless something in each TU is
 // referenced. Registration order is display order.
@@ -57,6 +57,9 @@ struct EngineConfig {
   CpuConfig cpu;
 };
 
+// One registered implementation: a row of the engine table in engines.cpp.
+// Engines differ only in these fields; the run function is the engine's
+// whole run path.
 class Engine {
  public:
   // Capability flags: what the engine can run and which GpuConfig telemetry
@@ -70,25 +73,40 @@ class Engine {
     bool journal = false;          // honors GpuConfig.journal
     bool faults = false;           // honors GpuConfig.faults
   };
+  using RunFn = RunResult (*)(const AppInfo& app, std::string_view input,
+                              const EngineConfig& cfg);
+  using SupportsFn = bool (*)(const AppInfo& app);
 
-  virtual ~Engine() = default;
+  constexpr Engine(const char* name, const char* description, Caps caps,
+                   RunFn run, SupportsFn supports = nullptr) noexcept
+      : name_(name), description_(description), caps_(caps), run_(run),
+        supports_(supports) {}
 
   // Registry name; always equals the RunResult.impl string the engine emits
   // (and therefore the "impl" field in metrics files).
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
+  [[nodiscard]] const char* name() const noexcept { return name_; }
   // One-line description for `sepo_cli engines`.
-  [[nodiscard]] virtual const char* describe() const noexcept = 0;
-  [[nodiscard]] virtual Caps caps() const noexcept = 0;
+  [[nodiscard]] const char* describe() const noexcept { return description_; }
+  [[nodiscard]] Caps caps() const noexcept { return caps_; }
 
-  // Whether this engine can run `app`. Default: the Caps kind flags; engines
-  // with narrower semantics (paging-sim) override.
-  [[nodiscard]] virtual bool supports(const AppInfo& app) const {
-    return app.is_mapreduce() ? caps().mapreduce : caps().standalone;
+  // Whether this engine can run `app`: the row's predicate when it has one
+  // (paging-sim), otherwise the Caps kind flags.
+  [[nodiscard]] bool supports(const AppInfo& app) const {
+    if (supports_ != nullptr) return supports_(app);
+    return app.is_mapreduce() ? caps_.mapreduce : caps_.standalone;
   }
 
-  [[nodiscard]] virtual RunResult run(const AppInfo& app,
-                                      std::string_view input,
-                                      const EngineConfig& cfg) const = 0;
+  [[nodiscard]] RunResult run(const AppInfo& app, std::string_view input,
+                              const EngineConfig& cfg) const {
+    return run_(app, input, cfg);
+  }
+
+ private:
+  const char* name_;
+  const char* description_;
+  Caps caps_;
+  RunFn run_;
+  SupportsFn supports_;
 };
 
 // Registered engines in display order.

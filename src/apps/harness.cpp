@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
+#include <stdexcept>
 
 #include "baselines/mapcg.hpp"
 #include "common/hashing.hpp"
@@ -81,6 +83,26 @@ void fill_gpu_times(RunResult& r, const gpusim::ExecContext& ctx,
   r.sim_seconds =
       r.timeline.total +
       gpusim::serialization_time(ctx.timeline().machine(), r.serial);
+}
+
+RunResult SimRun::run(const char* impl,
+                      const std::function<void(RunResult&)>& body) {
+  RunResult r;
+  r.impl = impl;
+  try {
+    body(r);
+  } catch (const std::runtime_error& e) {
+    // FaultError (retries exhausted), MapCgOutOfMemory, driver stall.
+    r.error = run_error_from(e);
+  } catch (const std::bad_alloc& e) {
+    // DeviceOutOfMemory: static structures or an arena outgrew the device.
+    r.error = run_error_from(e);
+  }
+  r.stats = stats.snapshot();
+  r.pcie = dev.bus().snapshot();
+  fill_gpu_times(r, ctx, dev.bus());
+  r.wall_seconds = timer.seconds();
+  return r;
 }
 
 RunError run_error_from(const std::exception& e) {

@@ -4,10 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bigkernel/pipeline.hpp"
@@ -24,6 +26,7 @@
 #include "gpusim/pcie.hpp"
 #include "gpusim/stream.hpp"
 #include "gpusim/trace_hook.hpp"
+#include "mapreduce/sepo_emitter.hpp"
 
 namespace sepo::apps {
 
@@ -69,13 +72,14 @@ struct CpuConfig {
   std::size_t pool_workers = 0;
 };
 
+struct RunResult;
+
 // One simulated-GPU run's execution state: virtual device, worker pool,
 // counters, and the ExecContext wiring them together — with the GpuConfig's
 // trace hook, flight-recorder journal, and fault injector installed. This is
 // the ONE place per-run ExecContext setup happens; every simulated-device
-// run path (sepo-gpu, pinned, mapcg, sepo-mr, stadium) builds one of these
-// instead of hand-assembling the pieces. The wall timer starts at
-// construction.
+// run path (sepo-gpu, sepo-mr, pinned, mapcg, stadium) builds one of these
+// and runs its job through run(). The wall timer starts at construction.
 class SimRun {
  public:
   explicit SimRun(const GpuConfig& cfg)
@@ -90,6 +94,15 @@ class SimRun {
 
   SimRun(const SimRun&) = delete;
   SimRun& operator=(const SimRun&) = delete;
+
+  // The one guarded run. Calls body(r), which builds the job's structures
+  // (pipeline, tables, runtimes) and fills what only it knows — serial,
+  // iterations, keys, digest — then fills r.impl, counters, PCIe totals,
+  // simulated times and wall clock. A runtime_error or bad_alloc thrown by
+  // body, construction included, becomes a typed r.error (run_error_from);
+  // a logic_error propagates.
+  [[nodiscard]] RunResult run(const char* impl,
+                              const std::function<void(RunResult&)>& body);
 
   WallTimer timer;
   gpusim::Device dev;
@@ -182,18 +195,36 @@ struct RunResult {
 };
 
 // Picks a BigKernel chunking for `idx` under `cfg` (implemented in
-// standalone_app.cpp; shared with the MapReduce harness).
-void choose_chunking(const RecordIndex& idx, const GpuConfig& cfg,
-                     bigkernel::PipelineConfig& pcfg);
+// standalone_app.cpp).
+[[nodiscard]] bigkernel::PipelineConfig choose_chunking(
+    const RecordIndex& idx, const GpuConfig& cfg);
 
-// Result of a finished SEPO run (sepo-gpu, sepo-mr): counters, PCIe totals
-// and simulated times from `sim`, footprint and bucket load from `ht`,
-// iterations and profiles from `dres`, and keys, digest and occupancy from
-// the finalized `table` (implemented in standalone_app.cpp).
-[[nodiscard]] RunResult sepo_run_result(const char* impl, const SimRun& sim,
-                                        const core::SepoHashTable& ht,
-                                        const core::DriverResult& dres,
-                                        const core::HostTable& table);
+// Lock-serialization inputs of a table: its per-bucket lock load, plus the
+// serial atomics of tables that allocate from one shared offset.
+template <typename Table>
+[[nodiscard]] gpusim::SerializationInputs serial_inputs(const Table& t) {
+  const gpusim::BucketLoad load = t.bucket_load();
+  gpusim::SerializationInputs in{.total_lock_ops = load.total_accesses,
+                                 .max_same_lock_ops = load.max_bucket_accesses};
+  if constexpr (requires { t.serial_atomic_ops(); })
+    in.serial_atomic_ops = t.serial_atomic_ops();
+  return in;
+}
+
+// Calls `fn` when it leaves scope, also when a failure unwinds past it: the
+// baselines read their table's lock load this way, so a failed run still
+// reports the load it reached.
+template <typename Fn>
+class OnExit {
+ public:
+  explicit OnExit(Fn fn) : fn_(std::move(fn)) {}
+  OnExit(const OnExit&) = delete;
+  OnExit& operator=(const OnExit&) = delete;
+  ~OnExit() { fn_(); }
+
+ private:
+  Fn fn_;
+};
 
 // Order-independent digests used to cross-validate implementations.
 [[nodiscard]] std::uint64_t checksum_kv(std::string_view key,
@@ -269,5 +300,46 @@ void fill_gpu_times(RunResult& r, const gpusim::ExecContext& ctx,
 // Simulated time for a CPU-side run.
 [[nodiscard]] double cpu_sim_seconds(const gpusim::StatsSnapshot& stats,
                                      const gpusim::SerializationInputs& serial);
+
+// Fills a finished SEPO run's table fields: serial from `ht`'s lock load,
+// iterations and profiles from `dres`, footprint from `ht`, and keys, digest
+// and occupancy from the finalized `table` (implemented in
+// standalone_app.cpp).
+void fill_sepo_result(RunResult& r, const core::SepoHashTable& ht,
+                      const core::DriverResult& dres,
+                      const core::HostTable& table);
+
+// The one SEPO engine run, behind both sepo-gpu (StandaloneApp::run_gpu) and
+// sepo-mr (run_mr_sepo): on a virtual device sized by `cfg`, allocates the
+// BigKernel staging ring, then a SEPO table of organization `org` combined
+// by `combiner`, runs `map(body, emitter)` over every record of `input`
+// until all are done, and digests the finalized table. With
+// `divergent_parse` each record's bytes count toward the divergence term.
+template <typename Map>
+[[nodiscard]] RunResult run_sepo(const char* impl, core::Organization org,
+                                 core::CombineFn combiner,
+                                 bool divergent_parse, std::string_view input,
+                                 const GpuConfig& cfg, const Map& map) {
+  SimRun sim(cfg);
+  return sim.run(impl, [&](RunResult& r) {
+    const RecordIndex index = index_lines(input);
+    bigkernel::InputPipeline pipe(sim.ctx, choose_chunking(index, cfg));
+    core::SepoHashTable ht(sim.ctx, {.org = org,
+                                     .num_buckets = cfg.num_buckets,
+                                     .buckets_per_group = cfg.buckets_per_group,
+                                     .page_size = cfg.page_size,
+                                     .combiner = combiner,
+                                     .heap_bytes = cfg.heap_bytes});
+    r.heap_bytes = ht.page_pool().heap_bytes();
+    const core::DriverResult dres = mapreduce::run_sepo_job(
+        ht, pipe, input, index,
+        [&](std::string_view body, mapreduce::Emitter& em) {
+          if (divergent_parse) sim.stats.add_divergent_units(body.size());
+          map(body, em);
+        },
+        {.basic_halt_frac = cfg.basic_halt_frac});
+    fill_sepo_result(r, ht, dres, ht.finalize());
+  });
+}
 
 }  // namespace sepo::apps

@@ -1,14 +1,10 @@
 #include "apps/mr_apps.hpp"
 
-#include <new>
-#include <optional>
-
 #include "apps/datagen.hpp"
 #include "baselines/mapcg.hpp"
 #include "baselines/phoenix.hpp"
 #include "common/timer.hpp"
 #include "gpusim/device.hpp"
-#include "mapreduce/runtime.hpp"
 
 namespace sepo::apps {
 
@@ -102,48 +98,10 @@ const MrApp& patent_citation_app() {
 
 RunResult run_mr_sepo(const MrApp& app, std::string_view input,
                       const GpuConfig& cfg) {
-  SimRun sim(cfg);
-  gpusim::Device& dev = sim.dev;
-  gpusim::RunStats& stats = sim.stats;
-  gpusim::ExecContext& ctx = sim.ctx;
-
-  mapreduce::RuntimeConfig rcfg;
-  rcfg.table.num_buckets = cfg.num_buckets;
-  rcfg.table.buckets_per_group = cfg.buckets_per_group;
-  rcfg.table.page_size = cfg.page_size;
-  const RecordIndex index = index_lines(input);
-  choose_chunking(index, cfg, rcfg.pipeline);
-
-  // Constructed inside the try: the runtime's table can already exceed the
-  // device (typed DeviceOutOfMemory), and like any other structural failure
-  // that must surface as a RunError, not a raw exception.
-  std::optional<mapreduce::MapReduceRuntime> runtime;
-  const auto fail = [&](const std::exception& e) {
-    RunResult r;
-    r.impl = "sepo-mr";
-    r.stats = stats.snapshot();
-    r.pcie = dev.bus().snapshot();
-    r.error = run_error_from(e);
-    fill_gpu_times(r, ctx, dev.bus());
-    r.wall_seconds = sim.timer.seconds();
-    return r;
-  };
-
-  mapreduce::RunOutcome out;
-  try {
-    runtime.emplace(ctx, rcfg);
-    out = runtime->run(input, index, app.spec());
-  } catch (const gpusim::FaultError& e) {
-    return fail(e);
-  } catch (const std::bad_alloc& e) {
-    return fail(e);
-  } catch (const std::runtime_error& e) {
-    // Driver stall (iteration cap / zero progress) — typed kNoProgress.
-    return fail(e);
-  }
-
-  return sepo_run_result("sepo-mr", sim, *runtime->table(), out.driver,
-                         *out.table);
+  const mapreduce::TableShape shape =
+      mapreduce::table_shape(app.mode, app.combine);
+  return run_sepo("sepo-mr", shape.org, shape.combiner,
+                  /*divergent_parse=*/false, input, cfg, app.map);
 }
 
 RunResult run_mr_phoenix(const MrApp& app, std::string_view input,
@@ -178,43 +136,19 @@ RunResult run_mr_phoenix(const MrApp& app, std::string_view input,
 RunResult run_mr_mapcg(const MrApp& app, std::string_view input,
                        const GpuConfig& cfg) {
   SimRun sim(cfg);
-  gpusim::Device& dev = sim.dev;
-  gpusim::RunStats& stats = sim.stats;
-  gpusim::ExecContext& ctx = sim.ctx;
-
-  baselines::MapCgRuntime mapcg(ctx, {.num_buckets = cfg.num_buckets});
-
-  RunResult r;
-  r.impl = "mapcg";
-  try {
-    mapcg.run(input, app.spec());
-  } catch (const baselines::MapCgOutOfMemory& e) {
-    // MapCG has no SEPO: a table that outgrows the device arena is a
+  return sim.run("mapcg", [&](RunResult& r) {
+    // MapCG has no SEPO: an input or table that outgrows the device is a
     // structural failure of the whole run (paper §II).
-    r.error = run_error_from(e);
-  } catch (const gpusim::FaultError& e) {
-    r.error = run_error_from(e);
-  } catch (const std::bad_alloc& e) {
-    r.error = run_error_from(e);
-  }
-
-  r.stats = stats.snapshot();
-  r.pcie = dev.bus().snapshot();
-  const baselines::ChainedHostTable& table = mapcg.table();
-  const auto load = table.bucket_load();
-  r.serial = {.total_lock_ops = load.total_accesses,
-              .max_same_lock_ops = load.max_bucket_accesses,
-              .serial_atomic_ops = table.serial_atomic_ops()};
-  r.iterations = 1;
-  if (!r.error) {
+    r.iterations = 1;
+    baselines::MapCgRuntime mapcg(sim.ctx, {.num_buckets = cfg.num_buckets});
+    const baselines::ChainedHostTable& table = mapcg.table();
+    const OnExit record_load([&] { r.serial = serial_inputs(table); });
+    mapcg.run(input, app.spec());
     r.keys = table.entry_count();
     r.checksum = app.mode == mapreduce::Mode::kMapGroup
                      ? digest_groups(table)
                      : digest_kv(MapCgReducedView{mapcg});
-  }
-  fill_gpu_times(r, ctx, dev.bus());
-  r.wall_seconds = sim.timer.seconds();
-  return r;
+  });
 }
 
 }  // namespace sepo::apps

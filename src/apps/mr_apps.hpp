@@ -33,15 +33,17 @@ struct MrApp {
 // <cited patent, citing patent>, MAP_GROUP.
 [[nodiscard]] const MrApp& patent_citation_app();
 
-// Runs on our SEPO MapReduce runtime.
+// Runs on our SEPO MapReduce runtime (§V): the mode picks the table shape
+// (mapreduce::table_shape) and the job is the same SEPO run as sepo-gpu's.
 [[nodiscard]] RunResult run_mr_sepo(const MrApp& app, std::string_view input,
                                     const GpuConfig& cfg = {});
 // Runs on the Phoenix++-style CPU baseline.
 [[nodiscard]] RunResult run_mr_phoenix(const MrApp& app,
                                        std::string_view input,
                                        const CpuConfig& cfg = {});
-// Runs on the MapCG-style GPU baseline. Throws baselines::MapCgOutOfMemory
-// when input + table exceed device memory (the §VI-C failure mode).
+// Runs on the MapCG-style GPU baseline. When input + table exceed device
+// memory (the §VI-C failure mode) it returns a device_out_of_memory RunError
+// rather than throwing.
 [[nodiscard]] RunResult run_mr_mapcg(const MrApp& app, std::string_view input,
                                      const GpuConfig& cfg = {});
 

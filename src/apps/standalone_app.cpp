@@ -2,18 +2,12 @@
 #include "apps/standalone_app.hpp"
 
 #include <algorithm>
-#include <new>
-#include <optional>
-#include <stdexcept>
 
 #include "baselines/chained_host_table.hpp"
 #include "bigkernel/pipeline.hpp"
-#include "common/hashing.hpp"
 #include "common/strings.hpp"
 #include "common/timer.hpp"
-#include "core/sepo_driver.hpp"
 #include "gpusim/device.hpp"
-#include "mapreduce/sepo_emitter.hpp"
 
 namespace sepo::apps {
 
@@ -36,8 +30,9 @@ std::size_t max_chunk_span(const RecordIndex& idx, std::size_t per_chunk) {
 // Picks a records-per-chunk so chunks approach cfg.target_chunk_bytes (few
 // bulky PCIe transactions, few kernel launches) while the staging ring stays
 // ≤ 1/4 of device capacity.
-void choose_chunking(const RecordIndex& idx, const GpuConfig& cfg,
-                     bigkernel::PipelineConfig& pcfg) {
+bigkernel::PipelineConfig choose_chunking(const RecordIndex& idx,
+                                          const GpuConfig& cfg) {
+  bigkernel::PipelineConfig pcfg;
   pcfg.num_staging_buffers = cfg.num_staging_buffers;
   const std::size_t target = std::min(
       cfg.target_chunk_bytes, cfg.device_bytes / (4 * cfg.num_staging_buffers));
@@ -53,26 +48,17 @@ void choose_chunking(const RecordIndex& idx, const GpuConfig& cfg,
     if (pcfg.max_chunk_bytes * pcfg.num_staging_buffers <=
             cfg.device_bytes / 2 ||
         pcfg.records_per_chunk <= 16)
-      return;
+      return pcfg;
     pcfg.records_per_chunk /= 2;
   }
 }
 
-RunResult sepo_run_result(const char* impl, const SimRun& sim,
-                          const core::SepoHashTable& ht,
-                          const core::DriverResult& dres,
-                          const core::HostTable& table) {
-  const auto load = ht.bucket_load();
-  RunResult r;
-  r.impl = impl;
-  r.stats = sim.stats.snapshot();
-  r.pcie = sim.dev.bus().snapshot();
-  r.serial = {.total_lock_ops = load.total_accesses,
-              .max_same_lock_ops = load.max_bucket_accesses,
-              .serial_atomic_ops = 0};
+void fill_sepo_result(RunResult& r, const core::SepoHashTable& ht,
+                      const core::DriverResult& dres,
+                      const core::HostTable& table) {
+  r.serial = serial_inputs(ht);
   r.iterations = dres.iterations;
   r.table_bytes = ht.table_stats().table_bytes;
-  r.heap_bytes = ht.page_pool().heap_bytes();
   r.keys = table.entry_count();
   r.checksum = table.organization() == core::Organization::kMultiValued
                    ? digest_groups(table)
@@ -80,74 +66,15 @@ RunResult sepo_run_result(const char* impl, const SimRun& sim,
   r.iteration_profiles = dres.profiles;
   r.timeseries = dres.timeseries;
   r.bucket_histogram = table.occupancy_histogram();
-  fill_gpu_times(r, sim.ctx, sim.dev.bus());
-  r.wall_seconds = sim.timer.seconds();
-  return r;
 }
 
 RunResult StandaloneApp::run_gpu(std::string_view input,
                                  const GpuConfig& cfg) const {
-  SimRun sim(cfg);
-  gpusim::Device& dev = sim.dev;
-  gpusim::RunStats& stats = sim.stats;
-  gpusim::ExecContext& ctx = sim.ctx;
-
-  const RecordIndex index = index_lines(input);
-  bigkernel::PipelineConfig pcfg;
-  choose_chunking(index, cfg, pcfg);
-  bigkernel::InputPipeline pipe(ctx, pcfg);
-
-  core::HashTableConfig tcfg;
-  tcfg.org = organization();
-  tcfg.num_buckets = cfg.num_buckets;
-  tcfg.buckets_per_group = cfg.buckets_per_group;
-  tcfg.page_size = cfg.page_size;
-  tcfg.combiner = combiner();
-  tcfg.heap_bytes = cfg.heap_bytes;
-
-  // The table is constructed inside the try: its static structures can
-  // already exceed the device (typed DeviceOutOfMemory), so construction
-  // failures must surface as a RunError like any other structural failure —
-  // not escape as a raw exception.
-  std::optional<core::SepoHashTable> ht;
-  const auto fail = [&](const std::exception& e) {
-    RunResult r;
-    r.impl = "sepo-gpu";
-    r.stats = stats.snapshot();
-    r.pcie = dev.bus().snapshot();
-    r.heap_bytes = ht ? ht->page_pool().heap_bytes() : 0;
-    r.error = run_error_from(e);
-    fill_gpu_times(r, ctx, dev.bus());
-    r.wall_seconds = sim.timer.seconds();
-    return r;
-  };
-
-  ProgressTracker progress(index.size(), /*multi_emit=*/true);
-  core::SepoDriver driver({.basic_halt_frac = cfg.basic_halt_frac});
-  const bool divergent = divergent_parse();
-  core::DriverResult dres;
-  try {
-    ht.emplace(ctx, tcfg);
-    dres = driver.run(
-        *ht, pipe, input, index, progress,
-        [&](std::size_t rec, std::string_view body) {
-          if (divergent) stats.add_divergent_units(body.size());
-          mapreduce::SepoEmitter em(*ht, progress, rec);
-          map_record(body, em);
-          return em.failed() ? core::Status::kPostpone : core::Status::kSuccess;
-        });
-  } catch (const gpusim::FaultError& e) {
-    // Transient-fault retry exhaustion is the one adversity SEPO cannot
-    // absorb by postponing; surface it structurally.
-    return fail(e);
-  } catch (const std::bad_alloc& e) {
-    return fail(e);
-  } catch (const std::runtime_error& e) {
-    // Driver stall (iteration cap / zero progress) — typed kNoProgress.
-    return fail(e);
-  }
-
-  return sepo_run_result("sepo-gpu", sim, *ht, dres, ht->finalize());
+  return run_sepo("sepo-gpu", organization(), combiner(), divergent_parse(),
+                  input, cfg, [this](std::string_view body,
+                                     mapreduce::Emitter& em) {
+                    map_record(body, em);
+                  });
 }
 
 RunResult StandaloneApp::run_cpu(std::string_view input,
@@ -175,13 +102,10 @@ RunResult StandaloneApp::run_cpu(std::string_view input,
     }
   });
 
-  const auto load = table.bucket_load();
   RunResult r;
   r.impl = "cpu";
   r.stats = stats.snapshot();
-  r.serial = {.total_lock_ops = load.total_accesses,
-              .max_same_lock_ops = load.max_bucket_accesses,
-              .serial_atomic_ops = 0};
+  r.serial = serial_inputs(table);
   r.iterations = 1;
   r.table_bytes = table.allocated_bytes();
   r.keys = table.entry_count();
@@ -197,57 +121,32 @@ RunResult StandaloneApp::run_cpu(std::string_view input,
 RunResult StandaloneApp::run_pinned(std::string_view input,
                                     const GpuConfig& cfg) const {
   SimRun sim(cfg);
-  gpusim::Device& dev = sim.dev;
-  gpusim::RunStats& stats = sim.stats;
-  gpusim::ExecContext& ctx = sim.ctx;
+  return sim.run("pinned", [&](RunResult& r) {
+    r.iterations = 1;
+    const RecordIndex index = index_lines(input);
+    bigkernel::InputPipeline pipe(sim.ctx, choose_chunking(index, cfg));
+    baselines::ChainedHostTable table(
+        sim.ctx, {.org = organization(),
+                  .num_buckets = cfg.num_buckets,
+                  .combiner = combiner()});
+    const OnExit record_load([&] { r.serial = serial_inputs(table); });
 
-  const RecordIndex index = index_lines(input);
-  bigkernel::PipelineConfig pcfg;
-  choose_chunking(index, cfg, pcfg);
-  bigkernel::InputPipeline pipe(ctx, pcfg);
-
-  baselines::ChainedHostTable table(
-      ctx, {.org = organization(),
-            .num_buckets = cfg.num_buckets,
-            .combiner = combiner()});
-
-  ProgressTracker progress(index.size());
-  const bool divergent = divergent_parse();
-  RunResult r;
-  r.impl = "pinned";
-  try {
-    const bigkernel::PassResult pass = pipe.run_pass(
+    // No postponement story: a faulted transfer that exhausts its retries
+    // fails the whole run.
+    ProgressTracker progress(index.size());
+    const bool divergent = divergent_parse();
+    (void)pipe.run_pass(
         input, index, progress, [&](std::size_t, std::string_view body) {
-          if (divergent) stats.add_divergent_units(body.size());
+          if (divergent) sim.stats.add_divergent_units(body.size());
           baselines::ChainedHostEmitter em(table, /*tid=*/0);
           map_record(body, em);
           return core::Status::kSuccess;
         });
-    (void)pass;
-  } catch (const gpusim::FaultError& e) {
-    // No postponement story: a faulted transfer that exhausts its retries
-    // fails the whole run, structurally.
-    r.error = run_error_from(e);
-  } catch (const std::bad_alloc& e) {
-    r.error = run_error_from(e);
-  }
-
-  const auto load = table.bucket_load();
-  r.stats = stats.snapshot();
-  r.pcie = dev.bus().snapshot();
-  r.serial = {.total_lock_ops = load.total_accesses,
-              .max_same_lock_ops = load.max_bucket_accesses,
-              .serial_atomic_ops = 0};
-  r.iterations = 1;
-  if (!r.error) {
     r.keys = table.entry_count();
     r.checksum = organization() == core::Organization::kMultiValued
                      ? digest_groups(table)
                      : digest_kv(table);
-  }
-  fill_gpu_times(r, ctx, dev.bus());
-  r.wall_seconds = sim.timer.seconds();
-  return r;
+  });
 }
 
 }  // namespace sepo::apps

@@ -5,13 +5,15 @@
 // plus its bucket organization and combiner; the framework provides the
 // three evaluated execution paths:
 //   * run_gpu     — SEPO hash table on the virtual device (the paper's
-//                   system: BigKernel staging + SEPO iterations),
+//                   system): the one SEPO run (run_sepo, harness.hpp) that
+//                   sepo-mr shares,
 //   * run_cpu     — the multi-threaded CPU baseline (ChainedHostTable,
 //                   CPU placement),
 //   * run_pinned  — the §VI-D heap-pinned-in-CPU-memory variant (the same
 //                   table, pinned placement).
-// All paths share the parser, so their result checksums must agree — that
-// equivalence is property-tested.
+// The simulated-device paths run inside SimRun::run, so a failure is a typed
+// RunError on the result. All paths call map_record, so their result
+// checksums must agree — that equivalence is property-tested.
 #pragma once
 
 #include <string>

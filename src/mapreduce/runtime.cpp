@@ -11,43 +11,22 @@ MapReduceRuntime::MapReduceRuntime(gpusim::ExecContext& ctx, RuntimeConfig cfg)
 
 RunOutcome MapReduceRuntime::run(std::string_view input, const MrSpec& spec,
                                  const Partitioner& partition) {
-  return run(input, partition ? partition(input) : index_lines(input), spec);
-}
-
-RunOutcome MapReduceRuntime::run(std::string_view input,
-                                 const RecordIndex& index, const MrSpec& spec) {
   if (table_)
     throw std::logic_error(
         "MapReduceRuntime::run may be called once per runtime: the heap "
         "claims all remaining device memory and cannot be re-carved");
   if (!spec.map) throw std::invalid_argument("spec.map is required");
-  if (spec.mode == Mode::kMapReduce && spec.combine == nullptr)
-    throw std::invalid_argument("MAP_REDUCE mode requires spec.combine");
 
-  // Mode selects the bucket organization (§V): MAP_REDUCE embeds the reduce
-  // into the map via the combining method; MAP_GROUP groups values via the
-  // multi-valued method.
   core::HashTableConfig tcfg = cfg_.table;
-  if (spec.mode == Mode::kMapReduce) {
-    tcfg.org = core::Organization::kCombining;
-    tcfg.combiner = spec.combine;
-  } else {
-    tcfg.org = core::Organization::kMultiValued;
-    tcfg.combiner = nullptr;
-  }
+  const TableShape shape = table_shape(spec.mode, spec.combine);
+  tcfg.org = shape.org;
+  tcfg.combiner = shape.combiner;
   table_ = std::make_unique<core::SepoHashTable>(ctx_, tcfg);
 
-  ProgressTracker progress(index.size(), /*multi_emit=*/true);
-
-  core::SepoDriver driver(cfg_.driver);
+  const RecordIndex index = partition ? partition(input) : index_lines(input);
   RunOutcome outcome;
-  outcome.driver = driver.run(
-      *table_, pipeline_, input, index, progress,
-      [&](std::size_t rec, std::string_view body) {
-        SepoEmitter em(*table_, progress, rec);
-        spec.map(body, em);
-        return em.failed() ? core::Status::kPostpone : core::Status::kSuccess;
-      });
+  outcome.driver =
+      run_sepo_job(*table_, pipeline_, input, index, spec.map, cfg_.driver);
   outcome.table = std::make_unique<core::HostTable>(table_->finalize());
   return outcome;
 }

@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "bigkernel/pipeline.hpp"
-#include "common/progress.hpp"
 #include "core/hash_table.hpp"
 #include "core/sepo_driver.hpp"
 #include "mapreduce/spec.hpp"
@@ -44,13 +43,6 @@ class MapReduceRuntime {
   // next run() or destruction.
   RunOutcome run(std::string_view input, const MrSpec& spec,
                  const Partitioner& partition = {});
-
-  // Same job over a record index the caller already built for `input`
-  // (e.g. to size the pipeline's chunks), so the input is scanned once.
-  RunOutcome run(std::string_view input, const RecordIndex& index,
-                 const MrSpec& spec);
-
-  [[nodiscard]] core::SepoHashTable* table() noexcept { return table_.get(); }
 
  private:
   gpusim::ExecContext& ctx_;

@@ -1,7 +1,8 @@
-// Emitter that inserts into a SEPO hash table with per-record resume
-// tracking. Used by the MapReduce runtime (§V) and by the standalone
-// applications whose records emit several KV pairs (Inverted Index, DNA
-// Assembly, Netflix).
+// One SEPO job: run_sepo_job drives a per-record map function over an input
+// into a SEPO hash table through the SepoDriver, handing each record a
+// SepoEmitter — an Emitter that inserts with per-record resume tracking.
+// The MapReduce runtime (§V), the sepo-gpu and sepo-mr engines, the examples
+// and the lookup bench all run their jobs through it.
 //
 // Re-execution semantics: when a record's k-th emission is postponed, the
 // record stays unprocessed and is re-executed in a later iteration; the
@@ -10,8 +11,13 @@
 // thread running the record touches its counter.
 #pragma once
 
+#include <string_view>
+
+#include "bigkernel/pipeline.hpp"
 #include "common/progress.hpp"
+#include "common/strings.hpp"
 #include "core/hash_table.hpp"
+#include "core/sepo_driver.hpp"
 #include "mapreduce/spec.hpp"
 
 namespace sepo::mapreduce {
@@ -49,5 +55,25 @@ class SepoEmitter final : public Emitter {
   std::uint32_t idx_ = 0;
   bool failed_ = false;
 };
+
+// Runs `map(body, emitter)` over every record of `index` into `ht` until all
+// records are done, re-executing postponed records in later iterations. On
+// return the table holds the job's data; ht.finalize() yields the result.
+// Throws what SepoDriver::run throws.
+template <typename Map>
+core::DriverResult run_sepo_job(core::SepoHashTable& ht,
+                                bigkernel::InputPipeline& pipe,
+                                std::string_view input,
+                                const RecordIndex& index, const Map& map,
+                                const core::DriverConfig& cfg = {}) {
+  ProgressTracker progress(index.size(), /*multi_emit=*/true);
+  return core::SepoDriver(cfg).run(
+      ht, pipe, input, index, progress,
+      [&](std::size_t rec, std::string_view body) {
+        SepoEmitter em(ht, progress, rec);
+        map(body, em);
+        return em.failed() ? core::Status::kPostpone : core::Status::kSuccess;
+      });
+}
 
 }  // namespace sepo::mapreduce

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <stdexcept>
 #include <string_view>
 
 #include "core/entry_layout.hpp"
@@ -48,6 +49,23 @@ class Emitter {
 
 // One map instance per input record.
 using MapFn = std::function<void(std::string_view record, Emitter&)>;
+
+// The SEPO table shape a mode selects (§V): MAP_REDUCE embeds the reduce into
+// the map via the combining organization and `combine`; MAP_GROUP groups
+// values via the multi-valued organization and ignores `combine`. Throws
+// std::invalid_argument for MAP_REDUCE without a combine.
+struct TableShape {
+  core::Organization org;
+  core::CombineFn combiner;
+};
+[[nodiscard]] inline TableShape table_shape(Mode mode,
+                                            core::CombineFn combine) {
+  if (mode == Mode::kMapGroup)
+    return {core::Organization::kMultiValued, nullptr};
+  if (combine == nullptr)
+    throw std::invalid_argument("MAP_REDUCE mode requires spec.combine");
+  return {core::Organization::kCombining, combine};
+}
 
 struct MrSpec {
   Mode mode = Mode::kMapReduce;

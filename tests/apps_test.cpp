@@ -115,6 +115,18 @@ TEST_P(MrAppSuite, SepoAndMapCgAgreeOnSmallInput) {
   EXPECT_EQ(ours.checksum, mapcg.checksum) << app.name;
 }
 
+// sepo-mr sizes its heap from GpuConfig::heap_bytes like sepo-gpu does
+// (Table III's memory sweep pins it), instead of claiming the whole device.
+TEST_P(MrAppSuite, SepoHonorsHeapBytes) {
+  const MrApp& app = *GetParam();
+  const std::string input = app.generate(96u << 10, 43);
+  GpuConfig cfg;
+  cfg.heap_bytes = 1u << 20;  // a whole number of pages, well under free
+  const RunResult r = run_mr_sepo(app, input, cfg);
+  ASSERT_FALSE(r.error) << app.name << ": " << r.error.message;
+  EXPECT_EQ(r.heap_bytes, cfg.heap_bytes) << app.name;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMrApps, MrAppSuite,
                          ::testing::Values(&word_count_app(),
                                            &geo_location_app(),

@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 namespace sepo::apps {
 namespace {
@@ -94,6 +95,7 @@ TEST(EngineCrossValidationTest, AllSupportingEnginesAgreeOnDigests) {
     ASSERT_FALSE(ref.error) << app->key;
     EXPECT_GT(ref.keys, 0u) << app->key;
     for (const auto& [name, r] : results) {
+      EXPECT_EQ(r.impl, name) << app->key;  // impl is the registry name
       ASSERT_FALSE(r.error) << app->key << "/" << name << ": "
                             << r.error.message;
       EXPECT_EQ(r.checksum, ref.checksum) << app->key << "/" << name;
@@ -101,32 +103,36 @@ TEST(EngineCrossValidationTest, AllSupportingEnginesAgreeOnDigests) {
   }
 }
 
-// ISSUE 9 capacity sweep: the SEPO contract under memory pressure is
-// "postpone or decline, never answer wrong". With device memory at 0.5x,
-// 1x, and 4x the input footprint, every engine must either match the
-// baseline digest exactly or report a *typed* RunError — no raw exception
-// may escape Engine::run (this regressed before the run paths caught
-// DeviceOutOfMemory and driver stalls).
+// Capacity sweep: the SEPO contract under memory pressure is "postpone or
+// decline, never answer wrong". With device memory at 0.5x, 1x, and 4x the
+// input footprint, every engine must either match the baseline digest
+// exactly or report a *typed* RunError — no raw exception may escape
+// Engine::run. A 1 KiB device, too small for any engine's static
+// structures or staging ring, must decline typed too.
 TEST(EngineCrossValidationTest, CapacitySweepAgreesOrDeclinesTyped) {
   constexpr std::size_t kInputBytes = 48u << 10;
+  // 64 KiB cushion covers the statics; the 1 KiB device has none.
+  std::vector<std::size_t> device_sizes = {1u << 10};
+  for (const double frac : {0.5, 1.0, 4.0})
+    device_sizes.push_back(
+        (64u << 10) +
+        static_cast<std::size_t>(frac * static_cast<double>(kInputBytes)));
   for (const AppInfo* app : all_apps()) {
     const std::string input = app->generate(kInputBytes, /*seed=*/21);
     const Engine* base = baseline_engine(*app);
     const RunResult ref = base->run(*app, input, {});
     ASSERT_FALSE(ref.error) << app->key;
-    for (const double frac : {0.5, 1.0, 4.0}) {
+    for (const std::size_t device_bytes : device_sizes) {
       EngineConfig cfg;
       // Small bucket array so the static carve-out leaves the heap as the
-      // contended resource; 64 KiB cushion covers the statics themselves.
+      // contended resource.
       cfg.gpu.num_buckets = 1u << 10;
-      cfg.gpu.device_bytes =
-          (64u << 10) +
-          static_cast<std::size_t>(frac * static_cast<double>(kInputBytes));
+      cfg.gpu.device_bytes = device_bytes;
       for (const Engine* e : all_engines()) {
         if (e == base || !e->supports(*app)) continue;
         RunResult r;
         ASSERT_NO_THROW(r = e->run(*app, input, cfg))
-            << app->key << "/" << e->name() << " frac=" << frac;
+            << app->key << "/" << e->name() << " device=" << device_bytes;
         if (r.error) {
           EXPECT_NE(r.error.kind, RunError::Kind::kNone)
               << app->key << "/" << e->name();
@@ -135,9 +141,9 @@ TEST(EngineCrossValidationTest, CapacitySweepAgreesOrDeclinesTyped) {
           continue;  // a typed decline of service is a legal answer
         }
         EXPECT_EQ(r.checksum, ref.checksum)
-            << app->key << "/" << e->name() << " frac=" << frac;
+            << app->key << "/" << e->name() << " device=" << device_bytes;
         EXPECT_EQ(r.keys, ref.keys)
-            << app->key << "/" << e->name() << " frac=" << frac;
+            << app->key << "/" << e->name() << " device=" << device_bytes;
       }
     }
   }

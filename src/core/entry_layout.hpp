@@ -136,32 +136,45 @@ static_assert(sizeof(ValueEntry) == 24);
 // Combiner callback (paper §IV-B, combining method: "a callback is used to
 // have the application handle the combining"). Plain function pointer —
 // mirrors a __device__ function pointer; no captured state.
+//
+// Contract: a combiner writes `existing` only when the combined bytes differ
+// from the bytes already there (store-on-change). A combine that changes
+// nothing — an OR of bits already set, `+0` — must not store: on the host, a
+// store dirties the entry's cache line even when it writes the same bytes,
+// and the next pool worker whose chain walk passes the entry must pull the
+// line from another core. This is a host-only measure (DESIGN.md §5a). The
+// simulated device still performs, and is charged for, the read-modify-write:
+// callers count the combine and meter its traffic whether or not it stored.
 using CombineFn = void (*)(std::byte* existing, const std::byte* incoming,
                            std::uint32_t len);
 
-// Common combiners used by the applications.
+// Common combiners used by the applications; each honours the store-on-change
+// contract above.
 inline void combine_sum_u64(std::byte* e, const std::byte* i, std::uint32_t) {
   std::uint64_t a, b;
   std::memcpy(&a, e, 8);
   std::memcpy(&b, i, 8);
+  if (b == 0) return;
   a += b;
   std::memcpy(e, &a, 8);
 }
 
+// Compares bit patterns, not values: -0.0 + +0.0 is +0.0, which compares
+// equal to -0.0 but is other bytes, and a NaN compares unequal to itself.
 inline void combine_sum_f64(std::byte* e, const std::byte* i, std::uint32_t) {
   double a, b;
   std::memcpy(&a, e, 8);
   std::memcpy(&b, i, 8);
-  a += b;
-  std::memcpy(e, &a, 8);
+  const double sum = a + b;
+  if (std::memcmp(&sum, &a, 8) != 0) std::memcpy(e, &sum, 8);
 }
 
 inline void combine_or_u32(std::byte* e, const std::byte* i, std::uint32_t) {
   std::uint32_t a, b;
   std::memcpy(&a, e, 4);
   std::memcpy(&b, i, 4);
-  a |= b;
-  std::memcpy(e, &a, 4);
+  const std::uint32_t c = a | b;
+  if (c != a) std::memcpy(e, &c, 4);
 }
 
 inline void combine_max_u64(std::byte* e, const std::byte* i, std::uint32_t) {

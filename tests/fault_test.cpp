@@ -262,9 +262,13 @@ TEST(FaultExecTest, ZeroRateConfigBitIdenticalToNoInjector) {
 
 // ---- end-to-end degradation ----
 
+// One pool worker pins the host interleaving (with more workers the schedule
+// moves lock_contended, atomic_retries and postponements run to run): these
+// tests check what faults do to a run, not that the schedule is deterministic.
 apps::RunResult run_pvc(const std::string& input, const FaultConfig& faults) {
   apps::PageViewCountApp app;
   apps::GpuConfig cfg;
+  cfg.pool_workers = 1;
   cfg.faults = faults;
   return app.run_gpu(input, cfg);
 }

@@ -235,10 +235,14 @@ TEST(JournalTest, FaultRetryChainIsJournaled) {
 TEST(JournalTest, JournalOnOffRunsAreBitIdentical) {
   apps::PageViewCountApp app;
   const std::string input = app.generate(512u << 10, 42);
+  // One pool worker on both runs: this checks that the journal leaves the
+  // simulation unchanged, not that the parallel schedule is deterministic.
   apps::GpuConfig plain_cfg;
+  plain_cfg.pool_workers = 1;
   apps::RunResult plain = app.run_gpu(input, plain_cfg);
   EventJournal j;
   apps::GpuConfig journal_cfg;
+  journal_cfg.pool_workers = 1;
   journal_cfg.journal = &j;
   apps::RunResult recorded = app.run_gpu(input, journal_cfg);
   ASSERT_FALSE(plain.error);

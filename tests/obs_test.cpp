@@ -343,9 +343,12 @@ TEST(TraceDeterminism, SimulatedResultsIdenticalWithAndWithoutTracing) {
   const auto& app = apps::word_count_app();
   const std::string input = app.generate(256u << 10, 11);
 
-  const RunResult plain = apps::run_mr_sepo(app, input, small_gpu());
-  TraceRecorder rec;
+  // One pool worker on both runs, as in MetricsDeterminism: this checks that
+  // tracing leaves the simulation unchanged, not the parallel schedule.
   GpuConfig cfg = small_gpu();
+  cfg.pool_workers = 1;
+  const RunResult plain = apps::run_mr_sepo(app, input, cfg);
+  TraceRecorder rec;
   cfg.trace = &rec;
   const RunResult traced = apps::run_mr_sepo(app, input, cfg);
 

@@ -352,7 +352,7 @@ HostTable SepoHashTable::finalize() {
   dev_.bus().d2h(buckets_.size() * sizeof(HostPtr));
   ctx_.flush_d2h(buckets_.size() * sizeof(HostPtr));
   return HostTable(cfg_.org, std::move(heads), *host_heap_, cfg_.combiner,
-                   &ctx_.pool());
+                   ctx_.pool());
 }
 
 HashTableStats SepoHashTable::table_stats() const noexcept {

@@ -13,7 +13,7 @@ std::uint32_t HostTable::bucket_of(std::string_view key) const noexcept {
 
 HostTable::HostTable(Organization org, std::vector<HostPtr> bucket_heads,
                      alloc::HostHeap& heap, CombineFn combiner,
-                     gpusim::ThreadPool* pool)
+                     gpusim::ThreadPool& pool)
     : org_(org), heads_(std::move(bucket_heads)), heap_(heap),
       combiner_(combiner), pool_(pool), chain_len_(heads_.size(), 0) {
   std::vector<RangeCounts> partial(range_count());
@@ -75,9 +75,8 @@ std::uint32_t HostTable::canonicalize_chain(HostPtr& head,
       if (org_ == Organization::kCombining) {
         if (const Kept* first = find_kept(e->key()); first != nullptr) {
           auto* fe = heap_.mutable_ptr<KvEntry>(first->entry);
-          if (combiner_ != nullptr)
-            combiner_(fe->value_data(), e->value_data(),
-                      std::min(fe->val_len, e->val_len));
+          combiner_(fe->value_data(), e->value_data(),
+                    std::min(fe->val_len, e->val_len));
           *link = e->next_host;
           ++counts.merged;
           continue;

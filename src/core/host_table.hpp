@@ -33,17 +33,19 @@ namespace sepo::core {
 // Construction is one walk over disjoint ranges of kRangeBuckets buckets.
 // Each range canonicalizes its chains and records their lengths, so the
 // counts and the occupancy histogram never walk the chains again. The walk
-// and the sum_entries/sum_groups reductions run their ranges on `pool` when
-// one is given (parallel_for directly: no kernel, no simulated cost), and
-// on the calling thread otherwise. Chains never cross ranges, so the result
-// is the same bit for bit at any worker count.
+// and the sum_entries/sum_groups reductions run their ranges on `pool`
+// (parallel_for directly: no kernel, no simulated cost). Chains never cross
+// ranges, so the result is the same bit for bit at any worker count.
+//
+// SepoHashTable::finalize is the only producer: `combiner` is the table's
+// own, non-null for the combining organization.
 class HostTable {
  public:
   static constexpr std::size_t kRangeBuckets = 256;
 
   HostTable(Organization org, std::vector<HostPtr> bucket_heads,
-            alloc::HostHeap& heap, CombineFn combiner = nullptr,
-            gpusim::ThreadPool* pool = nullptr);
+            alloc::HostHeap& heap, CombineFn combiner,
+            gpusim::ThreadPool& pool);
 
   [[nodiscard]] Organization organization() const noexcept { return org_; }
   [[nodiscard]] std::size_t bucket_count() const noexcept {
@@ -173,14 +175,9 @@ class HostTable {
   template <typename Body>
   void for_each_range(const Body& body) const {
     const std::size_t n = heads_.size();
-    const auto run = [&](std::size_t r) {
+    pool_.parallel_for(range_count(), [&](std::size_t r) {
       body(r, r * kRangeBuckets, std::min(n, (r + 1) * kRangeBuckets));
-    };
-    if (pool_ != nullptr) {
-      pool_->parallel_for(range_count(), run);
-    } else {
-      for (std::size_t r = 0; r < range_count(); ++r) run(r);
-    }
+    });
   }
 
   // Sums chain_sum(head) over every bucket, one partial per range. Each
@@ -209,8 +206,8 @@ class HostTable {
   Organization org_;
   std::vector<HostPtr> heads_;
   alloc::HostHeap& heap_;
-  CombineFn combiner_ = nullptr;
-  gpusim::ThreadPool* pool_ = nullptr;
+  CombineFn combiner_;
+  gpusim::ThreadPool& pool_;
   std::vector<std::uint32_t> chain_len_;  // per bucket, after the merge
   std::size_t entries_ = 0;
   std::size_t values_ = 0;

@@ -813,9 +813,10 @@ std::vector<std::string> check_bench(const obs::Json& m) {
       problems.push_back(where + ".ops_per_sec missing or non-positive");
   }
   // Flight-recorder overhead gate: host_perf measures the journal_disabled /
-  // journal_event_sharded pair and writes the relative cost. The field is
-  // optional (older files predate it), but when present it must stay under
-  // 10% — the journal is a hot-path instrument, not a tax.
+  // journal_event_sharded pair on a 1-worker pool and writes the median
+  // per-rep relative cost. The field is optional (older files predate it),
+  // but when present it must stay under 10% — the journal is a hot-path
+  // instrument, not a tax.
   const obs::Json* overhead = m.find("journal_overhead_pct");
   if (overhead != nullptr) {
     if (!overhead->is_number())

@@ -33,9 +33,9 @@
 //   dna_sepo_gpu_d4        an end-to-end DNA Assembly sepo-gpu run at
 //                          dataset #4 (table ~4.5x the device heap)
 //
-// and writes BENCH_host.json (obs::kBenchSchemaVersion) when --metrics-out
-// is given; `sepo_cli bench-check` validates it, `sepo_cli bench-diff`
-// compares two of them. Each bench takes the best of --reps runs to damp
+// and writes BENCH_host.json (obs::kBenchSchemaVersion), with the command
+// line that produced it, when --metrics-out is given; `sepo_cli
+// bench-check` validates it, `sepo_cli bench-diff` compares two of them. Each bench takes the best of --reps runs to damp
 // scheduler noise. The three counter rows double-check bit-identity: their
 // counter totals must match exactly or the binary exits 1, and the
 // journal pair repeats the same check (recording events must not perturb the
@@ -339,6 +339,9 @@ BenchResult run_insert_bench(const char* dist, std::size_t workers, int reps,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Written into the results file, so it says how to regenerate itself.
+  std::string command = "host_perf";
+  for (int i = 1; i < argc; ++i) command += std::string(" ") + argv[i];
   const obs::OutputOptions out = obs::OutputOptions::from_args(argc, argv);
   const std::size_t workers = apps::pool_workers_from_args(argc, argv);
   bool tiny = false;
@@ -498,6 +501,7 @@ int main(int argc, char** argv) {
     obs::Json root = obs::Json::object();
     root.set("schema_version", obs::kBenchSchemaVersion);
     root.set("tool", "host_perf");
+    root.set("command", command);
     root.set("workers", static_cast<std::uint64_t>(pool.worker_count()));
     root.set("tiny", tiny);
     root.set("counter_bump_speedup", speedup);

@@ -82,10 +82,6 @@ class StadiumHashTable {
   };
   static_assert(sizeof(FpBlock) <= kBlockBytes);
 
-  [[nodiscard]] static std::uint16_t fingerprint(std::uint64_t hash) noexcept {
-    return static_cast<std::uint16_t>(hash >> 32) | 1u;  // never 0
-  }
-
   // Records a fingerprint at the head of bucket `b`'s index (caller holds
   // the bucket lock).
   void push_fingerprint(std::uint32_t b, std::uint16_t fp);

@@ -35,6 +35,13 @@ inline std::uint64_t hash_key(std::string_view key) noexcept {
   return hash_bytes(key.data(), key.size());
 }
 
+// 16-bit key fingerprint taken from the hash's high half, so it is
+// independent of the low bits that pick a bucket. Never 0. Stadium's device
+// index stores it per pair; the SEPO table's probe lines tag each slot with it.
+constexpr std::uint16_t fingerprint(std::uint64_t hash) noexcept {
+  return static_cast<std::uint16_t>(hash >> 32) | 1u;
+}
+
 constexpr std::uint64_t hash_u64(std::uint64_t v) noexcept { return mix64(v ^ 0x9e3779b97f4a7c15ULL); }
 
 constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {

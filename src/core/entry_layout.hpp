@@ -145,6 +145,14 @@ static_assert(sizeof(ValueEntry) == 24);
 // line from another core. This is a host-only measure (DESIGN.md §5a). The
 // simulated device still performs, and is charged for, the read-modify-write:
 // callers count the combine and meter its traffic whether or not it stored.
+//
+// A combiner may run more than once per combine and on a copy: the SEPO
+// table combines a value that fits one 8-byte word into a private copy and
+// publishes it by a CAS, retrying on a lost race, and skips the CAS when the
+// copy is unchanged; it combines a longer value in place under the bucket
+// lock. So a combiner must depend only on its arguments. Store-on-change
+// still binds it in place: in ChainedHostTable, in HostTable's finalize
+// merge, and for the SEPO table's longer values.
 using CombineFn = void (*)(std::byte* existing, const std::byte* incoming,
                            std::uint32_t len);
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "common/hashing.hpp"
@@ -15,6 +17,27 @@ namespace sepo::core {
 
 namespace {
 constexpr bool is_pow2(std::uint64_t v) { return v && (v & (v - 1)) == 0; }
+
+// Probe-line slot: device offset (bits 0-31), fingerprint (32-47), key
+// length (48-63), or kLongKey for a key of 0xffff bytes or more.
+constexpr std::uint32_t kLongKey = 0xffff;
+constexpr std::uint64_t pack_slot(DevPtr ep, std::uint16_t tag,
+                                  std::uint32_t key_len) noexcept {
+  return ep | std::uint64_t{tag} << 32 |
+         std::uint64_t{std::min(key_len, kLongKey)} << 48;
+}
+constexpr DevPtr slot_dev(std::uint64_t s) noexcept { return s & 0xffffffffu; }
+constexpr std::uint16_t slot_tag(std::uint64_t s) noexcept {
+  return static_cast<std::uint16_t>(s >> 32);
+}
+constexpr std::uint32_t slot_key_len(std::uint64_t s) noexcept {
+  return static_cast<std::uint32_t>(s >> 48);
+}
+
+// True when a value occupies exactly one 8-byte word of its entry.
+constexpr bool one_word(std::uint32_t val_len) noexcept {
+  return pad8(val_len) == 8;
+}
 }  // namespace
 
 SepoHashTable::SepoHashTable(gpusim::ExecContext& ctx, HashTableConfig cfg)
@@ -25,17 +48,23 @@ SepoHashTable::SepoHashTable(gpusim::ExecContext& ctx, HashTableConfig cfg)
     throw std::invalid_argument("invalid buckets_per_group");
   if (cfg_.org == Organization::kCombining && cfg_.combiner == nullptr)
     throw std::invalid_argument("combining organization requires a combiner");
+  if (dev_.capacity() > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument(
+        "device of 4 GiB or more: probe-line slots hold 32-bit offsets");
 
   // The bucket array and its locks live in device memory: reserve their
   // footprint there so the heap gets only what genuinely remains (§IV-A).
-  // Charged at the compact device layout (bucket + 4-byte lock word), NOT at
-  // sizeof(PaddedBucketLock): the cache-line padding is a host-side
-  // anti-false-sharing measure and must not shrink the simulated heap.
-  const std::size_t bucket_bytes =
-      static_cast<std::size_t>(cfg_.num_buckets) * (sizeof(Bucket) + 4);
+  // Charged at the compact device layout (device head, host head, 4-byte
+  // lock word), NOT at sizeof(ProbeLine): the probe line is a host-side
+  // cache and must not shrink the simulated heap.
+  const std::size_t bucket_bytes = static_cast<std::size_t>(cfg_.num_buckets) *
+                                   (sizeof(DevPtr) + sizeof(HostPtr) + 4);
   dev_.alloc_static(bucket_bytes);
-  buckets_ = std::vector<Bucket>(cfg_.num_buckets);
-  bucket_locks_ = std::vector<gpusim::PaddedBucketLock>(cfg_.num_buckets);
+  lines_ = std::vector<ProbeLine>(cfg_.num_buckets);
+  head_host_.assign(cfg_.num_buckets, alloc::kHostNull);
+  worker_rows_ = ctx_.pool().worker_count();
+  accesses_ = std::vector<std::atomic<std::uint32_t>>(
+      (worker_rows_ + 1) * cfg_.num_buckets);
 
   const std::size_t heap_bytes =
       cfg_.heap_bytes == 0 ? dev_.mem_free() : cfg_.heap_bytes;
@@ -57,56 +86,169 @@ SepoHashTable::SepoHashTable(gpusim::ExecContext& ctx, HashTableConfig cfg)
       *pool_, *host_heap_, groups, classes);
 }
 
-std::uint32_t SepoHashTable::bucket_of(std::string_view key) const noexcept {
-  return static_cast<std::uint32_t>(hash_key(key)) & (cfg_.num_buckets - 1);
+template <typename Entry>
+SepoHashTable::Probe SepoHashTable::probe(const ProbeLine& line,
+                                          std::string_view key,
+                                          std::uint16_t tag) const {
+  for (;;) {
+    Probe r;
+    r.version = line.version.load(std::memory_order_acquire);
+    if (r.version & 1u) {  // a prepend is editing the line
+      std::this_thread::yield();
+      continue;
+    }
+    const std::uint32_t len = line.len.load(std::memory_order_relaxed);
+    const std::uint32_t n = std::min(len, ProbeLine::kSlots);
+    std::uint64_t s = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      s = line.slot[i].load(std::memory_order_acquire);
+      ++r.links;
+      std::uint32_t key_len = slot_key_len(s);
+      if (key_len == kLongKey)
+        key_len = dev_.ptr<Entry>(slot_dev(s))->key_len;
+      r.bytes += std::min<std::uint64_t>(key_len, key.size());
+      if (slot_tag(s) == tag && key_len == key.size() &&
+          dev_.ptr<Entry>(slot_dev(s))->key() == key) {
+        r.hit = slot_dev(s);
+        break;
+      }
+    }
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (line.version.load(std::memory_order_relaxed) != r.version) continue;
+    // Past the slots the chain is immutable while a kernel runs: entries
+    // are only ever prepended.
+    if (r.hit != gpusim::kDevNull || len <= ProbeLine::kSlots) return r;
+    for (DevPtr p = dev_.ptr<Entry>(slot_dev(s))->next_dev;
+         p != gpusim::kDevNull;) {
+      ++r.links;
+      const auto* e = dev_.ptr<Entry>(p);
+      r.bytes += std::min<std::uint64_t>(e->key_len, key.size());
+      if (e->key() == key) {
+        r.hit = p;
+        break;
+      }
+      p = e->next_dev;
+    }
+    return r;
+  }
 }
 
-// The probe loop shared by both chained layouts (KvEntry, KeyEntry): both
-// start with next_dev and carry key_len/key().
-template <typename Entry>
-DevPtr SepoHashTable::find(std::uint32_t b, std::string_view key) const {
-  std::uint32_t links = 0;
-  std::uint64_t bytes = 0;
-  DevPtr p = buckets_[b].head_dev.load(std::memory_order_relaxed);
-  while (p != gpusim::kDevNull) {
-    ++links;
-    const auto* e = dev_.ptr<Entry>(p);
-    bytes += std::min<std::uint64_t>(e->key_len, key.size());
-    if (e->key() == key) break;
-    p = e->next_dev;
-  }
-  stats_.add_chain_links(links);
-  stats_.add_key_compare_bytes(bytes);
-  return p;
+DevPtr SepoHashTable::head(const ProbeLine& line) noexcept {
+  return line.len.load(std::memory_order_relaxed) == 0
+             ? gpusim::kDevNull
+             : slot_dev(line.slot[0].load(std::memory_order_relaxed));
+}
+
+void SepoHashTable::push_slot(ProbeLine& line, DevPtr ep,
+                              std::uint32_t key_len,
+                              std::uint16_t tag) noexcept {
+  const std::uint32_t v = line.version.load(std::memory_order_relaxed);
+  line.version.store(v + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  for (std::uint32_t i = ProbeLine::kSlots - 1; i > 0; --i)
+    line.slot[i].store(line.slot[i - 1].load(std::memory_order_relaxed),
+                       std::memory_order_release);
+  line.slot[0].store(pack_slot(ep, tag, key_len), std::memory_order_release);
+  line.len.store(line.len.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+  line.version.store(v + 2, std::memory_order_release);
 }
 
 // "New KV pairs are always inserted at the head of the bucket linked list"
-// (§III-B); the release store publishes the filled-in entry.
+// (§III-B); push_slot's release stores publish the filled-in entry.
 template <typename Entry>
-void SepoHashTable::prepend(std::uint32_t b, const alloc::Allocation& a) {
+void SepoHashTable::prepend(std::uint32_t b, const alloc::Allocation& a,
+                            std::uint16_t tag) {
   auto* e = dev_.ptr<Entry>(a.dev);
-  Bucket& bucket = buckets_[b];
-  e->next_dev = bucket.head_dev.load(std::memory_order_relaxed);
-  e->next_host = bucket.head_host;
-  bucket.head_host = a.host;
-  bucket.head_dev.store(a.dev, std::memory_order_release);
+  ProbeLine& line = lines_[b];
+  e->next_dev = head(line);
+  e->next_host = head_host_[b];
+  head_host_[b] = a.host;
+  push_slot(line, a.dev, e->key_len, tag);
   stats_.add_inserts_new();
+}
+
+void SepoHashTable::count_access(std::uint32_t b) noexcept {
+  const std::size_t w = gpusim::current_worker_slot();
+  if (w < worker_rows_) {  // the row's only writer
+    std::atomic<std::uint32_t>& c = accesses_[w * cfg_.num_buckets + b];
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  } else {
+    accesses_[worker_rows_ * cfg_.num_buckets + b].fetch_add(
+        1, std::memory_order_relaxed);
+  }
+}
+
+gpusim::BucketLoad SepoHashTable::bucket_load() const noexcept {
+  gpusim::BucketLoad load;
+  const std::size_t nb = cfg_.num_buckets;
+  for (std::size_t b = 0; b < nb; ++b) {
+    std::uint64_t n = 0;
+    for (std::size_t i = b; i < accesses_.size(); i += nb)
+      n += accesses_[i].load(std::memory_order_relaxed);
+    load.total_accesses += n;
+    load.max_bucket_accesses = std::max(load.max_bucket_accesses, n);
+  }
+  return load;
+}
+
+void SepoHashTable::combine(DevPtr p, std::span<const std::byte> value) {
+  auto* e = dev_.ptr<KvEntry>(p);
+  const std::uint32_t len =
+      std::min(e->val_len, static_cast<std::uint32_t>(value.size()));
+  stats_.add_combines();
+  if (!one_word(e->val_len)) {
+    cfg_.combiner(e->value_data(), value.data(), len);
+    return;
+  }
+  std::atomic_ref<std::uint64_t> word(
+      *reinterpret_cast<std::uint64_t*>(e->value_data()));
+  std::uint64_t old = word.load(std::memory_order_relaxed);
+  std::uint64_t retries = 0;
+  for (;;) {
+    std::uint64_t next = old;
+    cfg_.combiner(reinterpret_cast<std::byte*>(&next), value.data(), len);
+    if (next == old ||
+        word.compare_exchange_weak(old, next, std::memory_order_relaxed))
+      break;
+    ++retries;
+  }
+  if (retries != 0) stats_.add_atomic_retries(retries);
 }
 
 Status SepoHashTable::insert(std::string_view key,
                              std::span<const std::byte> value) {
   assert(!finalized_);
   stats_.add_hash_ops();
-  const std::uint32_t b = bucket_of(key);
+  const std::uint64_t h = hash_key(key);
+  const std::uint32_t b = bucket_of(h);
   const std::uint32_t g = b / cfg_.buckets_per_group;
+  const std::uint16_t tag = fingerprint(h);
   const auto key_len = static_cast<std::uint32_t>(key.size());
   const auto val_len = static_cast<std::uint32_t>(value.size());
+  ProbeLine& line = lines_[b];
+  count_access(b);
 
-  gpusim::DeviceLockGuard guard(bucket_locks_[b].lock, stats_);
-  ++bucket_locks_[b].accesses;
+  Probe found;
+  if (cfg_.org == Organization::kCombining) {
+    found = probe<KvEntry>(line, key, tag);
+    // A hit on a one-word value combines without the lock. The simulated
+    // device still takes it, so the acquire is counted.
+    if (found.hit != gpusim::kDevNull &&
+        one_word(dev_.ptr<KvEntry>(found.hit)->val_len)) {
+      stats_.add_lock_acquires();
+      charge(found);
+      combine(found.hit, value);
+      return Status::kSuccess;
+    }
+  }
+
+  gpusim::DeviceLockGuard guard(line.lock, stats_);
   switch (cfg_.org) {
     case Organization::kMultiValued: {
-      DevPtr kp = find<KeyEntry>(b, key);
+      found = probe<KeyEntry>(line, key, tag);
+      charge(found);
+      DevPtr kp = found.hit;
       if (kp == gpusim::kDevNull) {
         const alloc::Allocation ka = allocator_->alloc(
             g, alloc::PageClass::kKey, KeyEntry::byte_size(key_len), stats_);
@@ -117,17 +259,20 @@ Status SepoHashTable::insert(std::string_view key,
         ke->key_len = key_len;
         ke->page = ka.page;
         std::memcpy(ke->key_data(), key.data(), key_len);
-        prepend<KeyEntry>(b, ka);
+        prepend<KeyEntry>(b, ka, tag);
         kp = ka.dev;
       }
       return append_value(g, kp, value);
     }
     case Organization::kCombining:
-      if (const DevPtr p = find<KvEntry>(b, key); p != gpusim::kDevNull) {
-        auto* e = dev_.ptr<KvEntry>(p);
-        cfg_.combiner(e->value_data(), value.data(),
-                      std::min(e->val_len, val_len));
-        stats_.add_combines();
+      // An unmoved version means no prepend since the probe, so its miss is
+      // exact; probing again would charge the walk twice.
+      if (found.hit == gpusim::kDevNull &&
+          line.version.load(std::memory_order_relaxed) != found.version)
+        found = probe<KvEntry>(line, key, tag);
+      charge(found);
+      if (found.hit != gpusim::kDevNull) {
+        combine(found.hit, value);
         return Status::kSuccess;
       }
       [[fallthrough]];  // a new key is inserted as in the basic organization
@@ -145,7 +290,7 @@ Status SepoHashTable::insert(std::string_view key,
   e->val_len = val_len;
   std::memcpy(e->key_data(), key.data(), key_len);
   if (val_len) std::memcpy(e->value_data(), value.data(), val_len);
-  prepend<KvEntry>(b, a);
+  prepend<KvEntry>(b, a, tag);
   return Status::kSuccess;
 }
 
@@ -176,8 +321,10 @@ const KvEntry* SepoHashTable::find_resident(std::string_view key) const {
     throw std::logic_error(
         "find_resident: a multi-valued table chains KeyEntry, not KvEntry");
   stats_.add_hash_ops();
-  const DevPtr p = find<KvEntry>(bucket_of(key), key);
-  return p == gpusim::kDevNull ? nullptr : dev_.ptr<KvEntry>(p);
+  const std::uint64_t h = hash_key(key);
+  const Probe found = probe<KvEntry>(lines_[bucket_of(h)], key, fingerprint(h));
+  charge(found);
+  return found.hit == gpusim::kDevNull ? nullptr : dev_.ptr<KvEntry>(found.hit);
 }
 
 void SepoHashTable::apply_pressure() {
@@ -227,8 +374,7 @@ void SepoHashTable::begin_iteration() {
       // untouched.
       for (const std::uint32_t p : resident_key_pages_)
         pool_->meta(p).pending_keys.store(0, std::memory_order_relaxed);
-      for (Bucket& bucket : buckets_)
-        bucket.head_dev.store(gpusim::kDevNull, std::memory_order_relaxed);
+      for (ProbeLine& line : lines_) line.len.store(0, std::memory_order_relaxed);
       // One kernel over resident pages: each page is walked linearly
       // (entries are contiguous and self-sizing). Scheduled through the
       // context so the rebuild shows up on the compute timeline like any
@@ -245,11 +391,12 @@ void SepoHashTable::begin_iteration() {
           // not carry their hash (the paper-fixed layout spends its header
           // bytes on the dual dev/host pointers), so re-linking a resident
           // page must rehash each key once per iteration.
-          const std::uint32_t b = bucket_of(ke->key());
+          const std::uint64_t h = hash_key(ke->key());
+          ProbeLine& line = lines_[bucket_of(h)];
           ke->vhead_dev = gpusim::kDevNull;  // all value pages were flushed
-          gpusim::DeviceLockGuard guard(bucket_locks_[b].lock, stats_);
-          ke->next_dev = buckets_[b].head_dev.load(std::memory_order_relaxed);
-          buckets_[b].head_dev.store(ep, std::memory_order_release);
+          gpusim::DeviceLockGuard guard(line.lock, stats_);
+          ke->next_dev = head(line);
+          push_slot(line, ep, ke->key_len, fingerprint(h));
           stats_.add_chain_links();
           off += ke->byte_size();
         }
@@ -268,8 +415,7 @@ void SepoHashTable::end_iteration() {
       // untouched.
       allocator_->detach_active_pages(to_flush);
       allocator_->take_retired_pages(to_flush);
-      for (Bucket& bucket : buckets_)
-        bucket.head_dev.store(gpusim::kDevNull, std::memory_order_relaxed);
+      for (ProbeLine& line : lines_) line.len.store(0, std::memory_order_relaxed);
       break;
     case Organization::kMultiValued: {
       // Figure 5 (b): all value pages flush, and so do key pages with no
@@ -346,12 +492,10 @@ HostTable SepoHashTable::finalize() {
   finalized_ = true;
 
   // Copy the bucket heads' host pointers back in one bulk transfer.
-  std::vector<HostPtr> heads(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i)
-    heads[i] = buckets_[i].head_host;
-  dev_.bus().d2h(buckets_.size() * sizeof(HostPtr));
-  ctx_.flush_d2h(buckets_.size() * sizeof(HostPtr));
-  return HostTable(cfg_.org, std::move(heads), *host_heap_, cfg_.combiner,
+  const std::size_t head_bytes = head_host_.size() * sizeof(HostPtr);
+  dev_.bus().d2h(head_bytes);
+  ctx_.flush_d2h(head_bytes);
+  return HostTable(cfg_.org, std::move(head_host_), *host_heap_, cfg_.combiner,
                    ctx_.pool());
 }
 
@@ -371,16 +515,10 @@ HashTableStats SepoHashTable::table_stats() const noexcept {
 
 std::vector<std::uint64_t> SepoHashTable::resident_chain_histogram(
     std::size_t max_len) const {
-  const bool key_entries = cfg_.org == Organization::kMultiValued;
   std::vector<std::uint64_t> hist(max_len + 1, 0);
-  for (const Bucket& bucket : buckets_) {
-    std::size_t len = 0;
-    for (DevPtr p = bucket.head_dev.load(std::memory_order_relaxed);
-         p != gpusim::kDevNull; ++len)
-      p = key_entries ? dev_.ptr<KeyEntry>(p)->next_dev
-                      : dev_.ptr<KvEntry>(p)->next_dev;
-    ++hist[std::min(len, max_len)];
-  }
+  for (const ProbeLine& line : lines_)
+    ++hist[std::min<std::size_t>(line.len.load(std::memory_order_relaxed),
+                                 max_len)];
   return hist;
 }
 

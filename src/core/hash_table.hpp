@@ -2,9 +2,9 @@
 // entries dynamically allocated from the bucket-group allocator, growable
 // beyond device memory via the SEPO iteration protocol.
 //
-// One class (DESIGN.md §2) owns the bucket array and its per-bucket locks,
-// the device page pool, the host mirror heap, the bucket-group allocator and
-// the flush. The three bucket organizations (§IV-B) differ only where
+// One class (DESIGN.md §2) owns the bucket array and its per-bucket probe
+// lines (lock + newest chain slots, DESIGN.md §5a), the device page pool,
+// the host mirror heap, the bucket-group allocator and the flush. The three bucket organizations (§IV-B) differ only where
 // Figure 5 makes them differ, each a branch on cfg.org: the insert rule, the
 // multi-valued chain rebuild at iteration start, and the flush rule at
 // iteration end.
@@ -104,9 +104,8 @@ class SepoHashTable {
 
   // ------- introspection -------
 
-  [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
-    return gpusim::bucket_load(bucket_locks_);
-  }
+  // Sums the per-worker bucket access rows; call when the table is quiescent.
+  [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept;
 
   [[nodiscard]] HashTableStats table_stats() const noexcept;
 
@@ -135,23 +134,72 @@ class SepoHashTable {
   }
 
  private:
-  struct Bucket {
-    std::atomic<DevPtr> head_dev{gpusim::kDevNull};
-    HostPtr head_host = alloc::kHostNull;  // guarded by the bucket lock
+  // One bucket's host-only probe line (DESIGN.md §5a): the bucket lock, a
+  // seqlock version, the device chain length and the newest kSlots chain
+  // entries, newest first, on one cache line. A slot packs the entry's
+  // 32-bit device offset, the key's 16-bit fingerprint and its 16-bit
+  // length (0xffff: a longer key, whose length is read from the entry).
+  // The device chain is the line's slots followed by the last slot's
+  // next_dev links; its head is slot 0. Slots and length change only under the lock, inside an odd
+  // version, so a probe that reads one even version twice saw a consistent
+  // line without taking the lock.
+  struct alignas(gpusim::kCacheLineBytes) ProbeLine {
+    static constexpr std::uint32_t kSlots = 6;
+    gpusim::DeviceLock lock;
+    std::atomic<std::uint32_t> version{0};
+    std::atomic<std::uint32_t> len{0};
+    std::atomic<std::uint64_t> slot[kSlots]{};
+  };
+  static_assert(sizeof(ProbeLine) == gpusim::kCacheLineBytes);
+
+  // A probe's result and its walk, charged to RunStats by charge().
+  struct Probe {
+    DevPtr hit = gpusim::kDevNull;
+    std::uint32_t links = 0;
+    std::uint64_t bytes = 0;
+    std::uint32_t version = 0;  // the even line version the probe read
   };
 
-  [[nodiscard]] std::uint32_t bucket_of(std::string_view key) const noexcept;
+  [[nodiscard]] std::uint32_t bucket_of(std::uint64_t hash) const noexcept {
+    return static_cast<std::uint32_t>(hash) & (cfg_.num_buckets - 1);
+  }
 
-  // Walks the device chain of bucket `b` for `key`; returns the entry's dev
-  // ptr or null. Caller holds the bucket lock. Charges the walk (links,
-  // compared key bytes) to RunStats once, after the walk.
+  // Looks `key` up in a line's chain; needs no lock: one pass over the
+  // slots, the seqlock check (a moved version repeats the pass), then a
+  // walk from the last slot's next_dev. Every entry passed costs one link
+  // and min(key_len, key.size()) compared bytes, fingerprint match or not,
+  // exactly as the plain walk of the device chain.
   template <typename Entry>
-  [[nodiscard]] DevPtr find(std::uint32_t b, std::string_view key) const;
+  [[nodiscard]] Probe probe(const ProbeLine& line, std::string_view key,
+                            std::uint16_t tag) const;
+
+  void charge(const Probe& p) const noexcept {
+    stats_.add_chain_links(p.links);
+    stats_.add_key_compare_bytes(p.bytes);
+  }
+
+  // The device chain's head. Caller holds the line's lock.
+  [[nodiscard]] static DevPtr head(const ProbeLine& line) noexcept;
+
+  // Makes the entry at `ep`, whose next_dev already holds the old head, the
+  // newest slot of `line`. Caller holds the line's lock.
+  static void push_slot(ProbeLine& line, DevPtr ep, std::uint32_t key_len,
+                        std::uint16_t tag) noexcept;
 
   // Links the filled-in entry at `a` in at the head of bucket `b`'s device
   // and host chains. Caller holds the bucket lock.
   template <typename Entry>
-  void prepend(std::uint32_t b, const alloc::Allocation& a);
+  void prepend(std::uint32_t b, const alloc::Allocation& a,
+               std::uint16_t tag);
+
+  // Combines `value` into the entry at `p`. A value held in one 8-byte word
+  // is combined on a private copy and stored by a CAS, only if it changed,
+  // so this needs no lock; a longer one is combined in place and needs the
+  // bucket lock.
+  void combine(DevPtr p, std::span<const std::byte> value);
+
+  // Bumps bucket `b`'s access tally in the calling pool worker's row.
+  void count_access(std::uint32_t b) noexcept;
 
   // Allocates a ValueEntry and links it to the key at `kp`. On failure the
   // key's page is marked pending so the Figure-5 flush rule keeps it
@@ -179,12 +227,17 @@ class SepoHashTable {
   std::unique_ptr<alloc::HostHeap> host_heap_;
   std::unique_ptr<alloc::BucketGroupAllocator> allocator_;
 
-  std::vector<Bucket> buckets_;
-  // Lock + access tally per bucket, each on its own cache line
-  // (gpusim::PaddedBucketLock) so concurrent inserts to *different* buckets
-  // never false-share. Device-memory accounting still charges the compact
-  // lock+counter footprint (see the ctor) — the padding is host-only.
-  std::vector<gpusim::PaddedBucketLock> bucket_locks_;
+  // One probe line per bucket, and each bucket's host chain head (guarded
+  // by the line's lock). Device-memory accounting charges the compact
+  // bucket (device head, host head, lock word; see the ctor): the line is
+  // host-only padding.
+  std::vector<ProbeLine> lines_;
+  std::vector<HostPtr> head_host_;
+  // Bucket access tallies (the serialization term's input), one row of
+  // num_buckets per pool worker plus a last row for threads outside the
+  // pool, so a combine hit writes no line another worker writes.
+  std::size_t worker_rows_ = 0;
+  std::vector<std::atomic<std::uint32_t>> accesses_;
 
   // Multi-valued: key pages kept resident across iterations because some of
   // their keys still await values (paper §IV-C). Empty otherwise.

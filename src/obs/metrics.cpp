@@ -16,9 +16,15 @@ bool nearly_equal(double a, double b, double rel_eps) noexcept {
          rel_eps * std::max(std::fabs(a), std::fabs(b));
 }
 
+bool is_host_counter(std::string_view name) noexcept {
+  return name == "lock_contended" || name == "atomic_retries";
+}
+
 Json to_json(const gpusim::StatsSnapshot& s) {
   Json j = Json::object();
-  s.for_each_field([&j](const char* name, std::uint64_t v) { j.set(name, v); });
+  s.for_each_field([&j](const char* name, std::uint64_t v) {
+    if (!is_host_counter(name)) j.set(name, v);
+  });
   return j;
 }
 
@@ -130,8 +136,14 @@ Json to_json(const apps::RunResult& r) {
   j.set("impl", r.impl);
   j.set("sim_seconds", r.sim_seconds);
   j.set("sim_seconds_analytic", r.sim_seconds_analytic);
-  // Host-dependent: wall clock of the *simulation host*, not a result.
+  // Host-dependent: wall clock of the *simulation host* and the counters
+  // that depend on its thread scheduling, not results.
   j.set("wall_seconds_host", r.wall_seconds);
+  Json host = Json::object();
+  r.stats.for_each_field([&host](const char* name, std::uint64_t v) {
+    if (is_host_counter(name)) host.set(name, v);
+  });
+  j.set("host", std::move(host));
   j.set("iterations", r.iterations);
   j.set("keys", r.keys);
   j.set("table_bytes", r.table_bytes);

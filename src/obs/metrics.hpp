@@ -7,16 +7,18 @@
 // schema, so benches and the CLI can emit reports that are diffable across
 // PRs (sepo_cli metrics-diff) instead of only human-readable tables.
 //
-// Schema sketch (schema_version 6):
+// Schema sketch (schema_version 7):
 //   {
-//     "schema_version": 6,
+//     "schema_version": 7,
 //     "tool": "fig6_speedup",
 //     "runs": [
 //       { "app": "...", "impl": "sepo-gpu", "sim_seconds": ...,
 //         "sim_seconds_analytic": ...,     // legacy gpu_time() cross-check
-//         "wall_seconds_host": ..., "iterations": N, "keys": N,
+//         "wall_seconds_host": ...,
+//         "host": { "lock_contended": N, "atomic_retries": N },
+//         "iterations": N, "keys": N,
 //         "table_bytes": N, "heap_bytes": N, "checksum_hex": "....",
-//         "stats": { <one field per RunStats counter> },
+//         "stats": { <one field per simulated RunStats counter> },
 //         "pcie": {...}, "serialization": {...}, "gpu_breakdown": {...},
 //         "timeline": { "compute_busy": s, "h2d_busy": s, "d2h_busy": s,
 //                       "remote_busy": s, "total": s, "commands": N },
@@ -40,6 +42,11 @@
 //   }
 //
 // Schema history:
+//   v7  host-measured counters leave "stats": lock_contended and
+//       atomic_retries depend on thread scheduling, not on (input, config,
+//       seed), so they move to a per-run "host" object beside
+//       wall_seconds_host. metrics-diff compares the simulated "stats" and
+//       never the "host" object.
 //   v6  one insert path: drops the v5 batched-insert totals object (the
 //       batched insert pipeline is gone), and GPU "sim_seconds" no longer
 //       prices the measured host lock contention / atomic retries (the
@@ -72,6 +79,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "apps/harness.hpp"
 #include "common/table_printer.hpp"
@@ -80,11 +88,16 @@
 
 namespace sepo::obs {
 
-inline constexpr int kMetricsSchemaVersion = 6;
+inline constexpr int kMetricsSchemaVersion = 7;
+
+// True for the RunStats counters the host measures rather than simulates
+// (lock_contended, atomic_retries): they depend on thread scheduling, so a
+// run writes them in its "host" object, not in "stats".
+[[nodiscard]] bool is_host_counter(std::string_view name) noexcept;
 
 // Schema of BENCH_host.json, the *wall-clock* benchmark file written by
 // bench/host_perf (distinct from the simulated-time metrics schema above):
-//   { schema_version, tool: "host_perf", workers, tiny,
+//   { schema_version, tool: "host_perf", command, workers, tiny,
 //     benches: [ { name, items, reps, wall_seconds, ops_per_sec } ] }
 // Validated by `sepo_cli bench-check`, compared by `sepo_cli bench-diff`.
 inline constexpr int kBenchSchemaVersion = 1;
@@ -98,6 +111,7 @@ inline constexpr int kBenchSchemaVersion = 1;
 [[nodiscard]] bool nearly_equal(double a, double b,
                                 double rel_eps = 1e-9) noexcept;
 
+// The simulated counters of `s`; the host-measured ones are left out.
 [[nodiscard]] Json to_json(const gpusim::StatsSnapshot& s);
 [[nodiscard]] Json to_json(const gpusim::PcieSnapshot& p);
 [[nodiscard]] Json to_json(const gpusim::SerializationInputs& s);

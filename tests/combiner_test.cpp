@@ -1,6 +1,7 @@
 // Unit tests for the built-in combiners (core/entry_layout.hpp): their
-// semantics, the store-on-change contract of CombineFn, and both chained
-// tables combining one saturated key from four pool workers.
+// semantics, the store-on-change contract of CombineFn, both chained tables
+// combining one saturated key from four pool workers, and the SEPO table
+// combining one hot key whose every combine stores.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -160,6 +161,72 @@ TEST(CombinerConcurrencyTest, SepoTableCombinesSaturatedKeyExactly) {
   EXPECT_EQ(t.entry_count(), 1u);
   ASSERT_TRUE(t.lookup("dna").has_value());
   EXPECT_EQ(as_u32(*t.lookup("dna")), kSaturated);
+}
+
+// Every insert adds a nonzero value to one hot key, so every combine stores
+// and four workers race on the value. A one-word value is combined by a CAS
+// without the bucket lock, a two-word one under the lock; neither may lose
+// an update, and both count one lock acquire per insert.
+constexpr std::size_t kStoringInserts = 20000;
+
+HashTableConfig hot_key_cfg(CombineFn combiner) {
+  HashTableConfig cfg;
+  cfg.num_buckets = 1u << 10;
+  cfg.buckets_per_group = 32;
+  cfg.page_size = 4u << 10;
+  cfg.combiner = combiner;
+  return cfg;
+}
+
+TEST(CombinerConcurrencyTest, SepoTableSumsStoringCombinesExactly) {
+  Rig rig(32u << 20, /*workers=*/4);
+  SepoHashTable ht(rig.ctx, hot_key_cfg(combine_sum_u64));
+  ht.begin_iteration();
+  ASSERT_EQ(ht.insert_u64("hot", 0), Status::kSuccess);
+  const gpusim::StatsSnapshot before = rig.stats.snapshot();
+  gpusim::launch(rig.pool, rig.stats, kStoringInserts, [&](std::size_t i) {
+    ASSERT_EQ(ht.insert_u64("hot", i + 1), Status::kSuccess);
+  });
+  ht.end_iteration();
+  const gpusim::StatsSnapshot d = rig.stats.snapshot() - before;
+  EXPECT_EQ(d.combines, kStoringInserts);
+  EXPECT_EQ(d.lock_acquires, kStoringInserts);
+  const HostTable t = ht.finalize();
+  EXPECT_EQ(t.entry_count(), 1u);
+  EXPECT_EQ(t.lookup_u64("hot"), kStoringInserts * (kStoringInserts + 1) / 2);
+}
+
+// Sums two uint64 lanes, storing only a lane that changes.
+void combine_sum_2u64(std::byte* e, const std::byte* i, std::uint32_t) {
+  combine_sum_u64(e, i, 8);
+  combine_sum_u64(e + 8, i + 8, 8);
+}
+
+TEST(CombinerConcurrencyTest, SepoTableSumsStoringTwoWordCombinesExactly) {
+  Rig rig(32u << 20, /*workers=*/4);
+  SepoHashTable ht(rig.ctx, hot_key_cfg(combine_sum_2u64));
+  ht.begin_iteration();
+  const std::uint64_t zero[2] = {0, 0};
+  ASSERT_EQ(ht.insert("hot", std::as_bytes(std::span{zero})),
+            Status::kSuccess);
+  const gpusim::StatsSnapshot before = rig.stats.snapshot();
+  gpusim::launch(rig.pool, rig.stats, kStoringInserts, [&](std::size_t i) {
+    const std::uint64_t v[2] = {i + 1, 1};
+    ASSERT_EQ(ht.insert("hot", std::as_bytes(std::span{v})), Status::kSuccess);
+  });
+  ht.end_iteration();
+  const gpusim::StatsSnapshot d = rig.stats.snapshot() - before;
+  EXPECT_EQ(d.combines, kStoringInserts);
+  EXPECT_EQ(d.lock_acquires, kStoringInserts);
+  const HostTable t = ht.finalize();
+  EXPECT_EQ(t.entry_count(), 1u);
+  const auto got = t.lookup("hot");
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->size(), sizeof zero);
+  std::uint64_t sums[2];
+  std::memcpy(sums, got->data(), sizeof sums);
+  EXPECT_EQ(sums[0], kStoringInserts * (kStoringInserts + 1) / 2);
+  EXPECT_EQ(sums[1], kStoringInserts);
 }
 
 TEST(CombinerConcurrencyTest, ChainedHostTableCombinesSaturatedKeyExactly) {

@@ -150,15 +150,21 @@ TEST_F(WordCountMetrics, MetricsFileParsesAndCountersRoundTrip) {
   EXPECT_EQ(r["dataset"].as_i64(), 1);
   EXPECT_GT(r["sim_seconds"].as_double(), 0.0);
 
-  // Every generated counter field must round-trip bit-exactly.
+  // Every generated counter field must round-trip bit-exactly: simulated
+  // ones in "stats", the two host-measured ones in "host".
   const Json& stats = r["stats"];
-  std::size_t fields = 0;
+  const Json& host = r["host"];
+  std::size_t sim_fields = 0, host_fields = 0;
   run().stats.for_each_field([&](const char* name, std::uint64_t v) {
-    ++fields;
-    ASSERT_TRUE(stats[name].is_number()) << name;
-    EXPECT_EQ(stats[name].as_u64(), v) << name;
+    const bool in_host = is_host_counter(name);
+    ++(in_host ? host_fields : sim_fields);
+    const Json& block = in_host ? host : stats;
+    ASSERT_TRUE(block[name].is_number()) << name;
+    EXPECT_EQ(block[name].as_u64(), v) << name;
   });
-  EXPECT_EQ(stats.size(), fields);
+  EXPECT_EQ(stats.size(), sim_fields);
+  EXPECT_EQ(host.size(), host_fields);
+  EXPECT_EQ(host_fields, 2u);
 
   // Checksum survives as a 16-digit hex string.
   const std::string hex = r["checksum_hex"].as_string();

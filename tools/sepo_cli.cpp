@@ -22,7 +22,7 @@
 // out of device memory, fault-retry exhaustion), duplicate/unknown
 // --fault-* flags, fuzz failures found, or invalid/unreadable/incomparable
 // metrics files (metrics-diff exits 2 when the two files' schema versions
-// differ outside v3..v6, which stay comparable on shared fields with a
+// differ outside v3..v7, which stay comparable on shared fields with a
 // warning, or when a baseline run has no counterpart in the newer file);
 // metrics-diff additionally exits 3 when
 // sim_seconds regressed beyond the threshold; `fuzz --repro` exits 4 when
@@ -138,7 +138,7 @@ void usage() {
                "                             is missing, 3 when sim_seconds\n"
                "                             regressed > --max-regress-pct\n"
                "  report FILE                render a run report from a metrics file\n"
-               "                             (schema v3..v6): per-iteration table,\n"
+               "                             (schema v3..v7): per-iteration table,\n"
                "                             occupancy high-water marks, fault summary\n"
                "                             [--journal J.jsonl] [--last N]\n"
                "  bench-check FILE           validate a BENCH_host.json wall-clock file\n"
@@ -622,6 +622,9 @@ std::vector<std::string> check_metrics(const obs::Json& m) {
       problems.push_back(where + ".timeline missing");
     if (!r["wall_seconds_host"].is_number())
       problems.push_back(where + ".wall_seconds_host missing");
+    const obs::Json& host = r["host"];
+    if (!host.is_object())
+      problems.push_back(where + ".host missing");
     if (r["checksum_hex"].as_string().size() != 16)
       problems.push_back(where + ".checksum_hex not 16 hex digits");
     const obs::Json& stats = r["stats"];
@@ -629,11 +632,17 @@ std::vector<std::string> check_metrics(const obs::Json& m) {
       problems.push_back(where + ".stats missing");
     } else {
       // The counter set is generated from SEPO_STATS_FIELDS; require every
-      // field so a drifted serializer cannot pass.
+      // field, each in its block, so a drifted serializer cannot pass.
       gpusim::StatsSnapshot{}.for_each_field(
           [&](const char* name, std::uint64_t) {
-            if (!stats[name].is_number())
-              problems.push_back(where + ".stats." + name + " missing");
+            const bool in_host = obs::is_host_counter(name);
+            const obs::Json& block = in_host ? host : stats;
+            if (!block[name].is_number())
+              problems.push_back(where + (in_host ? ".host." : ".stats.") +
+                                 name + " missing");
+            if (in_host && stats.find(name) != nullptr)
+              problems.push_back(where + ".stats." + name +
+                                 " is host-measured; it belongs in .host");
           });
     }
     for (const char* k : {"pcie", "serialization", "gpu_breakdown", "faults"})
@@ -662,8 +671,9 @@ int cmd_metrics_check(const std::string& path) {
   return 0;
 }
 
-// v3..v6 differ only in additive / dropped objects (v4 adds "timeseries",
-// v5 adds the batched-insert totals, v6 drops them again), so files across
+// v3..v7 differ only in additive / dropped / moved objects (v4 adds
+// "timeseries", v5 adds the batched-insert totals, v6 drops them again, v7
+// moves the host-measured counters from "stats" to "host"), so files across
 // that range stay comparable on their shared fields.
 bool readable_schema(std::int64_t v) {
   return v >= 3 && v <= obs::kMetricsSchemaVersion;
@@ -689,7 +699,7 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
 
   // Files written under different schemas are incomparable (exit 2), which
   // is distinct from "comparable but regressed" (exit 3). Exception: within
-  // v3..v6 compare the shared fields and warn.
+  // v3..v7 compare the shared fields and warn.
   const std::int64_t old_v = (*older)["schema_version"].as_i64();
   const std::int64_t new_v = (*newer)["schema_version"].as_i64();
   if (old_v != new_v) {
@@ -702,7 +712,7 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
     }
     std::fprintf(stderr,
                  "warning: schema v%lld vs v%lld — comparing shared fields "
-                 "(v3..v6 differ only in added or dropped objects)\n",
+                 "(v3..v7 differ only in added, dropped or moved objects)\n",
                  static_cast<long long>(old_v),
                  static_cast<long long>(new_v));
   }
@@ -738,8 +748,10 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
                    TablePrinter::fmt(pct, 2)});
 
     // Determinism drift check on the other modelled-time fields (analytic
-    // cross-check and per-resource timeline busy totals) — informational,
-    // same epsilon discipline.
+    // cross-check and per-resource timeline busy totals) and the simulated
+    // counters — informational, same epsilon discipline. The "host" object
+    // (and a pre-v7 file's host counters in "stats") is never compared: it
+    // measures the host's thread scheduling, not the simulation.
     const auto drift = [&](const char* label, double a, double b) {
       if (!obs::nearly_equal(a, b))
         std::fprintf(stderr, "note: %s %s drifted: %.9g -> %.9g\n", k.c_str(),
@@ -755,6 +767,17 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
            {"compute_busy", "h2d_busy", "d2h_busy", "remote_busy", "total"})
         drift((std::string("timeline.") + f).c_str(), ot[f].as_double(),
               nt[f].as_double());
+    const obs::Json& os = (*it->second)["stats"];
+    const obs::Json& ns = r["stats"];
+    gpusim::StatsSnapshot{}.for_each_field([&](const char* f, std::uint64_t) {
+      if (obs::is_host_counter(f) || !os[f].is_number() || !ns[f].is_number())
+        return;
+      if (os[f].as_u64() != ns[f].as_u64())
+        std::fprintf(stderr, "note: %s stats.%s drifted: %llu -> %llu\n",
+                     k.c_str(), f,
+                     static_cast<unsigned long long>(os[f].as_u64()),
+                     static_cast<unsigned long long>(ns[f].as_u64()));
+    });
   }
   // A baseline run the newer file lacks is a refusal, not a pass: the
   // comparison no longer covers what the baseline measured.
@@ -957,6 +980,18 @@ void report_occupancy(const obs::Json& r) {
               static_cast<unsigned long long>(staging_slots));
 }
 
+// The host's side of the run (v7 "host" object; skipped on older files):
+// wall clock and the counters that depend on thread scheduling.
+void report_host(const obs::Json& r) {
+  const obs::Json* host = r.find("host");
+  if (host == nullptr) return;
+  std::printf("  host (not sim) : %.3f s wall, %llu contended lock acquires, "
+              "%llu atomic retries\n",
+              r["wall_seconds_host"].as_double(),
+              static_cast<unsigned long long>((*host)["lock_contended"].as_u64()),
+              static_cast<unsigned long long>((*host)["atomic_retries"].as_u64()));
+}
+
 // One line, naming every engine — greppable and CI-matchable.
 void report_faults(const obs::Json& r) {
   const obs::Json& f = r["faults"];
@@ -994,7 +1029,7 @@ void report_hot_buckets(const obs::Json& r) {
     std::printf("  hottest buckets: %s\n", line.c_str());
 }
 
-// Renders a human-readable post-mortem from a metrics file (schema v3..v6;
+// Renders a human-readable post-mortem from a metrics file (schema v3..v7;
 // v3 predates the occupancy time-series, so that section is absent)
 // plus, optionally, a JSONL journal dump written via --journal-out.
 int cmd_report(const std::string& metrics_path,
@@ -1033,6 +1068,7 @@ int cmd_report(const std::string& metrics_path,
                 r["sim_seconds"].as_double() * 1e3,
                 static_cast<unsigned long long>(r["iterations"].as_u64()),
                 r["checksum_hex"].as_string().c_str());
+    report_host(r);
     report_iterations(r);
     report_occupancy(r);
     report_faults(r);

@@ -80,8 +80,7 @@ int main() {
     std::vector<std::optional<std::vector<std::byte>>> answers;
     const core::LookupBatchResult res = engine.lookup_values(queries, answers);
 
-    const double sepo_time =
-        gpu_sim_seconds(stats.snapshot(), dev.bus(), dev.bus().snapshot(), {});
+    const double sepo_time = ctx.timeline().total_end();
 
     // Remote-probe alternative: each chain entry visited is one small PCIe
     // transaction (header + key), plus the answer readback.
@@ -104,8 +103,12 @@ int main() {
         p = e->next_host;
       }
     }
-    const double remote_time = gpu_sim_seconds(
-        rstats.snapshot(), rdev.bus(), rdev.bus().snapshot(), {});
+    // The probes serialize with the issuing warps: compute, then the remote
+    // traffic, priced as the timeline prices a kernel's remote batch.
+    const gpusim::PcieSnapshot rbus = rdev.bus().snapshot();
+    const double remote_time =
+        gpusim::compute_time(gpusim::kGpuDesc, rstats.snapshot()) +
+        rdev.bus().params().remote_time(rbus.remote_bytes, rbus.remote_txns);
 
     out.add_row({TablePrinter::fmt_int(static_cast<long long>(batch)),
                  TablePrinter::fmt_int(res.iterations),

@@ -28,6 +28,7 @@
 #include "apps/engine.hpp"
 #include "common/table_printer.hpp"
 #include "gpusim/fault.hpp"
+#include "gpusim/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -69,6 +70,9 @@ Row run_one(const AppInfo& app, int dataset, const gpusim::FaultConfig& faults,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Written into the metrics file, so it says how to regenerate itself.
+  std::string command = "fig6_speedup";
+  for (int i = 1; i < argc; ++i) command += std::string(" ") + argv[i];
   const obs::OutputOptions out = obs::OutputOptions::from_args(argc, argv);
   const std::size_t workers = pool_workers_from_args(argc, argv);
   bool tiny = false;
@@ -144,6 +148,10 @@ int main(int argc, char** argv) {
 
   if (out.metrics_enabled()) {
     obs::MetricsReport report("fig6_speedup");
+    report.set_field("command", command);
+    report.set_field("workers",
+                     static_cast<std::uint64_t>(
+                         gpusim::ThreadPool::resolve_workers(workers)));
     report.set_field("tiny", tiny);
     report.set_field("average_speedup",
                      sum_speedup / static_cast<double>(rows.size()));

@@ -2,6 +2,7 @@
 #include "apps/engine.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <unordered_map>
 
 #include "baselines/paging_sim.hpp"
@@ -113,30 +114,42 @@ void digest_stadium(const AppInfo& app,
 RunResult run_stadium(const AppInfo& app, std::string_view input,
                       const EngineConfig& cfg) {
   SimRun sim(cfg.gpu);
-  RunResult result = sim.run("stadium", [&](RunResult& r) {
+  return sim.run("stadium", [&](RunResult& r) {
     // Stadium has no SEPO: a fingerprint index (or bucket array) that
     // outgrows the device fails the run rather than returning a partial
     // table.
     r.iterations = 1;
     const RecordIndex idx = index_lines(input);
-    // Input still streams through staged chunks; meter it as one bulk pass.
+    // The input crosses the bus as one bulk copy on the copy stream; the
+    // map kernel reads it, so it starts once the copy is done.
     sim.dev.bus().h2d(input.size());
+    const gpusim::Event staged = sim.ctx.copy_stream().h2d(input.size());
     baselines::StadiumHashTable table(
         sim.ctx, baselines::StadiumConfig{.num_buckets = cfg.gpu.num_buckets});
     const OnExit record_load([&] { r.serial = serial_inputs(table.table()); });
     StadiumEmitter em(table);
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      const std::string_view body = idx.record(input.data(), i);
-      sim.stats.add_work_units(body.size());
-      app.standalone->map_record(body, em);
-      sim.stats.add_records_processed();
+    // The map loop is one kernel on the timeline, and its remote writes one
+    // remote batch after it. It runs on this thread, between the launch
+    // brackets, because an insert that outgrows the device index throws;
+    // the kernel is still scheduled then, so a failed run times the work
+    // it did before the throw.
+    const auto launch = sim.ctx.begin_launch(staged, idx.size());
+    sim.stats.add_kernel_launches();
+    std::exception_ptr failure;
+    try {
+      for (std::size_t i = 0; i < idx.size(); ++i) {
+        const std::string_view body = idx.record(input.data(), i);
+        sim.stats.add_work_units(body.size());
+        app.standalone->map_record(body, em);
+        sim.stats.add_records_processed();
+      }
+    } catch (...) {
+      failure = std::current_exception();
     }
+    (void)sim.ctx.finish_launch(launch, idx.size());
+    if (failure) std::rethrow_exception(failure);
     digest_stadium(app, table.table(), r);
   });
-  // No timeline commands are scheduled on this path; the analytic model
-  // (which reads the bus meters) is the one that carries the cost.
-  result.sim_seconds = result.sim_seconds_analytic;
-  return result;
 }
 
 // ------------------------------------------------ demand-paging lower bound
@@ -192,7 +205,6 @@ RunResult run_paging_sim(const AppInfo& app, std::string_view input,
   r.pcie.d2h_bytes = res.bytes_transferred;  // replacement traffic
   r.sim_seconds = static_cast<double>(res.bytes_transferred) /
                   bus.params().bandwidth_bytes_per_s;
-  r.sim_seconds_analytic = r.sim_seconds;
   r.wall_seconds = timer.seconds();
   return r;
 }
@@ -277,9 +289,9 @@ const std::vector<const Engine*>& all_engines() {
        "Stadium-hashing baseline (§VII): entries in pinned CPU memory "
        "behind a device-resident fingerprint index; duplicates stored "
        "as separate pairs, merged host-side only for the digest",
-       // Inserts meter the raw PCIe bus (one remote txn per pair), not the
-       // fault-priced ExecContext engines, so the telemetry hooks don't
-       // apply.
+       // Its input copy and map kernel are timeline commands, but the copy
+       // bypasses ExecContext::stage_h2d (the input never lands in device
+       // memory), so transfer faults and the telemetry hooks don't apply.
        {.standalone = true, .simulated_device = true}, run_stadium},
       {"paging-sim",
        "demand-paging lower bound (§VI-D): replays the table access "

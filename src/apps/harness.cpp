@@ -57,32 +57,19 @@ std::uint64_t checksum_kv_bytes(std::string_view key, const std::byte* value,
                                  value_len));
 }
 
-double gpu_sim_seconds(const gpusim::StatsSnapshot& stats,
-                       const gpusim::PcieBus& bus,
-                       const gpusim::PcieSnapshot& pcie,
-                       const gpusim::SerializationInputs& serial,
-                       gpusim::GpuTimeBreakdown* breakdown) {
-  const gpusim::GpuTimeBreakdown b =
-      gpusim::gpu_time(gpusim::kGpuDesc, stats, bus, pcie);
-  if (breakdown) *breakdown = b;
-  return b.total + gpusim::serialization_time(gpusim::kGpuDesc, serial);
-}
-
-double cpu_sim_seconds(const gpusim::StatsSnapshot& stats,
-                       const gpusim::SerializationInputs& serial) {
-  return gpusim::cpu_time(gpusim::kCpuDesc, stats) +
-         gpusim::serialization_time(gpusim::kCpuDesc, serial);
-}
-
-void fill_gpu_times(RunResult& r, const gpusim::ExecContext& ctx,
-                    const gpusim::PcieBus& bus) {
-  r.sim_seconds_analytic =
-      gpu_sim_seconds(r.stats, bus, r.pcie, r.serial, &r.gpu_breakdown);
+void fill_gpu_times(RunResult& r, const gpusim::ExecContext& ctx) {
   r.timeline = ctx.timeline().summary();
   r.faults = ctx.timeline().fault_summary();
-  r.sim_seconds =
-      r.timeline.total +
+  r.serialization_seconds =
       gpusim::serialization_time(ctx.timeline().machine(), r.serial);
+  r.sim_seconds = r.timeline.total + r.serialization_seconds;
+}
+
+void fill_cpu_times(RunResult& r) {
+  r.serialization_seconds =
+      gpusim::serialization_time(gpusim::kCpuDesc, r.serial);
+  r.sim_seconds = gpusim::compute_time(gpusim::kCpuDesc, r.stats) +
+                  r.serialization_seconds;
 }
 
 RunResult SimRun::run(const char* impl,
@@ -100,7 +87,7 @@ RunResult SimRun::run(const char* impl,
   }
   r.stats = stats.snapshot();
   r.pcie = dev.bus().snapshot();
-  fill_gpu_times(r, ctx, dev.bus());
+  fill_gpu_times(r, ctx);
   r.wall_seconds = timer.seconds();
   return r;
 }

@@ -167,18 +167,17 @@ struct RunResult {
   std::uint64_t checksum = 0;       // order-independent result digest
   std::uint64_t keys = 0;           // distinct keys (entries) in the result
   // Modelled time. GPU paths: the discrete-event timeline's makespan plus
-  // the lock-serialization term; CPU paths: the analytic compute model.
+  // serialization_seconds; CPU paths: compute_time on kCpuDesc plus
+  // serialization_seconds.
   double sim_seconds = 0;
-  // Cross-check for GPU paths: the legacy analytic total
-  // (max(compute, h2d) + d2h + remote, plus serialization). The timeline
-  // should land close to it — per-resource pricing is identical, only the
-  // admitted overlap differs. Equal to sim_seconds on CPU paths.
-  double sim_seconds_analytic = 0;
+  // The hot-lock serialization term inside sim_seconds (gpusim::
+  // serialization_time): the part no parallelism can hide, which explains
+  // Word Count's GPU result (paper §VI-B).
+  double serialization_seconds = 0;
   // Host wall clock. Informational only: it depends on the simulation
   // host's hardware and load, unlike sim_seconds. Serialized and printed as
   // "wall_seconds_host" to keep that distinction visible.
   double wall_seconds = 0;
-  gpusim::GpuTimeBreakdown gpu_breakdown{};  // GPU paths only (analytic)
   gpusim::TimelineSummary timeline{};        // GPU paths only (scheduled)
   gpusim::FaultSummary faults{};             // per-engine fault/retry totals
   // Structural failure, if any. A set error means the numbers above cover
@@ -282,24 +281,15 @@ template <typename Table>
   return t.sum_groups(group_digest_term);
 }
 
-// Simulated time for a GPU-side run — legacy analytic model, kept as the
-// timeline's cross-check (and used by extensions without a timeline).
-[[nodiscard]] double gpu_sim_seconds(const gpusim::StatsSnapshot& stats,
-                                     const gpusim::PcieBus& bus,
-                                     const gpusim::PcieSnapshot& pcie,
-                                     const gpusim::SerializationInputs& serial,
-                                     gpusim::GpuTimeBreakdown* breakdown = nullptr);
+// Fills a GPU RunResult's time fields from a finished ExecContext: the
+// timeline summary and fault totals, serialization_seconds from r.serial,
+// and sim_seconds = timeline makespan + serialization_seconds. Requires
+// r.serial to be set already.
+void fill_gpu_times(RunResult& r, const gpusim::ExecContext& ctx);
 
-// Fills a GPU RunResult's time fields from a finished ExecContext:
-// sim_seconds from the timeline makespan + serialization, the analytic
-// total into sim_seconds_analytic / gpu_breakdown, and the timeline summary.
-// Requires r.stats, r.pcie and r.serial to be set already.
-void fill_gpu_times(RunResult& r, const gpusim::ExecContext& ctx,
-                    const gpusim::PcieBus& bus);
-
-// Simulated time for a CPU-side run.
-[[nodiscard]] double cpu_sim_seconds(const gpusim::StatsSnapshot& stats,
-                                     const gpusim::SerializationInputs& serial);
+// Fills a CPU RunResult's time fields from r.stats and r.serial:
+// sim_seconds = compute_time on kCpuDesc + serialization_seconds.
+void fill_cpu_times(RunResult& r);
 
 // Fills a finished SEPO run's table fields: serial from `ht`'s lock load,
 // iterations and profiles from `dres`, footprint from `ht`, and keys, digest

@@ -127,8 +127,7 @@ RunResult run_mr_phoenix(const MrApp& app, std::string_view input,
   r.keys = table->entry_count();
   r.checksum = app.mode == mapreduce::Mode::kMapGroup ? digest_groups(*table)
                                                       : digest_kv(*table);
-  r.sim_seconds = cpu_sim_seconds(r.stats, r.serial);
-  r.sim_seconds_analytic = r.sim_seconds;
+  fill_cpu_times(r);
   r.wall_seconds = timer.seconds();
   return r;
 }

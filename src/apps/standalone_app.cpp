@@ -112,8 +112,7 @@ RunResult StandaloneApp::run_cpu(std::string_view input,
   r.checksum = organization() == core::Organization::kMultiValued
                    ? digest_groups(table)
                    : digest_kv(table);
-  r.sim_seconds = cpu_sim_seconds(r.stats, r.serial);
-  r.sim_seconds_analytic = r.sim_seconds;
+  fill_cpu_times(r);
   r.wall_seconds = timer.seconds();
   return r;
 }

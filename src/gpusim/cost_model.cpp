@@ -15,21 +15,6 @@ double compute_time(const MachineDesc& m, const StatsSnapshot& s) {
   return t;
 }
 
-GpuTimeBreakdown gpu_time(const MachineDesc& m, const StatsSnapshot& s,
-                          const PcieBus& bus, const PcieSnapshot& p) {
-  GpuTimeBreakdown b;
-  b.compute = compute_time(m, s);
-  b.h2d = bus.h2d_time(p);
-  b.d2h = bus.d2h_time(p);
-  b.remote = bus.remote_access_time(p);
-  b.total = std::max(b.compute, b.h2d) + b.d2h + b.remote;
-  return b;
-}
-
-double cpu_time(const MachineDesc& m, const StatsSnapshot& s) {
-  return compute_time(m, s);
-}
-
 double serialization_time(const MachineDesc& m, const SerializationInputs& s) {
   const double fair_share =
       static_cast<double>(s.total_lock_ops) / m.concurrency;

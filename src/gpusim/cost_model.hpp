@@ -1,9 +1,12 @@
-// Analytic time model (DESIGN.md §5).
+// Unit costs of the modelled machines (DESIGN.md §5).
 //
-// All benches report *simulated* time computed from measured event counts:
+// Simulated time is priced from measured event counts. compute_time() prices
+// a counter set on one machine; the gpusim::Timeline schedules those priced
+// kernels together with PCIe transfers (PcieParams) on one simulated clock,
+// and serialization_time() adds the hot-lock term no parallelism can hide:
 //
-//   t_gpu = max(t_compute, t_h2d) + t_d2h + t_remote
-//   t_cpu = t_compute_cpu (+ allocation and serialization terms)
+//   t_gpu = timeline makespan + serialization
+//   t_cpu = compute_time(kCpuDesc) + serialization
 //
 // Host lock contention and atomic retries (lock_contended, atomic_retries)
 // are measured and reported but never priced: they depend on the simulation
@@ -21,11 +24,9 @@
 // (who wins, crossovers) depend on the *ratios* and on the measured counts.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "gpusim/counters.hpp"
-#include "gpusim/pcie.hpp"
 
 namespace sepo::gpusim {
 
@@ -121,25 +122,5 @@ constexpr MachineDesc kCpuDesc{
 
 // Pure compute time of `s` on machine `m` (no bus transfers).
 [[nodiscard]] double compute_time(const MachineDesc& m, const StatsSnapshot& s);
-
-struct GpuTimeBreakdown {
-  double compute = 0;   // kernels
-  double h2d = 0;       // input staging (overlappable with compute)
-  double d2h = 0;       // heap flushes (serial: computation is halted)
-  double remote = 0;    // pinned-memory remote accesses (serial with compute)
-  double total = 0;     // max(compute, h2d) + d2h + remote
-};
-
-// Combines kernel compute time with bus transfer times. Input staging (h2d)
-// overlaps with compute thanks to the BigKernel pipeline; heap flushes (d2h)
-// halt the computation (paper §IV-C), and remote accesses serialize with the
-// issuing warps.
-[[nodiscard]] GpuTimeBreakdown gpu_time(const MachineDesc& m,
-                                        const StatsSnapshot& s,
-                                        const PcieBus& bus,
-                                        const PcieSnapshot& p);
-
-// CPU-side total: compute only (the baseline has no bus).
-[[nodiscard]] double cpu_time(const MachineDesc& m, const StatsSnapshot& s);
 
 }  // namespace sepo::gpusim

@@ -5,12 +5,11 @@
 
 namespace sepo::gpusim {
 
-ExecContext::ExecContext(Device& dev, ThreadPool& pool, RunStats& stats,
-                         const MachineDesc& machine)
+ExecContext::ExecContext(Device& dev, ThreadPool& pool, RunStats& stats)
     : dev_(dev),
       pool_(pool),
       stats_(stats),
-      timeline_(machine, dev.bus().params()),
+      timeline_(kGpuDesc, dev.bus().params()),
       compute_(timeline_),
       copy_(timeline_),
       flush_(timeline_) {}
@@ -50,8 +49,9 @@ void ExecContext::fault_transfer_attempts(bool is_d2h, std::uint64_t bytes) {
                        std::to_string(f.config().max_retries) + " retries");
     }
     // The failed attempt still crossed the bus and occupied the copy engine
-    // at full price; meter both so busy == analytic-term equality holds
-    // under faults too. Then wait out the backoff before the next attempt.
+    // at full price; meter both so the busy total stays the metered bytes
+    // priced, under faults too. Then wait out the backoff before the next
+    // attempt.
     timeline_.note_fault(r);
     stats_.add_fault_retries();
     if (is_d2h) {
@@ -153,14 +153,14 @@ Event ExecContext::finish_launch(const LaunchBaseline& base,
         bus_after.remote_bytes - bus_before.remote_bytes;
     done = timeline_.schedule(
         TimelineCommandKind::kRemoteAccess, TimelineResource::kRemote, done.at,
-        timeline_.price_remote(remote_bytes, remote_txns), remote_bytes,
+        timeline_.pcie().remote_time(remote_bytes, remote_txns), remote_bytes,
         remote_txns);
 
     // A slice of those transactions may fail; the failed slice re-issues
     // (same per-transaction price) after a backoff, and can fail again.
-    // Retry transactions are priced on the timeline but not re-metered on
-    // the bus: the analytic model is fault-blind, and the timeline's remote
-    // busy total only counts first attempts to keep the term equality.
+    // Retry transactions are priced on the timeline (as kRetryBackoff, so
+    // outside the busy totals) but not re-metered on the bus: remote_busy
+    // stays the first attempts' metered traffic priced.
     if (faults_) {
       FaultInjector& f = *faults_;
       std::uint64_t failed = f.draw_remote_failures(remote_txns);
@@ -190,7 +190,8 @@ Event ExecContext::finish_launch(const LaunchBaseline& base,
               static_cast<std::uint64_t>(TimelineResource::kRemote), attempt);
         done = timeline_.schedule(TimelineCommandKind::kRetryBackoff,
                                   TimelineResource::kRemote, done.at,
-                                  timeline_.price_remote(failed_bytes, failed),
+                                  timeline_.pcie().remote_time(failed_bytes,
+                                                               failed),
                                   failed_bytes, failed);
         publish_sim_now();
         if (journal_ != nullptr)

@@ -1,10 +1,9 @@
 // Unified execution context for the virtual device.
 //
-// Every layer above gpusim used to thread the same parameter triple
-// (Device&, ThreadPool&, RunStats&) through its constructors and then price
-// time analytically after the fact. ExecContext bundles the triple with a
-// discrete-event Timeline and the three streams the SEPO execution model
-// needs:
+// ExecContext bundles the parameter triple every layer above gpusim needs
+// (Device&, ThreadPool&, RunStats&) with the discrete-event Timeline that
+// times the run on the modelled GPU (kGpuDesc) and the three streams the
+// SEPO execution model needs:
 //
 //   * copy stream     h2d input staging (BigKernel ring). Overlaps compute;
 //                     bounded by buffer-reuse dependencies.
@@ -17,7 +16,7 @@
 // The context wraps the physical operations (the memcpy + bus metering stay
 // exactly as before, so counters and checksums are untouched) and schedules
 // the priced command onto the timeline. sim_elapsed() is the resulting
-// makespan; the analytic gpu_time() remains available as a cross-check.
+// makespan, the run's one simulated clock.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +36,8 @@ class FaultInjector;
 class ExecContext {
  public:
   // Non-owning: bundles an existing device/pool/stats. The timeline prices
-  // with `machine` and the device bus's PCIe parameters.
-  ExecContext(Device& dev, ThreadPool& pool, RunStats& stats,
-              const MachineDesc& machine = kGpuDesc);
+  // with kGpuDesc and the device bus's PCIe parameters.
+  ExecContext(Device& dev, ThreadPool& pool, RunStats& stats);
 
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
@@ -89,10 +87,10 @@ class ExecContext {
   // and schedules the priced kernel on the compute engine, not before
   // `after` (typically its input chunk's staging event). Remote traffic the
   // kernel generated (pinned baseline) is scheduled directly after it and
-  // halts later compute, matching the analytic serialization rule. The
-  // kernel type flows through to the pool's batch loop so per-item dispatch
-  // inlines; the scheduling bookkeeping on both sides of the physical
-  // execution lives in begin_launch/finish_launch.
+  // halts later compute: remote accesses serialize with the issuing warps.
+  // The kernel type flows through to the pool's batch loop so per-item
+  // dispatch inlines; the scheduling bookkeeping on both sides of the
+  // physical execution lives in begin_launch/finish_launch.
   template <typename Kernel>
   Event launch(std::size_t n_items, Kernel&& kernel, LaunchConfig cfg = {},
                Event after = {}) {
@@ -112,7 +110,6 @@ class ExecContext {
     return timeline_.total_end();
   }
 
- private:
   // Counter/bus state captured just before a kernel physically executes;
   // finish_launch turns it into the kernel's delta for pricing.
   struct LaunchBaseline {
@@ -124,10 +121,13 @@ class ExecContext {
   // begin_launch orders the kernel after `after`, interposes abort faults,
   // and snapshots the baseline; finish_launch prices the counter delta,
   // schedules the compute command, and drains any remote traffic the kernel
-  // generated (with its fault retries).
+  // generated (with its fault retries). launch() calls both; a device loop
+  // that must run on the calling thread (Stadium's map, which may throw
+  // mid-loop) brackets itself with them directly.
   LaunchBaseline begin_launch(Event after, std::size_t n_items);
   Event finish_launch(const LaunchBaseline& base, std::size_t n_items);
 
+ private:
   // Publishes the timeline clock into the journal (no-op without one).
   void publish_sim_now() noexcept;
 

@@ -27,6 +27,25 @@ struct PcieParams {
   // pay a round-trip and achieve very poor effective bandwidth.
   double remote_roundtrip_s = 0.9e-6;
   double remote_bandwidth_bytes_per_s = 0.8e9;
+
+  // The one PCIe pricing (the timeline's copy and remote commands, the
+  // benches' repricing). Bulk transfers: per-transaction latency plus
+  // streaming time.
+  [[nodiscard]] double bulk_time(std::uint64_t bytes,
+                                 std::uint64_t txns) const noexcept {
+    return static_cast<double>(txns) * latency_s +
+           static_cast<double>(bytes) / bandwidth_bytes_per_s;
+  }
+
+  // Remote word-granularity accesses. Round-trips overlap across the
+  // thousands of concurrent device threads, so the round-trip is charged
+  // amortized by a pipelining factor rather than serially.
+  [[nodiscard]] double remote_time(std::uint64_t bytes,
+                                   std::uint64_t txns) const noexcept {
+    constexpr double kOverlapFactor = 64.0;  // in-flight remote requests
+    return static_cast<double>(txns) * remote_roundtrip_s / kOverlapFactor +
+           static_cast<double>(bytes) / remote_bandwidth_bytes_per_s;
+  }
 };
 
 struct PcieSnapshot {
@@ -91,34 +110,6 @@ class PcieBus {
   void reset() noexcept { counters_.reset(); }
 
   [[nodiscard]] const PcieParams& params() const noexcept { return params_; }
-
-  // Time for bulk transfers: per-transaction latency plus streaming time.
-  [[nodiscard]] double bulk_time(std::uint64_t bytes,
-                                 std::uint64_t txns) const noexcept {
-    return static_cast<double>(txns) * params_.latency_s +
-           static_cast<double>(bytes) / params_.bandwidth_bytes_per_s;
-  }
-
-  // Time for remote word-granularity accesses. Round-trips overlap across
-  // the thousands of concurrent device threads, so we charge the round-trip
-  // amortized by a pipelining factor rather than serially.
-  [[nodiscard]] double remote_time(std::uint64_t bytes,
-                                   std::uint64_t txns) const noexcept {
-    constexpr double kOverlapFactor = 64.0;  // in-flight remote requests
-    return static_cast<double>(txns) * params_.remote_roundtrip_s /
-               kOverlapFactor +
-           static_cast<double>(bytes) / params_.remote_bandwidth_bytes_per_s;
-  }
-
-  [[nodiscard]] double h2d_time(const PcieSnapshot& s) const noexcept {
-    return bulk_time(s.h2d_bytes, s.h2d_txns);
-  }
-  [[nodiscard]] double d2h_time(const PcieSnapshot& s) const noexcept {
-    return bulk_time(s.d2h_bytes, s.d2h_txns);
-  }
-  [[nodiscard]] double remote_access_time(const PcieSnapshot& s) const noexcept {
-    return remote_time(s.remote_bytes, s.remote_txns);
-  }
 
  private:
   enum Counter : std::size_t {

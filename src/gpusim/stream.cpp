@@ -4,16 +4,6 @@
 
 namespace sepo::gpusim {
 
-double Timeline::price_remote(std::uint64_t bytes,
-                              std::uint64_t txns) const noexcept {
-  // Same arithmetic as PcieBus::remote_time: round-trips overlap across the
-  // in-flight requests of thousands of device threads.
-  constexpr double kOverlapFactor = 64.0;
-  return static_cast<double>(txns) * pcie_.remote_roundtrip_s /
-             kOverlapFactor +
-         static_cast<double>(bytes) / pcie_.remote_bandwidth_bytes_per_s;
-}
-
 Event Timeline::schedule(TimelineCommandKind kind, TimelineResource resource,
                          double ready, double duration, std::uint64_t arg0,
                          std::uint64_t arg1) {
@@ -24,7 +14,7 @@ Event Timeline::schedule(TimelineCommandKind kind, TimelineResource resource,
   if (kind == TimelineCommandKind::kRetryBackoff ||
       kind == TimelineCommandKind::kAbortedLaunch) {
     // Fault overhead occupies the engine but is accounted separately so the
-    // busy totals keep matching the analytic per-term pricing exactly.
+    // busy totals stay the run's counters priced, exactly.
     ++faults_.engine[r].retries;
     faults_.engine[r].backoff_s += duration;
   } else {
@@ -62,23 +52,23 @@ Event Stream::push(TimelineCommandKind kind, TimelineResource resource,
 
 Event Stream::h2d(std::uint64_t bytes) {
   return push(TimelineCommandKind::kH2dCopy, TimelineResource::kCopyH2d,
-              tl_->price_copy(bytes, 1), bytes, 0);
+              tl_->pcie().bulk_time(bytes, 1), bytes, 0);
 }
 
 Event Stream::d2h_flush(std::uint64_t bytes) {
   return push(TimelineCommandKind::kD2hFlush, TimelineResource::kCopyD2h,
-              tl_->price_copy(bytes, 1), bytes, 0);
+              tl_->pcie().bulk_time(bytes, 1), bytes, 0);
 }
 
 Event Stream::kernel(const StatsSnapshot& delta, std::size_t n_items) {
   return push(TimelineCommandKind::kKernel, TimelineResource::kCompute,
-              tl_->price_kernel(delta), static_cast<std::uint64_t>(n_items),
-              delta.work_units);
+              compute_time(tl_->machine(), delta),
+              static_cast<std::uint64_t>(n_items), delta.work_units);
 }
 
 Event Stream::remote(std::uint64_t bytes, std::uint64_t txns) {
   return push(TimelineCommandKind::kRemoteAccess, TimelineResource::kRemote,
-              tl_->price_remote(bytes, txns), bytes, txns);
+              tl_->pcie().remote_time(bytes, txns), bytes, txns);
 }
 
 Event Stream::backoff(TimelineResource r, double seconds) {

@@ -1,23 +1,25 @@
-// Discrete-event execution timeline for the virtual device (DESIGN.md §5).
+// Discrete-event execution timeline for the virtual device (DESIGN.md §5):
+// the simulator's one clock for simulated-device runs.
 //
 // The simulator derives time from event counts, but *when* those events may
 // overlap is a scheduling question: BigKernel staging of chunk k+1 overlaps
 // the kernel on chunk k only if a free staging buffer exists, and a SEPO
 // heap flush halts computation outright (paper §IV-C, Figure 5). The
 // Timeline models this explicitly: h2d copies, kernel launches, d2h flushes
-// and remote accesses are commands priced with the existing CostModel /
-// PcieParams arithmetic and scheduled onto per-resource simulated clocks
+// and remote accesses are commands priced with the MachineDesc compute
+// arithmetic (compute_time) and the PcieParams transfer arithmetic
+// (bulk_time, remote_time), and scheduled onto per-resource simulated clocks
 // (compute engine, h2d copy engine, d2h path, remote path). A command starts
 // at the latest of: its stream's cursor (stream order), its resource's free
 // time (engines are serial), and any awaited events (cross-stream
 // dependencies). Overlap is therefore bounded by actual dependencies and
-// ring depth instead of assumed infinite, which is what the old analytic
-// `max(compute, h2d) + d2h` did.
+// ring depth, never assumed.
 //
-// All pricing is linear in the event counts, so the sum of command durations
-// per resource equals the analytic model's per-term totals exactly; the two
-// models differ only in how much overlap the schedule admits. gpu_time()
-// stays as a cross-check (see apps::RunResult::sim_seconds_analytic).
+// All pricing is linear in the event counts, so each resource's busy total
+// is its counters priced in one go (compute_busy == compute_time of the
+// kernels' counters, h2d_busy == bulk_time of the staged bytes); the
+// makespan is what the schedule adds on top. A run's sim_seconds is the
+// makespan plus the hot-lock serialization term (apps::RunResult).
 //
 // Streams/events mirror the CUDA primitives they stand in for: a Stream is
 // an ordered work queue with a moving cursor, an Event is a simulated
@@ -53,7 +55,7 @@ struct TimelineSummary {
 // Per-engine fault/retry accounting (obs schema v3). `backoff_s` is the
 // simulated time the engine spent on fault overhead — retry backoff waits
 // plus aborted launch costs — which the busy totals above exclude so that
-// busy == analytic-term equality survives fault injection.
+// each busy total stays its counters priced, also under fault injection.
 struct EngineFaults {
   std::uint64_t faults = 0;   // injected failures observed on this engine
   std::uint64_t retries = 0;  // overhead commands scheduled (backoffs/aborts)
@@ -79,18 +81,6 @@ class Timeline {
  public:
   Timeline(const MachineDesc& machine, PcieParams pcie)
       : machine_(machine), pcie_(pcie) {}
-
-  // Prices, per the same arithmetic the analytic model uses.
-  [[nodiscard]] double price_kernel(const StatsSnapshot& delta) const {
-    return compute_time(machine_, delta);
-  }
-  [[nodiscard]] double price_copy(std::uint64_t bytes,
-                                  std::uint64_t txns) const noexcept {
-    return static_cast<double>(txns) * pcie_.latency_s +
-           static_cast<double>(bytes) / pcie_.bandwidth_bytes_per_s;
-  }
-  [[nodiscard]] double price_remote(std::uint64_t bytes,
-                                    std::uint64_t txns) const noexcept;
 
   // Schedules one command: start = max(ready, resource free time). Returns
   // the completion event and advances the resource clock.

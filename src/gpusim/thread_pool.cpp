@@ -5,18 +5,21 @@
 
 namespace sepo::gpusim {
 
-ThreadPool::ThreadPool(std::size_t workers) {
+std::size_t ThreadPool::resolve_workers(std::size_t workers) {
   if (workers > kMaxPoolWorkers)
     throw std::invalid_argument("ThreadPool: " + std::to_string(workers) +
                                 " workers exceeds the maximum of " +
                                 std::to_string(kMaxPoolWorkers));
-  if (workers == 0) {
-    const unsigned hc = std::thread::hardware_concurrency();
-    workers = std::min<std::size_t>(hc > 0 ? hc : 1, kMaxPoolWorkers);
-  }
+  if (workers != 0) return workers;
+  const unsigned hc = std::thread::hardware_concurrency();
+  return std::min<std::size_t>(hc > 0 ? hc : 1, kMaxPoolWorkers);
+}
+
+ThreadPool::ThreadPool(std::size_t workers) {
+  workers = resolve_workers(workers);
   // The calling thread is always participant 0; spawn workers-1 helpers with
   // indices 1..workers-1.
-  const std::size_t helpers = workers > 0 ? workers - 1 : 0;
+  const std::size_t helpers = workers - 1;
   threads_.reserve(helpers);
   for (std::size_t i = 0; i < helpers; ++i)
     threads_.emplace_back([this, idx = i + 1] { worker_loop(idx); });

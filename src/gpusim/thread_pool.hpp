@@ -28,6 +28,9 @@ class ThreadPool {
   explicit ThreadPool(std::size_t workers = 0);
   ~ThreadPool();
 
+  // The worker_count() a pool constructed with `workers` has.
+  [[nodiscard]] static std::size_t resolve_workers(std::size_t workers);
+
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 

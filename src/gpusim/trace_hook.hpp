@@ -44,7 +44,7 @@ enum class TimelineCommandKind : int {
   kRemoteAccess = 3,
   // Fault-injection overhead (gpusim::FaultInjector). These occupy their
   // engine in simulated time but are excluded from the engine's busy total,
-  // which keeps busy == analytic-term equality intact: failed attempts are
+  // which stays the run's metered counters priced: failed attempts are
   // scheduled as ordinary commands of the kinds above, and only the *extra*
   // waiting lands here.
   kRetryBackoff = 4,    // bounded-exponential wait before a retry

@@ -44,13 +44,6 @@ Json to_json(const gpusim::SerializationInputs& s) {
   return j;
 }
 
-Json to_json(const gpusim::GpuTimeBreakdown& b) {
-  Json j = Json::object();
-  j.set("compute", b.compute).set("h2d", b.h2d).set("d2h", b.d2h);
-  j.set("remote", b.remote).set("total", b.total);
-  return j;
-}
-
 Json to_json(const gpusim::TimelineSummary& t) {
   Json j = Json::object();
   j.set("compute_busy", t.compute_busy).set("h2d_busy", t.h2d_busy);
@@ -135,7 +128,7 @@ Json to_json(const apps::RunResult& r) {
   Json j = Json::object();
   j.set("impl", r.impl);
   j.set("sim_seconds", r.sim_seconds);
-  j.set("sim_seconds_analytic", r.sim_seconds_analytic);
+  j.set("serialization_s", r.serialization_seconds);
   // Host-dependent: wall clock of the *simulation host* and the counters
   // that depend on its thread scheduling, not results.
   j.set("wall_seconds_host", r.wall_seconds);
@@ -152,7 +145,6 @@ Json to_json(const apps::RunResult& r) {
   j.set("stats", to_json(r.stats));
   j.set("pcie", to_json(r.pcie));
   j.set("serialization", to_json(r.serial));
-  j.set("gpu_breakdown", to_json(r.gpu_breakdown));
   j.set("timeline", to_json(r.timeline));
   j.set("faults", to_json(r.faults));
   if (r.error) {

@@ -2,24 +2,24 @@
 // EXPERIMENTS.md "BENCH_*.json").
 //
 // Serializes the measurement types the harness produces — counter
-// snapshots, PCIe meters, serialization inputs, the GPU time breakdown,
+// snapshots, PCIe meters, serialization inputs, the timeline summary,
 // per-iteration SEPO profiles, and whole RunResults — into a stable JSON
 // schema, so benches and the CLI can emit reports that are diffable across
 // PRs (sepo_cli metrics-diff) instead of only human-readable tables.
 //
-// Schema sketch (schema_version 7):
+// Schema sketch (schema_version 8):
 //   {
-//     "schema_version": 7,
+//     "schema_version": 8,
 //     "tool": "fig6_speedup",
 //     "runs": [
 //       { "app": "...", "impl": "sepo-gpu", "sim_seconds": ...,
-//         "sim_seconds_analytic": ...,     // legacy gpu_time() cross-check
+//         "serialization_s": ...,   // hot-lock term inside sim_seconds
 //         "wall_seconds_host": ...,
 //         "host": { "lock_contended": N, "atomic_retries": N },
 //         "iterations": N, "keys": N,
 //         "table_bytes": N, "heap_bytes": N, "checksum_hex": "....",
 //         "stats": { <one field per simulated RunStats counter> },
-//         "pcie": {...}, "serialization": {...}, "gpu_breakdown": {...},
+//         "pcie": {...}, "serialization": {...},
 //         "timeline": { "compute_busy": s, "h2d_busy": s, "d2h_busy": s,
 //                       "remote_busy": s, "total": s, "commands": N },
 //         "faults": { "compute": { "faults": N, "retries": N,
@@ -42,6 +42,11 @@
 //   }
 //
 // Schema history:
+//   v8  one simulated clock: adds "serialization_s", the hot-lock term, and
+//       drops the v2 closed-form cross-check total and its per-term
+//       breakdown object (whose terms equalled the timeline busy totals).
+//       On a run with timeline commands, sim_seconds == timeline.total +
+//       serialization_s (metrics-check asserts it).
 //   v7  host-measured counters leave "stats": lock_contended and
 //       atomic_retries depend on thread scheduling, not on (input, config,
 //       seed), so they move to a per-run "host" object beside
@@ -66,12 +71,12 @@
 //       seconds (the "faults" object), the optional "error" object for runs
 //       that failed structurally (typed RunError), and the fault counters
 //       appended to SEPO_STATS_FIELDS inside "stats".
-//   v2  discrete-event timeline: adds "sim_seconds_analytic" and the
-//       "timeline" object (per-resource busy seconds, makespan "total"
-//       equal to the scheduled end of the last command, and the scheduled
-//       command count). GPU runs' "sim_seconds" is now the timeline
-//       makespan plus the serialization term; "gpu_breakdown" keeps the
-//       analytic decomposition.
+//   v2  discrete-event timeline: adds the "timeline" object (per-resource
+//       busy seconds, makespan "total" equal to the scheduled end of the
+//       last command, and the scheduled command count), plus a closed-form
+//       cross-check total and its per-term breakdown (both dropped in v8).
+//       GPU runs' "sim_seconds" is now the timeline makespan plus the
+//       serialization term.
 //   v1  initial schema.
 //
 // Counter fields are generated from SEPO_STATS_FIELDS, so the serializer
@@ -88,7 +93,7 @@
 
 namespace sepo::obs {
 
-inline constexpr int kMetricsSchemaVersion = 7;
+inline constexpr int kMetricsSchemaVersion = 8;
 
 // True for the RunStats counters the host measures rather than simulates
 // (lock_contended, atomic_retries): they depend on thread scheduling, so a
@@ -115,7 +120,6 @@ inline constexpr int kBenchSchemaVersion = 1;
 [[nodiscard]] Json to_json(const gpusim::StatsSnapshot& s);
 [[nodiscard]] Json to_json(const gpusim::PcieSnapshot& p);
 [[nodiscard]] Json to_json(const gpusim::SerializationInputs& s);
-[[nodiscard]] Json to_json(const gpusim::GpuTimeBreakdown& b);
 [[nodiscard]] Json to_json(const gpusim::TimelineSummary& t);
 [[nodiscard]] Json to_json(const gpusim::FaultSummary& f);
 [[nodiscard]] Json to_json(const core::IterationProfile& p);

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "apps/datagen.hpp"
+#include "apps/engine.hpp"
 #include "apps/mr_apps.hpp"
 #include "apps/standalone_app.hpp"
 
@@ -201,37 +202,54 @@ TEST(DatagenTest, Table1SizesMatchThePaperScaled) {
   EXPECT_THROW(table1_bytes("pvc", 5), std::invalid_argument);
 }
 
-// ---- discrete-event timeline vs analytic cost model ----
+// ---- one simulated clock ----
 
-// The timeline prices commands with the same arithmetic as gpu_time() but
-// admits only dependency-justified overlap; the two totals must stay close.
-// This mirrors the fig6 --tiny sweep (all seven apps, Table I dataset #1,
-// same seeds) and bounds the divergence at 15%, per run and in aggregate.
-TEST(TimelineCrossCheck, Within15PercentOfAnalyticOnFig6TinySweep) {
-  double timeline_total = 0, analytic_total = 0;
-  const auto check = [&](const RunResult& r, const char* name) {
-    ASSERT_GT(r.sim_seconds_analytic, 0.0) << name;
-    ASSERT_GT(r.timeline.commands, 0u) << name;
-    EXPECT_NEAR(r.sim_seconds, r.sim_seconds_analytic,
-                0.15 * r.sim_seconds_analytic)
-        << name;
-    timeline_total += r.sim_seconds;
-    analytic_total += r.sim_seconds_analytic;
-  };
+// Every simulated-device engine times its whole run on the timeline: each
+// resource's busy total is exactly the run's metered counters priced, so no
+// counted event escapes the clock, and sim_seconds is the makespan plus the
+// serialization term.
+TEST(OneClock, EveryMeteredEventIsOnTheTimeline) {
+  EngineConfig cfg;
+  cfg.gpu.pool_workers = 1;
+  const gpusim::PcieParams pcie;
+  for (const Engine* engine : all_engines()) {
+    if (!engine->caps().simulated_device) continue;
+    for (const AppInfo* app : all_apps()) {
+      if (!engine->supports(*app)) continue;
+      SCOPED_TRACE(std::string(app->key) + "/" + engine->name());
+      const RunResult r = engine->run(*app, app->generate(64u << 10, 3), cfg);
+      ASSERT_FALSE(r.error) << r.error.message;
+      ASSERT_GT(r.timeline.commands, 0u);
+      // Per-command sums round differently from one product, so compare
+      // within 1e-9 relative.
+      const auto near = [](double busy, double priced) {
+        EXPECT_NEAR(busy, priced, 1e-9 * priced);
+      };
+      near(r.timeline.compute_busy,
+           gpusim::compute_time(gpusim::kGpuDesc, r.stats));
+      near(r.timeline.h2d_busy,
+           pcie.bulk_time(r.pcie.h2d_bytes, r.pcie.h2d_txns));
+      near(r.timeline.d2h_busy,
+           pcie.bulk_time(r.pcie.d2h_bytes, r.pcie.d2h_txns));
+      near(r.timeline.remote_busy,
+           pcie.remote_time(r.pcie.remote_bytes, r.pcie.remote_txns));
+      EXPECT_EQ(r.sim_seconds, r.timeline.total + r.serialization_seconds);
+    }
+  }
+}
 
-  for (const Which w : {Which::kPvc, Which::kIi, Which::kDna, Which::kNetflix}) {
-    const auto app = make_app(w);
-    const std::string input =
-        app->generate(table1_bytes(app->table1_key(), 1), 1001);
-    check(app->run_gpu(input, GpuConfig{}), app->name());
-  }
-  for (const MrApp* app : {&word_count_app(), &patent_citation_app(),
-                           &geo_location_app()}) {
-    const std::string input =
-        app->generate(table1_bytes(app->table1_key, 1), 2001);
-    check(run_mr_sepo(*app, input, GpuConfig{}), app->name);
-  }
-  EXPECT_NEAR(timeline_total, analytic_total, 0.15 * analytic_total);
+// A stadium run whose device index overflows mid-map still times the records
+// it mapped before the throw.
+TEST(OneClock, FailedStadiumRunTimesItsPartialMap) {
+  EngineConfig cfg;
+  cfg.gpu.pool_workers = 1;
+  const AppInfo& dna = *find_app("dna");
+  const RunResult r = find_engine("stadium")->run(
+      dna, dna.generate(table1_bytes("dna", 1), 3), cfg);
+  ASSERT_EQ(r.error.kind, RunError::Kind::kDeviceOutOfMemory);
+  ASSERT_GT(r.stats.records_processed, 0u);
+  const double priced = gpusim::compute_time(gpusim::kGpuDesc, r.stats);
+  EXPECT_NEAR(r.timeline.compute_busy, priced, 1e-9 * priced);
 }
 
 TEST(DatagenTest, GeneratorsProduceParsableRecords) {

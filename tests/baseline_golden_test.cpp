@@ -27,7 +27,9 @@ struct Golden {
 
 // The cpu, pinned and phoenix rows were recorded from the two-table
 // implementation the chained host table replaced; the mapcg and stadium rows
-// from their own chained tables, before they became placements of it.
+// from their own chained tables, before they became placements of it. The
+// stadium rows' kernel_launches and sim_seconds were re-recorded when its
+// map became a timeline kernel that waits for the input copy.
 constexpr Golden kGolden[] = {
     {"pvc", "cpu",
      "records_processed=422 work_units=48765 hash_ops=422 "
@@ -123,28 +125,28 @@ constexpr Golden kGolden[] = {
      0x1.5e3fa856147e3p-14},
     {"pvc", "stadium",
      "records_processed=422 work_units=48765 hash_ops=422 inserts_new=422 "
-     "alloc_ops=422 lock_acquires=844 h2d_bytes=49187 h2d_txns=1 "
-     "remote_bytes=32624 remote_txns=422 keys=413 "
+     "alloc_ops=422 lock_acquires=844 kernel_launches=1 h2d_bytes=49187 "
+     "h2d_txns=1 remote_bytes=32624 remote_txns=422 keys=413 "
      "checksum=364913289404329803",
-     0x1.bbff3a63030a6p-15},
+     0x1.082330114b377p-14},
     {"ii", "stadium",
      "records_processed=79 work_units=49190 hash_ops=517 inserts_new=517 "
-     "alloc_ops=517 lock_acquires=1034 h2d_bytes=49269 h2d_txns=1 "
-     "remote_bytes=50832 remote_txns=517 keys=453 "
+     "alloc_ops=517 lock_acquires=1034 kernel_launches=1 h2d_bytes=49269 "
+     "h2d_txns=1 remote_bytes=50832 remote_txns=517 keys=453 "
      "checksum=3389782296274213599",
-     0x1.4596090dbd246p-14},
+     0x1.6fd0359b50b74p-14},
     {"dna", "stadium",
      "records_processed=757 work_units=48448 hash_ops=37093 "
      "inserts_new=37093 alloc_ops=37093 lock_acquires=74186 "
-     "h2d_bytes=49205 h2d_txns=1 remote_bytes=1483720 remote_txns=37093 "
-     "keys=32137 checksum=16680073498876867995",
-     0x1.382b9bc88146fp-9},
+     "kernel_launches=1 h2d_bytes=49205 h2d_txns=1 remote_bytes=1483720 "
+     "remote_txns=37093 keys=32137 checksum=16680073498876867995",
+     0x1.39a7892f7d2f4p-9},
     {"netflix", "stadium",
      "records_processed=964 work_units=48202 hash_ops=25919 "
      "inserts_new=25919 alloc_ops=25919 lock_acquires=51838 "
-     "h2d_bytes=49166 h2d_txns=1 remote_bytes=873592 remote_txns=25919 "
-     "keys=17304 checksum=3346149768272946175",
-     0x1.806560fd15394p-10},
+     "kernel_launches=1 h2d_bytes=49166 h2d_txns=1 remote_bytes=873592 "
+     "remote_txns=25919 keys=17304 checksum=3346149768272946175",
+     0x1.83422ed4598ecp-10},
 };
 
 TEST(BaselineGoldenCounterTest, ChainedHostTableEnginesMatchRecordedCounters) {

@@ -57,6 +57,25 @@ TEST(ShapeRegression, PinnedIsSlowerThanSepo) {
   EXPECT_EQ(pin.checksum, gpu.checksum);
 }
 
+TEST(ShapeRegression, WordCountGpuTimeIsMostlyHotLockSerialization) {
+  // §VI-B explains Word Count's GPU result by lock contention on the few hot
+  // words: the serialization term outweighs the whole timeline makespan.
+  const RunResult r =
+      run_mr_sepo(word_count_app(), word_count_app().generate(2 * kInput, 73));
+  ASSERT_FALSE(r.error);
+  EXPECT_GT(r.serialization_seconds, r.timeline.total);
+}
+
+TEST(ShapeRegression, PinnedLosesOnRemoteTrafficAlone) {
+  // Figure 7's explanation: many small PCIe transactions. Pinned's remote
+  // traffic alone takes longer than SEPO's whole run on the same input.
+  PageViewCountApp app;
+  const std::string input = app.generate(kInput, 74);
+  const RunResult gpu = app.run_gpu(input);
+  const RunResult pin = app.run_pinned(input);
+  EXPECT_GT(pin.timeline.remote_busy, gpu.sim_seconds);
+}
+
 TEST(ShapeRegression, SepoDegradesGracefullyWithShrinkingHeap) {
   // Table III's last column: halving the heap must not double the time.
   PageViewCountApp app;

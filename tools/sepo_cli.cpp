@@ -22,7 +22,7 @@
 // out of device memory, fault-retry exhaustion), duplicate/unknown
 // --fault-* flags, fuzz failures found, or invalid/unreadable/incomparable
 // metrics files (metrics-diff exits 2 when the two files' schema versions
-// differ outside v3..v7, which stay comparable on shared fields with a
+// differ outside v3..v8, which stay comparable on shared fields with a
 // warning, or when a baseline run has no counterpart in the newer file);
 // metrics-diff additionally exits 3 when
 // sim_seconds regressed beyond the threshold; `fuzz --repro` exits 4 when
@@ -138,7 +138,7 @@ void usage() {
                "                             is missing, 3 when sim_seconds\n"
                "                             regressed > --max-regress-pct\n"
                "  report FILE                render a run report from a metrics file\n"
-               "                             (schema v3..v7): per-iteration table,\n"
+               "                             (schema v3..v8): per-iteration table,\n"
                "                             occupancy high-water marks, fault summary\n"
                "                             [--journal J.jsonl] [--last N]\n"
                "  bench-check FILE           validate a BENCH_host.json wall-clock file\n"
@@ -616,10 +616,19 @@ std::vector<std::string> check_metrics(const obs::Json& m) {
     if (!r["impl"].is_string()) problems.push_back(where + ".impl missing");
     if (!r["sim_seconds"].is_number() || r["sim_seconds"].as_double() <= 0)
       problems.push_back(where + ".sim_seconds missing or non-positive");
-    if (!r["sim_seconds_analytic"].is_number())
-      problems.push_back(where + ".sim_seconds_analytic missing");
-    if (!r["timeline"].is_object())
+    // One simulated clock: a timed run's sim_seconds is its timeline
+    // makespan plus the serialization term, nothing else.
+    const obs::Json& tl = r["timeline"];
+    if (!r["serialization_s"].is_number())
+      problems.push_back(where + ".serialization_s missing");
+    if (!tl.is_object())
       problems.push_back(where + ".timeline missing");
+    else if (tl["commands"].as_u64() > 0 &&
+             !obs::nearly_equal(r["sim_seconds"].as_double(),
+                                tl["total"].as_double() +
+                                    r["serialization_s"].as_double()))
+      problems.push_back(where + ".sim_seconds != timeline.total + "
+                         "serialization_s");
     if (!r["wall_seconds_host"].is_number())
       problems.push_back(where + ".wall_seconds_host missing");
     const obs::Json& host = r["host"];
@@ -645,7 +654,7 @@ std::vector<std::string> check_metrics(const obs::Json& m) {
                                  " is host-measured; it belongs in .host");
           });
     }
-    for (const char* k : {"pcie", "serialization", "gpu_breakdown", "faults"})
+    for (const char* k : {"pcie", "serialization", "faults"})
       if (!r[k].is_object())
         problems.push_back(where + "." + k + " missing");
     if (!r["iteration_profiles"].is_array())
@@ -671,10 +680,11 @@ int cmd_metrics_check(const std::string& path) {
   return 0;
 }
 
-// v3..v7 differ only in additive / dropped / moved objects (v4 adds
+// v3..v8 differ only in additive / dropped / moved objects (v4 adds
 // "timeseries", v5 adds the batched-insert totals, v6 drops them again, v7
-// moves the host-measured counters from "stats" to "host"), so files across
-// that range stay comparable on their shared fields.
+// moves the host-measured counters from "stats" to "host", v8 swaps the
+// analytic cross-check for "serialization_s"), so files across that range
+// stay comparable on their shared fields.
 bool readable_schema(std::int64_t v) {
   return v >= 3 && v <= obs::kMetricsSchemaVersion;
 }
@@ -699,7 +709,7 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
 
   // Files written under different schemas are incomparable (exit 2), which
   // is distinct from "comparable but regressed" (exit 3). Exception: within
-  // v3..v7 compare the shared fields and warn.
+  // v3..v8 compare the shared fields and warn.
   const std::int64_t old_v = (*older)["schema_version"].as_i64();
   const std::int64_t new_v = (*newer)["schema_version"].as_i64();
   if (old_v != new_v) {
@@ -712,7 +722,7 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
     }
     std::fprintf(stderr,
                  "warning: schema v%lld vs v%lld — comparing shared fields "
-                 "(v3..v7 differ only in added, dropped or moved objects)\n",
+                 "(v3..v8 differ only in added, dropped or moved objects)\n",
                  static_cast<long long>(old_v),
                  static_cast<long long>(new_v));
   }
@@ -747,8 +757,8 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
     table.add_row({k, TablePrinter::fmt(o * 1e3, 3), TablePrinter::fmt(n * 1e3, 3),
                    TablePrinter::fmt(pct, 2)});
 
-    // Determinism drift check on the other modelled-time fields (analytic
-    // cross-check and per-resource timeline busy totals) and the simulated
+    // Determinism drift check on the other modelled-time fields (the
+    // per-resource timeline busy totals and makespan) and the simulated
     // counters — informational, same epsilon discipline. The "host" object
     // (and a pre-v7 file's host counters in "stats") is never compared: it
     // measures the host's thread scheduling, not the simulation.
@@ -757,9 +767,6 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
         std::fprintf(stderr, "note: %s %s drifted: %.9g -> %.9g\n", k.c_str(),
                      label, a, b);
     };
-    drift("sim_seconds_analytic",
-          (*it->second)["sim_seconds_analytic"].as_double(),
-          r["sim_seconds_analytic"].as_double());
     const obs::Json& ot = (*it->second)["timeline"];
     const obs::Json& nt = r["timeline"];
     if (ot.is_object() && nt.is_object())
@@ -1029,7 +1036,7 @@ void report_hot_buckets(const obs::Json& r) {
     std::printf("  hottest buckets: %s\n", line.c_str());
 }
 
-// Renders a human-readable post-mortem from a metrics file (schema v3..v7;
+// Renders a human-readable post-mortem from a metrics file (schema v3..v8;
 // v3 predates the occupancy time-series, so that section is absent)
 // plus, optionally, a JSONL journal dump written via --journal-out.
 int cmd_report(const std::string& metrics_path,
@@ -1068,6 +1075,9 @@ int cmd_report(const std::string& metrics_path,
                 r["sim_seconds"].as_double() * 1e3,
                 static_cast<unsigned long long>(r["iterations"].as_u64()),
                 r["checksum_hex"].as_string().c_str());
+    if (const double ser = r["serialization_s"].as_double(); ser > 0)  // v8
+      std::printf("  serialization  : %.3f ms of it (%.1f%%, hot-lock term)\n",
+                  ser * 1e3, ser / r["sim_seconds"].as_double() * 100.0);
     report_host(r);
     report_iterations(r);
     report_occupancy(r);

@@ -12,28 +12,61 @@ BucketGroupAllocator::BucketGroupAllocator(PagePool& pool, HostHeap& host_heap,
       num_groups_(num_groups),
       num_classes_(num_classes),
       slots_(static_cast<std::size_t>(num_groups) * num_classes),
+      dry_(slots_.size()),
       group_postponed_(num_groups) {
   assert(num_groups > 0 && num_classes >= 1 && num_classes <= 3);
   for (auto& f : group_postponed_) f.store(0, std::memory_order_relaxed);
+}
+
+namespace {
+constexpr std::uint32_t round8(std::uint32_t bytes) noexcept {
+  return (bytes + 7u) & ~7u;
+}
+}  // namespace
+
+bool BucketGroupAllocator::dry_and_full(std::size_t i,
+                                        std::uint32_t bytes) const noexcept {
+  // The acquire pairs with the release that set the flag, so `page` is the
+  // slot's last page; it stays put until reset_postponed(), and its `used`
+  // only grows, so a read that does not fit never will.
+  if (!dry_[i].load(std::memory_order_acquire)) return false;
+  const std::uint32_t page = slots_[i].page.load(std::memory_order_relaxed);
+  return page == kInvalidPage ||
+         pool_.meta(page).used.load(std::memory_order_relaxed) + bytes >
+             pool_.page_size();
+}
+
+bool BucketGroupAllocator::refuses(std::uint32_t group, PageClass cls,
+                                   std::uint32_t bytes) const noexcept {
+  bytes = round8(bytes);
+  return bytes == 0 || bytes > pool_.page_size() ||
+         dry_and_full(index(group, cls), bytes);
 }
 
 Allocation BucketGroupAllocator::alloc(std::uint32_t group, PageClass cls,
                                        std::uint32_t bytes,
                                        gpusim::RunStats& stats) noexcept {
   stats.add_alloc_ops();
-  bytes = (bytes + 7u) & ~7u;
+  bytes = round8(bytes);
   // A request that can never fit in a page can never be serviced, in this
   // or any later iteration; fail it without burning a page.
   if (bytes == 0 || bytes > pool_.page_size()) {
-    mark_postponed(group);
-    stats.add_alloc_fails();
+    fail(group, stats);
     return {};
   }
 
-  Slot& s = slot(group, cls);
+  const std::size_t i = index(group, cls);
+  if (dry_and_full(i, bytes)) {
+    // The locked path would fail the same way; the simulated device still
+    // takes the lock, so the acquire is counted.
+    stats.add_lock_acquires();
+    fail(group, stats);
+    return {};
+  }
+  Slot& s = slots_[i];
   gpusim::DeviceLockGuard guard(s.lock, stats);
 
-  std::uint32_t page = s.page;
+  const std::uint32_t page = s.page.load(std::memory_order_relaxed);
   const auto page_size = static_cast<std::uint32_t>(pool_.page_size());
 
   if (page != kInvalidPage) {
@@ -49,8 +82,8 @@ Allocation BucketGroupAllocator::alloc(std::uint32_t group, PageClass cls,
   // Active page missing or full: acquire a fresh page from the pool.
   const std::uint32_t fresh = pool_.acquire(stats);
   if (fresh == kInvalidPage) {
-    mark_postponed(group);
-    stats.add_alloc_fails();
+    dry_[i].store(true, std::memory_order_release);
+    fail(group, stats);
     return {};
   }
   if (page != kInvalidPage) retire(page, cls);
@@ -59,42 +92,42 @@ Allocation BucketGroupAllocator::alloc(std::uint32_t group, PageClass cls,
   m.owner_group = group;
   m.host_slot.store(host_heap_.reserve_slot(), std::memory_order_relaxed);
   m.used.store(bytes, std::memory_order_relaxed);
-  s.page = fresh;
+  s.page.store(fresh, std::memory_order_relaxed);
   const std::uint64_t slot_id = m.host_slot.load(std::memory_order_relaxed);
   return {pool_.page_base(fresh), host_heap_.addr(slot_id, 0), fresh};
 }
 
-void BucketGroupAllocator::mark_postponed(std::uint32_t group) noexcept {
+void BucketGroupAllocator::fail(std::uint32_t group,
+                                gpusim::RunStats& stats) noexcept {
   // Most failed allocations hit a group that is already postponing; a plain
   // load keeps the flag's line shared instead of taking it exclusive.
   auto& flag = group_postponed_[group];
   if (flag.load(std::memory_order_relaxed) == 0 &&
       flag.exchange(1, std::memory_order_relaxed) == 0)
     postponed_groups_.fetch_add(1, std::memory_order_relaxed);
+  stats.add_alloc_fails();
 }
 
 void BucketGroupAllocator::reset_postponed() noexcept {
   for (auto& f : group_postponed_) f.store(0, std::memory_order_relaxed);
   postponed_groups_.store(0, std::memory_order_relaxed);
+  for (auto& d : dry_) d.store(false, std::memory_order_relaxed);
 }
 
 void BucketGroupAllocator::detach_active_pages(std::vector<std::uint32_t>& out) {
   for (auto& s : slots_) {
-    if (s.page != kInvalidPage) {
-      out.push_back(s.page);
-      s.page = kInvalidPage;
-    }
+    const std::uint32_t page = s.page.exchange(kInvalidPage,
+                                               std::memory_order_relaxed);
+    if (page != kInvalidPage) out.push_back(page);
   }
 }
 
 void BucketGroupAllocator::detach_active_pages(PageClass cls,
                                                std::vector<std::uint32_t>& out) {
   for (std::uint32_t g = 0; g < num_groups_; ++g) {
-    Slot& s = slot(g, cls);
-    if (s.page != kInvalidPage) {
-      out.push_back(s.page);
-      s.page = kInvalidPage;
-    }
+    const std::uint32_t page =
+        slot(g, cls).page.exchange(kInvalidPage, std::memory_order_relaxed);
+    if (page != kInvalidPage) out.push_back(page);
   }
 }
 

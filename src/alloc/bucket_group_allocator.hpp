@@ -8,10 +8,17 @@
 // Each (group, page-class) pair has an active page; allocations bump within
 // it and acquire a fresh page from the pool when it fills. When the pool is
 // dry the allocation *fails*, which is the event the hash table converts
-// into a POSTPONE response. The allocator tracks which groups are currently
-// failing so the SEPO driver can implement the Basic-organization halt
-// condition ("until the requests from 50% of the bucket groups are being
-// postponed", §IV-C).
+// into a POSTPONE response. The allocator tracks which groups have failed
+// so the SEPO driver can implement the Basic-organization halt condition
+// ("until the requests from 50% of the bucket groups are being postponed",
+// §IV-C).
+//
+// Dry slots (DESIGN.md §5a). Within a pass the pool only shrinks: pages
+// return to it only between passes (flush, finalize, pressure relief). So
+// once a slot's page acquire fails the slot is marked dry until
+// reset_postponed(); its active page cannot change and the page's fill can
+// only grow. A lock-free read that says a request does not fit is then
+// exact, and alloc() refuses it without the slot lock.
 #pragma once
 
 #include <atomic>
@@ -45,16 +52,28 @@ class BucketGroupAllocator {
 
   // Allocates `bytes` (8-byte aligned, must fit in a page) for `group` from
   // a page of class `cls`. On failure returns a null Allocation and marks
-  // the group as postponing.
+  // the group as postponing. A request that refuses() fails without the
+  // slot lock; it still counts the slot's lock acquire, as the locked
+  // failure does.
   Allocation alloc(std::uint32_t group, PageClass cls, std::uint32_t bytes,
                    gpusim::RunStats& stats) noexcept;
 
-  // Number of groups whose most recent allocation attempt failed in the
-  // current interval (since the last reset_postponed()).
+  // True when alloc(group, cls, bytes) is certain to fail: the request can
+  // never fit a page, or the slot is dry and the request does not fit the
+  // rest of its active page. Takes no lock and writes nothing; within a
+  // pass a true answer stays true.
+  [[nodiscard]] bool refuses(std::uint32_t group, PageClass cls,
+                             std::uint32_t bytes) const noexcept;
+
+  // Number of groups with at least one failed allocation since the last
+  // reset_postponed(); a later success does not clear a group's flag. The
+  // Basic halt rule reads this.
   [[nodiscard]] std::uint32_t postponed_groups() const noexcept {
     return postponed_groups_.load(std::memory_order_relaxed);
   }
 
+  // Starts a new pass: clears the postponed-group flags and the dry slots.
+  // Call between passes, after pages have returned to the pool.
   void reset_postponed() noexcept;
 
   // Detaches and returns all active page ids (e.g. before a heap flush);
@@ -79,19 +98,32 @@ class BucketGroupAllocator {
   // allocates in every group, so each slot gets its own cache line; eight
   // packed slots would share one, and every lock handoff would invalidate
   // the other seven. Host layout only, like gpusim::PaddedBucketLock; no
-  // slot is charged to the device.
+  // slot is charged to the device. `page` changes only under the lock.
   struct alignas(gpusim::kCacheLineBytes) Slot {
     gpusim::DeviceLock lock;
-    std::uint32_t page = kInvalidPage;
+    std::atomic<std::uint32_t> page{kInvalidPage};
   };
 
- private:
+  // The (group, class) slot. Public so a test can hold its lock and show
+  // which paths take it.
   [[nodiscard]] Slot& slot(std::uint32_t group, PageClass cls) noexcept {
-    return slots_[static_cast<std::size_t>(group) * num_classes_ +
-                  static_cast<std::uint32_t>(cls)];
+    return slots_[index(group, cls)];
   }
 
-  void mark_postponed(std::uint32_t group) noexcept;
+ private:
+  [[nodiscard]] std::size_t index(std::uint32_t group,
+                                  PageClass cls) const noexcept {
+    return static_cast<std::size_t>(group) * num_classes_ +
+           static_cast<std::uint32_t>(cls);
+  }
+
+  // True when slot `i` is dry and `bytes` (already rounded) do not fit the
+  // rest of its active page.
+  [[nodiscard]] bool dry_and_full(std::size_t i,
+                                  std::uint32_t bytes) const noexcept;
+
+  // Marks `group` postponing and counts the failed allocation.
+  void fail(std::uint32_t group, gpusim::RunStats& stats) noexcept;
 
   void retire(std::uint32_t page, PageClass cls) noexcept;
 
@@ -100,6 +132,12 @@ class BucketGroupAllocator {
   std::uint32_t num_groups_;
   std::uint32_t num_classes_;
   std::vector<Slot> slots_;
+  // One dry flag per slot, indexed like slots_: set (release) under the
+  // slot's lock when the pool refuses it a page, cleared by
+  // reset_postponed(). Kept apart from the slots, whose lines every
+  // allocation writes, so the check every insert makes reads a line that
+  // stays shared.
+  std::vector<std::atomic<bool>> dry_;
   std::vector<std::atomic<std::uint8_t>> group_postponed_;
   std::atomic<std::uint32_t> postponed_groups_{0};
   gpusim::DeviceLock retired_lock_;

@@ -82,7 +82,9 @@ class PagePool {
 
   struct alignas(gpusim::kCacheLineBytes) PageMeta {
     std::atomic<std::uint32_t> used{0};        // bump offset within the page
-    std::atomic<std::uint32_t> pending_keys{0};// multi-valued §IV-C bookkeeping
+    // Multi-valued §IV-C: nonzero while a key on the page awaits a value;
+    // a set-once flag within a pass.
+    std::atomic<std::uint32_t> pending_keys{0};
     std::atomic<std::uint64_t> host_slot{0};   // 1-based mirror-heap slot; 0 = none
     PageClass cls = PageClass::kGeneric;
     std::uint32_t owner_group = 0;

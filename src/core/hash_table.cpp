@@ -229,24 +229,60 @@ Status SepoHashTable::insert(std::string_view key,
   ProbeLine& line = lines_[b];
   count_access(b);
 
+  // Probe first, lock to publish (DESIGN.md §5a): an insert that will
+  // publish nothing, a one-word combine or a refusal by the dry heap, takes
+  // no bucket lock. The simulated device still takes it, so every path
+  // counts one acquire.
+  const std::uint32_t kv_bytes = KvEntry::byte_size(key_len, val_len);
   Probe found;
-  if (cfg_.org == Organization::kCombining) {
-    found = probe<KvEntry>(line, key, tag);
-    // A hit on a one-word value combines without the lock. The simulated
-    // device still takes it, so the acquire is counted.
-    if (found.hit != gpusim::kDevNull &&
-        one_word(dev_.ptr<KvEntry>(found.hit)->val_len)) {
-      stats_.add_lock_acquires();
-      charge(found);
-      combine(found.hit, value);
-      return Status::kSuccess;
-    }
-  }
-
-  gpusim::DeviceLockGuard guard(line.lock, stats_);
   switch (cfg_.org) {
     case Organization::kMultiValued: {
       found = probe<KeyEntry>(line, key, tag);
+      const std::uint32_t value_bytes = ValueEntry::byte_size(val_len);
+      if (found.hit != gpusim::kDevNull &&
+          allocator_->refuses(g, alloc::PageClass::kValue, value_bytes)) {
+        mark_pending(found.hit);
+        return postpone_unlocked(found, g, alloc::PageClass::kValue,
+                                 value_bytes);
+      }
+      const std::uint32_t key_bytes = KeyEntry::byte_size(key_len);
+      if (found.hit == gpusim::kDevNull &&
+          refused_miss(line, found, g, alloc::PageClass::kKey, key_bytes))
+        return postpone_unlocked(found, g, alloc::PageClass::kKey, key_bytes);
+      break;
+    }
+    case Organization::kCombining:
+      found = probe<KvEntry>(line, key, tag);
+      if (found.hit != gpusim::kDevNull &&
+          one_word(dev_.ptr<KvEntry>(found.hit)->val_len)) {
+        stats_.add_lock_acquires();
+        charge(found);
+        combine(found.hit, value);
+        return Status::kSuccess;
+      }
+      if (found.hit == gpusim::kDevNull &&
+          refused_miss(line, found, g, alloc::PageClass::kGeneric, kv_bytes))
+        return postpone_unlocked(found, g, alloc::PageClass::kGeneric,
+                                 kv_bytes);
+      break;
+    case Organization::kBasic:
+      // Duplicate keys are kept as separate entries: no chain probe.
+      if (allocator_->refuses(g, alloc::PageClass::kGeneric, kv_bytes))
+        return postpone_unlocked(found, g, alloc::PageClass::kGeneric,
+                                 kv_bytes);
+      break;
+  }
+
+  gpusim::DeviceLockGuard guard(line.lock, stats_);
+  // An unmoved version means no prepend since the probe, so its miss is
+  // exact; probing again would charge the walk twice. A hit stays a hit.
+  const bool reprobe = cfg_.org != Organization::kBasic &&
+                       found.hit == gpusim::kDevNull &&
+                       line.version.load(std::memory_order_relaxed) !=
+                           found.version;
+  switch (cfg_.org) {
+    case Organization::kMultiValued: {
+      if (reprobe) found = probe<KeyEntry>(line, key, tag);
       charge(found);
       DevPtr kp = found.hit;
       if (kp == gpusim::kDevNull) {
@@ -265,25 +301,19 @@ Status SepoHashTable::insert(std::string_view key,
       return append_value(g, kp, value);
     }
     case Organization::kCombining:
-      // An unmoved version means no prepend since the probe, so its miss is
-      // exact; probing again would charge the walk twice.
-      if (found.hit == gpusim::kDevNull &&
-          line.version.load(std::memory_order_relaxed) != found.version)
-        found = probe<KvEntry>(line, key, tag);
+      if (reprobe) found = probe<KvEntry>(line, key, tag);
       charge(found);
       if (found.hit != gpusim::kDevNull) {
         combine(found.hit, value);
         return Status::kSuccess;
       }
-      [[fallthrough]];  // a new key is inserted as in the basic organization
+      break;  // a new key is inserted as in the basic organization
     case Organization::kBasic:
-      // Duplicate keys are kept as separate entries: no chain probe.
       break;
   }
 
   const alloc::Allocation a =
-      allocator_->alloc(g, alloc::PageClass::kGeneric,
-                        KvEntry::byte_size(key_len, val_len), stats_);
+      allocator_->alloc(g, alloc::PageClass::kGeneric, kv_bytes, stats_);
   if (!a.ok()) return Status::kPostpone;
   auto* e = dev_.ptr<KvEntry>(a.dev);
   e->key_len = key_len;
@@ -294,16 +324,49 @@ Status SepoHashTable::insert(std::string_view key,
   return Status::kSuccess;
 }
 
+bool SepoHashTable::refused_miss(const ProbeLine& line, const Probe& miss,
+                                 std::uint32_t g, alloc::PageClass cls,
+                                 std::uint32_t bytes) const noexcept {
+  if (!allocator_->refuses(g, cls, bytes)) return false;
+  // A refusal stays a refusal for the rest of the pass, so a version read
+  // after it that has not moved since the probe means the key was still
+  // missing while the heap refused it.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return line.version.load(std::memory_order_relaxed) == miss.version;
+}
+
+Status SepoHashTable::postpone_unlocked(const Probe& p, std::uint32_t g,
+                                        alloc::PageClass cls,
+                                        std::uint32_t bytes) {
+  stats_.add_lock_acquires();  // the bucket lock the device takes
+  charge(p);
+  // refuses() held and stays true for the pass: this fails without the
+  // slot lock and counts what the locked failure counts.
+  const alloc::Allocation a = allocator_->alloc(g, cls, bytes, stats_);
+  assert(!a.ok());
+  (void)a;
+  return Status::kPostpone;
+}
+
+void SepoHashTable::mark_pending(DevPtr kp) noexcept {
+  // Only ever tested > 0: a set-once flag, written only by the first
+  // refusal, so later refusals leave the page's line shared.
+  std::atomic<std::uint32_t>& pending =
+      pool_->meta(dev_.ptr<KeyEntry>(kp)->page).pending_keys;
+  if (pending.load(std::memory_order_relaxed) == 0)
+    pending.store(1, std::memory_order_relaxed);
+}
+
 Status SepoHashTable::append_value(std::uint32_t g, DevPtr kp,
                                    std::span<const std::byte> value) {
   const auto val_len = static_cast<std::uint32_t>(value.size());
-  auto* ke = dev_.ptr<KeyEntry>(kp);
   const alloc::Allocation va = allocator_->alloc(
       g, alloc::PageClass::kValue, ValueEntry::byte_size(val_len), stats_);
   if (!va.ok()) {
-    pool_->meta(ke->page).pending_keys.fetch_add(1, std::memory_order_relaxed);
+    mark_pending(kp);
     return Status::kPostpone;
   }
+  auto* ke = dev_.ptr<KeyEntry>(kp);
   auto* ve = dev_.ptr<ValueEntry>(va.dev);
   ve->next_dev = ke->vhead_dev;
   ve->next_host = ke->vhead_host;

@@ -4,10 +4,17 @@
 //
 // One class (DESIGN.md §2) owns the bucket array and its per-bucket probe
 // lines (lock + newest chain slots, DESIGN.md §5a), the device page pool,
-// the host mirror heap, the bucket-group allocator and the flush. The three bucket organizations (§IV-B) differ only where
-// Figure 5 makes them differ, each a branch on cfg.org: the insert rule, the
-// multi-valued chain rebuild at iteration start, and the flush rule at
-// iteration end.
+// the host mirror heap, the bucket-group allocator and the flush. The three
+// bucket organizations (§IV-B) differ only where Figure 5 makes them differ,
+// each a branch on cfg.org: the insert rule, the multi-valued chain rebuild
+// at iteration start, and the flush rule at iteration end.
+//
+// Inserts probe first and lock to publish (DESIGN.md §5a): the probe reads
+// the line without the lock, and only an insert that may prepend an entry,
+// append a value or combine a longer value in place takes the bucket lock.
+// One-word combines and inserts the dry heap refuses (POSTPONE) take none;
+// the simulated device still takes the lock on every insert, so every path
+// counts one acquire.
 //
 // Device-side operations (insert) are called from kernel code; the iteration
 // protocol (begin_iteration / end_iteration / finalize) is called from the
@@ -201,9 +208,26 @@ class SepoHashTable {
   // Bumps bucket `b`'s access tally in the calling pool worker's row.
   void count_access(std::uint32_t b) noexcept;
 
-  // Allocates a ValueEntry and links it to the key at `kp`. On failure the
-  // key's page is marked pending so the Figure-5 flush rule keeps it
-  // resident for the retried record.
+  // True when the probe's miss still holds after the allocator refused
+  // `bytes` for (g, cls): the heap is dry for this key, and the line's
+  // version has not moved since the probe.
+  [[nodiscard]] bool refused_miss(const ProbeLine& line, const Probe& miss,
+                                  std::uint32_t g, alloc::PageClass cls,
+                                  std::uint32_t bytes) const noexcept;
+
+  // Postpones an insert whose allocation the allocator refuses() without
+  // taking the bucket lock; counts the acquire the device makes, charges
+  // the probe once, and lets the allocator count its refusal.
+  Status postpone_unlocked(const Probe& p, std::uint32_t g,
+                           alloc::PageClass cls, std::uint32_t bytes);
+
+  // Marks the page of the key entry at `kp` as holding a key that awaits a
+  // value, so the Figure-5 flush rule keeps it resident for the retried
+  // record. Needs no lock.
+  void mark_pending(DevPtr kp) noexcept;
+
+  // Allocates a ValueEntry and links it to the key at `kp`; on failure
+  // marks the key pending. Caller holds the bucket lock.
   Status append_value(std::uint32_t g, DevPtr kp,
                       std::span<const std::byte> value);
 

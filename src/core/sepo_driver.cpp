@@ -47,13 +47,16 @@ DriverResult SepoDriver::run(SepoHashTable& ht,
     ht.begin_iteration();
     const bigkernel::PassResult pass =
         pipe.run_pass(input, index, progress, task, halted);
+    const std::uint32_t pages_used_peak = ht.page_pool().page_count() -
+                                          ht.free_pages() -
+                                          ht.pressure_page_count();
     ht.end_iteration();
 
     static_cast<bigkernel::StagingTotals&>(result) += pass;
     result.profiles.push_back(
         profile_iteration(ht, result.iterations, stats_before, pass));
     result.timeseries.push_back(
-        sample_occupancy(ht, pipe, result.iterations));
+        sample_occupancy(ht, pipe, result.iterations, pages_used_peak));
     if (hook) {
       hook->on_occupancy_sample(result.timeseries.back());
       hook->on_iteration_end(result.iterations);
@@ -107,8 +110,8 @@ IterationProfile SepoDriver::profile_iteration(
 }
 
 gpusim::OccupancySample SepoDriver::sample_occupancy(
-    SepoHashTable& ht, bigkernel::InputPipeline& pipe,
-    std::uint32_t iteration) {
+    SepoHashTable& ht, bigkernel::InputPipeline& pipe, std::uint32_t iteration,
+    std::uint32_t pages_used_peak) {
   const gpusim::Timeline& tl = pipe.ctx().timeline();
   gpusim::OccupancySample s;
   s.sim_ts = tl.total_end();
@@ -116,6 +119,7 @@ gpusim::OccupancySample SepoDriver::sample_occupancy(
   s.pages_total = ht.page_pool().page_count();
   s.pages_free = ht.free_pages();
   s.pages_seized = ht.pressure_page_count();
+  s.pages_used_peak = pages_used_peak;
   s.resident_entry_bytes = ht.table_stats().resident_entry_bytes;
   s.staging_slots = pipe.staging_slot_count();
   s.staging_busy = pipe.staging_busy(s.sim_ts);

@@ -65,9 +65,11 @@ class SepoDriver {
                                             std::uint32_t iteration,
                                             const gpusim::StatsSnapshot& before,
                                             const bigkernel::PassResult& pass);
+  // Samples the boundary after the flush; `pages_used_peak` is read by the
+  // caller just before it.
   static gpusim::OccupancySample sample_occupancy(
       SepoHashTable& ht, bigkernel::InputPipeline& pipe,
-      std::uint32_t iteration);
+      std::uint32_t iteration, std::uint32_t pages_used_peak);
 
   DriverConfig cfg_;
 };

@@ -80,6 +80,10 @@ struct OccupancySample {
   std::uint32_t pages_total = 0;  // PagePool size
   std::uint32_t pages_free = 0;   // free right now
   std::uint32_t pages_seized = 0; // held by a fault-injected pressure spike
+  // Pages the table held just before this iteration's flush: out of the
+  // pool and not seized. The pool only shrinks within a pass, so this is
+  // the pass's high-water mark; pages_free is read after the flush.
+  std::uint32_t pages_used_peak = 0;
   std::uint64_t resident_entry_bytes = 0;  // live table payload on device
   std::uint32_t staging_slots = 0;  // BigKernel input ring size
   std::uint32_t staging_busy = 0;   // slots still owned by in-flight copies

@@ -97,6 +97,7 @@ Json to_json(const gpusim::OccupancySample& s) {
   j.set("pages_total", s.pages_total);
   j.set("pages_free", s.pages_free);
   j.set("pages_seized", s.pages_seized);
+  j.set("pages_used_peak", s.pages_used_peak);
   j.set("resident_entry_bytes", s.resident_entry_bytes);
   j.set("staging_slots", s.staging_slots);
   j.set("staging_busy", s.staging_busy);

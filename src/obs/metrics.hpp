@@ -7,9 +7,9 @@
 // schema, so benches and the CLI can emit reports that are diffable across
 // PRs (sepo_cli metrics-diff) instead of only human-readable tables.
 //
-// Schema sketch (schema_version 8):
+// Schema sketch (schema_version 9):
 //   {
-//     "schema_version": 8,
+//     "schema_version": 9,
 //     "tool": "fig6_speedup",
 //     "runs": [
 //       { "app": "...", "impl": "sepo-gpu", "sim_seconds": ...,
@@ -30,7 +30,8 @@
 //         "iteration_profiles": [ {...}, ... ],
 //         "timeseries": [ { "sim_ts": s, "iteration": N,
 //                           "pages_total": N, "pages_free": N,
-//                           "pages_seized": N, "resident_entry_bytes": N,
+//                           "pages_seized": N, "pages_used_peak": N,
+//                           "resident_entry_bytes": N,
 //                           "staging_slots": N, "staging_busy": N,
 //                           "engines": { "compute": { "end": s, "busy": s },
 //                                        "h2d": {...}, "d2h": {...},
@@ -42,6 +43,9 @@
 //   }
 //
 // Schema history:
+//   v9  adds "pages_used_peak" to each timeseries sample: the pages the
+//       table held just before the iteration's flush (pages_free is read
+//       after it, when a spilling run has returned every page).
 //   v8  one simulated clock: adds "serialization_s", the hot-lock term, and
 //       drops the v2 closed-form cross-check total and its per-term
 //       breakdown object (whose terms equalled the timeline busy totals).
@@ -93,7 +97,7 @@
 
 namespace sepo::obs {
 
-inline constexpr int kMetricsSchemaVersion = 8;
+inline constexpr int kMetricsSchemaVersion = 9;
 
 // True for the RunStats counters the host measures rather than simulates
 // (lock_contended, atomic_retries): they depend on thread scheduling, so a

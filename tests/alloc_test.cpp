@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -358,6 +359,103 @@ TEST(BucketGroupAllocatorTest, DetachReturnsActivePages) {
       r.alloc.alloc(0, PageClass::kGeneric, 64, r.rig.stats);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(std::count(active.begin(), active.end(), again.page), 0);
+}
+
+// ---- Dry slots (DESIGN.md §5a) ----
+
+// A 2-page heap shared by two groups: group 0 fills 3000 of its 4096-byte
+// page, group 1 takes the other page, and group 0's next 3000-byte request
+// finds the pool empty, which makes its slot dry.
+struct DryRig : AllocRig {
+  DryRig() : AllocRig(8, 4, 2) {
+    EXPECT_TRUE(alloc.alloc(0, PageClass::kGeneric, 3000, rig.stats).ok());
+    EXPECT_TRUE(alloc.alloc(1, PageClass::kGeneric, 3000, rig.stats).ok());
+    EXPECT_FALSE(alloc.refuses(0, PageClass::kGeneric, 3000));
+    EXPECT_FALSE(alloc.alloc(0, PageClass::kGeneric, 3000, rig.stats).ok());
+    EXPECT_TRUE(alloc.refuses(0, PageClass::kGeneric, 3000));
+  }
+};
+
+TEST(DrySlotTest, ServesTheTailAndRefusesWhatDoesNotFit) {
+  DryRig r;
+  // 1096 bytes are left on group 0's page.
+  EXPECT_FALSE(r.alloc.refuses(0, PageClass::kGeneric, 1096));
+  EXPECT_TRUE(r.alloc.refuses(0, PageClass::kGeneric, 1097));
+  EXPECT_TRUE(r.alloc.alloc(0, PageClass::kGeneric, 1000, r.rig.stats).ok());
+  // 96 left: a 96-byte request fits, a 97-byte one (104 rounded) does not.
+  EXPECT_TRUE(r.alloc.refuses(0, PageClass::kGeneric, 97));
+  EXPECT_FALSE(r.alloc.alloc(0, PageClass::kGeneric, 97, r.rig.stats).ok());
+  EXPECT_TRUE(r.alloc.alloc(0, PageClass::kGeneric, 96, r.rig.stats).ok());
+  EXPECT_TRUE(r.alloc.refuses(0, PageClass::kGeneric, 8));
+  // Group 1's slot never failed: it is not dry, and it asks the pool.
+  EXPECT_FALSE(r.alloc.refuses(1, PageClass::kGeneric, 3000));
+}
+
+TEST(DrySlotTest, RefusalCountsWhatTheLockedFailureCounts) {
+  AllocRig r(8, 4, 2);
+  ASSERT_TRUE(r.alloc.alloc(0, PageClass::kGeneric, 3000, r.rig.stats).ok());
+  ASSERT_TRUE(r.alloc.alloc(1, PageClass::kGeneric, 3000, r.rig.stats).ok());
+  gpusim::StatsSnapshot before = r.rig.stats.snapshot();
+  ASSERT_FALSE(r.alloc.alloc(0, PageClass::kGeneric, 3000, r.rig.stats).ok());
+  const gpusim::StatsSnapshot locked = r.rig.stats.snapshot() - before;
+  EXPECT_EQ(r.alloc.postponed_groups(), 1u);
+  before = r.rig.stats.snapshot();
+  ASSERT_TRUE(r.alloc.refuses(0, PageClass::kGeneric, 3000));
+  ASSERT_FALSE(r.alloc.alloc(0, PageClass::kGeneric, 3000, r.rig.stats).ok());
+  const gpusim::StatsSnapshot dry = r.rig.stats.snapshot() - before;
+  EXPECT_EQ(locked.alloc_ops, 1u);
+  EXPECT_EQ(locked.alloc_fails, 1u);
+  EXPECT_EQ(locked.lock_acquires, 1u);
+  EXPECT_EQ(locked.page_acquires, 0u);
+  EXPECT_EQ(dry.alloc_ops, locked.alloc_ops);
+  EXPECT_EQ(dry.alloc_fails, locked.alloc_fails);
+  EXPECT_EQ(dry.lock_acquires, locked.lock_acquires);
+  EXPECT_EQ(dry.page_acquires, locked.page_acquires);
+  // The group stays postponed, counted once, until the next pass.
+  EXPECT_EQ(r.alloc.postponed_groups(), 1u);
+  // A request no page can hold fails before the slot, as before: no lock.
+  before = r.rig.stats.snapshot();
+  EXPECT_TRUE(r.alloc.refuses(1, PageClass::kGeneric, 5000));
+  EXPECT_FALSE(r.alloc.alloc(1, PageClass::kGeneric, 5000, r.rig.stats).ok());
+  const gpusim::StatsSnapshot oversized = r.rig.stats.snapshot() - before;
+  EXPECT_EQ(oversized.alloc_fails, 1u);
+  EXPECT_EQ(oversized.lock_acquires, 0u);
+  EXPECT_EQ(r.alloc.postponed_groups(), 2u);
+}
+
+TEST(DrySlotTest, AllocatesAgainAfterTheFlushAndANewPass) {
+  DryRig r;
+  // The flush: every owned page returns to the pool between passes.
+  std::vector<std::uint32_t> pages;
+  r.alloc.detach_active_pages(pages);
+  r.alloc.take_retired_pages(pages);
+  for (const std::uint32_t p : pages) ASSERT_TRUE(r.pool.release(p));
+  r.alloc.reset_postponed();
+  EXPECT_FALSE(r.alloc.refuses(0, PageClass::kGeneric, 3000));
+  EXPECT_TRUE(r.alloc.alloc(0, PageClass::kGeneric, 3000, r.rig.stats).ok());
+  EXPECT_EQ(r.alloc.postponed_groups(), 0u);
+}
+
+TEST(DrySlotTest, RefusalTakesNoSlotLock) {
+  DryRig r;
+  BucketGroupAllocator::Slot& s = r.alloc.slot(0, PageClass::kGeneric);
+  gpusim::RunStats holder_stats;
+  s.lock.lock(holder_stats);  // another thread's allocation in progress
+  std::atomic<bool> refused{false};
+  std::thread t([&] {
+    gpusim::RunStats stats;
+    if (!r.alloc.alloc(0, PageClass::kGeneric, 3000, stats).ok())
+      refused.store(true);
+  });
+  // A refusal that waited for the lock would still be spinning when the
+  // deadline passes; release the lock then so the test cannot hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!refused.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  EXPECT_TRUE(refused.load());
+  s.lock.unlock();
+  t.join();
 }
 
 // Property: no two allocations overlap, across groups, classes, and page

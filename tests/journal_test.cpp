@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/datagen.hpp"
 #include "apps/standalone_app.hpp"
 #include "gpusim/exec_context.hpp"
 #include "gpusim/fault.hpp"
@@ -277,6 +278,27 @@ TEST(JournalTest, SamplerEmitsOneOccupancySamplePerIteration) {
   const obs::Json run_json = obs::to_json(r);
   ASSERT_TRUE(run_json["timeseries"].is_array());
   EXPECT_EQ(run_json["timeseries"].size(), r.timeseries.size());
+}
+
+// The flush returns every page of a spilling pass to the pool, so the
+// free count after it says nothing about the pass. The sample's
+// pages_used_peak is read just before the flush: on DNA Assembly #4 the
+// first pass fills all 415 heap pages before it postpones.
+TEST(OccupancyPeakTest, DnaDataset4FirstPassFillsTheHeap) {
+  apps::DnaAssemblyApp app;
+  const std::string input = app.generate(apps::table1_bytes("dna", 4), 42);
+  const apps::RunResult r = app.run_gpu(input, {});
+  ASSERT_FALSE(r.error);
+  ASSERT_GT(r.timeseries.size(), 1u);
+  for (const OccupancySample& s : r.timeseries) {
+    EXPECT_EQ(s.pages_total, 415u);
+    EXPECT_EQ(s.pages_free, s.pages_total) << "iteration " << s.iteration;
+    EXPECT_LE(s.pages_used_peak, s.pages_total);
+  }
+  EXPECT_EQ(r.timeseries.front().pages_used_peak, 415u);
+  EXPECT_LT(r.timeseries.back().pages_used_peak, 415u);
+  EXPECT_EQ(obs::to_json(r)["timeseries"].at(0)["pages_used_peak"].as_u64(),
+            415u);
 }
 
 }  // namespace

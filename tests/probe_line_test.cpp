@@ -3,12 +3,14 @@
 // plain walk of the device chain finds and charge the same
 // chain_links_walked and key_compare_bytes, in all three organizations —
 // past the line's six slots, for two keys whose 16-bit fingerprints are
-// equal, and for keys too long for a slot's 16-bit length.
+// equal, for keys too long for a slot's 16-bit length, and on a dry heap,
+// where refused inserts postpone without the bucket lock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -17,6 +19,8 @@
 
 #include "common/hashing.hpp"
 #include "core/hash_table.hpp"
+#include "gpusim/fault.hpp"
+#include "mapreduce/runtime.hpp"
 #include "test_util.hpp"
 
 namespace sepo::core {
@@ -66,8 +70,17 @@ class PlainWalk {
   // Inserts <key, v> into `ht` and checks the walk the insert charged.
   void insert(Rig& rig, SepoHashTable& ht, const std::string& key,
               std::uint64_t v) {
+    EXPECT_EQ(try_insert(rig, ht, key, v), Status::kSuccess);
+  }
+
+  // As insert(), but the heap may refuse the insert. A postponed insert
+  // charges the same walk and locks, fails one allocation and, unless the
+  // multi-valued key entry was allocated before its value was refused,
+  // leaves the chain as it was.
+  Status try_insert(Rig& rig, SepoHashTable& ht, const std::string& key,
+                    std::uint64_t v) {
     const gpusim::StatsSnapshot before = rig.stats.snapshot();
-    ASSERT_EQ(ht.insert_u64(key, v), Status::kSuccess);
+    const Status st = ht.insert_u64(key, v);
     const gpusim::StatsSnapshot d = rig.stats.snapshot() - before;
     // The basic organization keeps duplicates and never probes.
     const Walk w = org_ == Organization::kBasic ? Walk{} : walk(key);
@@ -75,14 +88,23 @@ class PlainWalk {
     EXPECT_EQ(d.key_compare_bytes, w.bytes) << key.size() << "-byte key";
     // The bucket lock once, plus the allocator's group lock per allocation.
     EXPECT_EQ(d.lock_acquires, 1 + d.alloc_ops);
-    EXPECT_EQ(d.inserts_new, w.hit ? 0u : 1u);
-    if (!w.hit) chain_.insert(chain_.begin(), key);
-    sums_[key] += v;
-    ++counts_[key];
+    EXPECT_EQ(d.alloc_fails, st == Status::kPostpone ? 1u : 0u);
+    if (st == Status::kSuccess || d.inserts_new != 0) {
+      EXPECT_EQ(d.inserts_new, w.hit ? 0u : 1u);
+    }
+    if (d.inserts_new != 0) chain_.insert(chain_.begin(), key);
+    if (st == Status::kSuccess) record(key, v);
+    return st;
   }
 
   // A new iteration's device chains start empty (the last one flushed).
   void flush() { chain_.clear(); }
+
+  // Records a successful insert in the expected table contents.
+  void record(const std::string& key, std::uint64_t v) {
+    sums_[key] += v;
+    ++counts_[key];
+  }
 
   // Checks find_resident's walk and the device chain's order against the
   // reference (KvEntry organizations only).
@@ -258,6 +280,153 @@ TEST(ProbeLineTest, MultiValuedKeysPastSlotLengthMatchPlainWalk) {
 
 TEST(ProbeLineTest, BasicKeysPastSlotLengthKeepEveryInsert) {
   check_long_keys(Organization::kBasic);
+}
+
+// A one-bucket table on a heap of three 1 KiB pages runs dry in its first
+// pass. Every insert, postponed or not, must charge the plain walk and one
+// bucket acquire plus one per allocation, whether the refusal came from the
+// locked allocator or from a dry slot without any lock; then the postponed
+// records, retried pass by pass as the SEPO driver does, must all land.
+void check_dry_heap(Organization org) {
+  Rig rig(8u << 20);
+  HashTableConfig cfg = one_bucket(org);
+  cfg.page_size = 1u << 10;
+  cfg.heap_bytes = 3u << 10;
+  SepoHashTable ht(rig.ctx, cfg);
+  PlainWalk ref(org);
+  // 200 keys, about three times what one pass holds, four times each in a
+  // different order.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 200; ++i)
+    keys.push_back("key-" + std::string(static_cast<std::size_t>(i % 7), 'x') +
+                   std::to_string(i * 37));
+  std::vector<std::pair<std::string, std::uint64_t>> todo;
+  for (std::uint64_t round = 0; round < 4; ++round)
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      todo.emplace_back(keys[(i * 7 + round) % keys.size()], round * 1000 + i);
+  std::uint32_t passes = 0;
+  while (!todo.empty()) {
+    ASSERT_LT(++passes, 100u);
+    ht.begin_iteration();
+    std::vector<std::pair<std::string, std::uint64_t>> left;
+    for (const auto& [k, v] : todo) {
+      // Only the first pass starts from an empty chain (a multi-valued
+      // table keeps pending keys resident), so only it is walked here.
+      const Status st = passes == 1 ? ref.try_insert(rig, ht, k, v)
+                                    : ht.insert_u64(k, v);
+      if (st == Status::kPostpone) left.emplace_back(k, v);
+      if (passes > 1 && st == Status::kSuccess) ref.record(k, v);
+    }
+    if (passes == 1) {
+      EXPECT_GT(left.size(), todo.size() / 2);
+    }
+    ht.end_iteration();
+    ref.flush();
+    todo = std::move(left);
+  }
+  EXPECT_GT(passes, 2u);
+  ref.check_result(ht.finalize());
+}
+
+TEST(ProbeLineTest, CombiningDryHeapKeepsPerInsertCounts) {
+  check_dry_heap(Organization::kCombining);
+}
+
+TEST(ProbeLineTest, MultiValuedDryHeapKeepsPerInsertCounts) {
+  check_dry_heap(Organization::kMultiValued);
+}
+
+TEST(ProbeLineTest, BasicDryHeapKeepsPerInsertCounts) {
+  check_dry_heap(Organization::kBasic);
+}
+
+// ---- The dry heap across passes ----
+
+// A pressure spike seizes the whole heap for one pass: the first insert
+// finds the pool empty and dries the slot, the next is refused by the dry
+// slot, and once the spike ends the next pass allocates again.
+TEST(DryHeapTest, SlotAllocatesAgainAfterAPressureSpikeEnds) {
+  Rig rig(8u << 20);
+  gpusim::FaultConfig fc;
+  fc.pressure_rate = 1.0;
+  fc.pressure_frac = 1.0;
+  fc.pressure_hold_iterations = 1;
+  gpusim::FaultInjector faults(fc);
+  rig.ctx.set_faults(&faults);
+  HashTableConfig cfg = one_bucket(Organization::kCombining);
+  cfg.page_size = 1u << 10;
+  cfg.heap_bytes = 4u << 10;
+  SepoHashTable ht(rig.ctx, cfg);
+  const alloc::BucketGroupAllocator& heap = ht.allocator();
+
+  ht.begin_iteration();
+  EXPECT_EQ(ht.pressure_page_count(), 4u);
+  EXPECT_EQ(ht.insert_u64("a", 1), Status::kPostpone);
+  EXPECT_TRUE(heap.refuses(0, alloc::PageClass::kGeneric, 8));
+  EXPECT_EQ(ht.insert_u64("b", 2), Status::kPostpone);
+  ht.end_iteration();
+
+  ht.begin_iteration();
+  EXPECT_EQ(ht.pressure_page_count(), 0u);
+  EXPECT_FALSE(heap.refuses(0, alloc::PageClass::kGeneric, 8));
+  EXPECT_EQ(ht.insert_u64("a", 1), Status::kSuccess);
+  EXPECT_EQ(ht.insert_u64("b", 2), Status::kSuccess);
+  ht.end_iteration();
+
+  const HostTable t = ht.finalize();
+  std::map<std::string, std::uint64_t> got;
+  t.for_each([&](std::string_view k, std::span<const std::byte> v) {
+    got[std::string(k)] += as_u64(v);
+  });
+  EXPECT_EQ(got, (std::map<std::string, std::uint64_t>{{"a", 1}, {"b", 2}}));
+  EXPECT_EQ(rig.stats.snapshot().alloc_fails, 2u);
+}
+
+// "value key" records grouped by key (MAP_GROUP, the multi-valued
+// organization) by four workers on a heap about a sixth of the table: most
+// inserts in each pass are refused, many by dry slots without a lock, and
+// every value must still land under its key exactly once.
+TEST(DryHeapTest, MapGroupAtFourWorkersMatchesReference) {
+  Rig rig(2u << 20, /*workers=*/4);
+  mapreduce::RuntimeConfig cfg;
+  cfg.pipeline.records_per_chunk = 256;
+  cfg.pipeline.max_chunk_bytes = 16u << 10;
+  cfg.pipeline.num_staging_buffers = 2;
+  cfg.table.num_buckets = 1u << 10;
+  cfg.table.buckets_per_group = 512;
+  cfg.table.page_size = 2u << 10;
+  cfg.table.heap_bytes = 32u << 10;
+  mapreduce::MapReduceRuntime runtime(rig.ctx, cfg);
+
+  std::string input;
+  std::map<std::string, std::multiset<std::string>> ref;
+  for (int i = 0; i < 6000; ++i) {
+    const std::string v = "v" + std::to_string(i);
+    const std::string k = "k" + std::to_string((i * 7919) % 300);
+    input += v + ' ' + k + '\n';
+    ref[k].insert(v);
+  }
+  const auto map_pairs = [](std::string_view record,
+                            mapreduce::Emitter& em) {
+    const std::size_t sp = record.find(' ');
+    (void)em.emit(record.substr(sp + 1),
+                  std::as_bytes(std::span{record.data(), sp}));
+  };
+  const mapreduce::RunOutcome out = runtime.run(
+      input, {.mode = mapreduce::Mode::kMapGroup, .map = map_pairs});
+  EXPECT_GT(out.driver.iterations, 4u);
+  EXPECT_GT(out.driver.profiles.back().flushed_bytes_total,
+            4 * cfg.table.heap_bytes);
+
+  std::map<std::string, std::multiset<std::string>> got;
+  out.table->for_each_group(
+      [&](std::string_view k,
+          const std::vector<std::span<const std::byte>>& vals) {
+        for (const auto& v : vals)
+          got[std::string(k)].insert(test::bytes_to_string(v));
+      });
+  ASSERT_EQ(got.size(), ref.size());
+  for (const auto& [k, vals] : ref) EXPECT_EQ(got[k], vals) << k;
 }
 
 }  // namespace

@@ -22,7 +22,7 @@
 // out of device memory, fault-retry exhaustion), duplicate/unknown
 // --fault-* flags, fuzz failures found, or invalid/unreadable/incomparable
 // metrics files (metrics-diff exits 2 when the two files' schema versions
-// differ outside v3..v8, which stay comparable on shared fields with a
+// differ outside v3..v9, which stay comparable on shared fields with a
 // warning, or when a baseline run has no counterpart in the newer file);
 // metrics-diff additionally exits 3 when
 // sim_seconds regressed beyond the threshold; `fuzz --repro` exits 4 when
@@ -138,7 +138,7 @@ void usage() {
                "                             is missing, 3 when sim_seconds\n"
                "                             regressed > --max-regress-pct\n"
                "  report FILE                render a run report from a metrics file\n"
-               "                             (schema v3..v8): per-iteration table,\n"
+               "                             (schema v3..v9): per-iteration table,\n"
                "                             occupancy high-water marks, fault summary\n"
                "                             [--journal J.jsonl] [--last N]\n"
                "  bench-check FILE           validate a BENCH_host.json wall-clock file\n"
@@ -680,11 +680,12 @@ int cmd_metrics_check(const std::string& path) {
   return 0;
 }
 
-// v3..v8 differ only in additive / dropped / moved objects (v4 adds
+// v3..v9 differ only in additive / dropped / moved objects (v4 adds
 // "timeseries", v5 adds the batched-insert totals, v6 drops them again, v7
 // moves the host-measured counters from "stats" to "host", v8 swaps the
-// analytic cross-check for "serialization_s"), so files across that range
-// stay comparable on their shared fields.
+// analytic cross-check for "serialization_s", v9 adds each sample's
+// "pages_used_peak"), so files across that range stay comparable on their
+// shared fields.
 bool readable_schema(std::int64_t v) {
   return v >= 3 && v <= obs::kMetricsSchemaVersion;
 }
@@ -709,7 +710,7 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
 
   // Files written under different schemas are incomparable (exit 2), which
   // is distinct from "comparable but regressed" (exit 3). Exception: within
-  // v3..v8 compare the shared fields and warn.
+  // v3..v9 compare the shared fields and warn.
   const std::int64_t old_v = (*older)["schema_version"].as_i64();
   const std::int64_t new_v = (*newer)["schema_version"].as_i64();
   if (old_v != new_v) {
@@ -722,7 +723,7 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
     }
     std::fprintf(stderr,
                  "warning: schema v%lld vs v%lld — comparing shared fields "
-                 "(v3..v8 differ only in added, dropped or moved objects)\n",
+                 "(v3..v9 differ only in added, dropped or moved objects)\n",
                  static_cast<long long>(old_v),
                  static_cast<long long>(new_v));
   }
@@ -958,7 +959,9 @@ void report_iterations(const obs::Json& r) {
 }
 
 // Occupancy high-water marks from the v4 time-series (skipped on v3 files
-// and on runs without samples).
+// and on runs without samples). A v9 sample carries the pages used just
+// before its flush; older samples only have the free count after it, which
+// reads 0 used on every run that spills.
 void report_occupancy(const obs::Json& r) {
   const obs::Json& series = r["timeseries"];
   if (!series.is_array() || series.size() == 0) return;
@@ -967,8 +970,11 @@ void report_occupancy(const obs::Json& r) {
   for (const auto& s : series.elements()) {
     pages_total = s["pages_total"].as_u64();
     staging_slots = s["staging_slots"].as_u64();
-    const std::uint64_t used = pages_total - s["pages_free"].as_u64() -
-                               s["pages_seized"].as_u64();
+    const obs::Json* peak = s.find("pages_used_peak");
+    const std::uint64_t used =
+        peak != nullptr ? peak->as_u64()
+                        : pages_total - s["pages_free"].as_u64() -
+                              s["pages_seized"].as_u64();
     if (used >= used_max) {
       used_max = used;
       used_iter = s["iteration"].as_u64();
@@ -1036,7 +1042,7 @@ void report_hot_buckets(const obs::Json& r) {
     std::printf("  hottest buckets: %s\n", line.c_str());
 }
 
-// Renders a human-readable post-mortem from a metrics file (schema v3..v8;
+// Renders a human-readable post-mortem from a metrics file (schema v3..v9;
 // v3 predates the occupancy time-series, so that section is absent)
 // plus, optionally, a JSONL journal dump written via --journal-out.
 int cmd_report(const std::string& metrics_path,

@@ -15,7 +15,7 @@
 #include <string>
 
 #include "apps/datagen.hpp"
-#include "apps/standalone_app.hpp"
+#include "apps/engine.hpp"
 #include "common/table_printer.hpp"
 
 using namespace sepo;
@@ -24,7 +24,8 @@ using namespace sepo::apps;
 int main() {
   std::printf("== Ablation: bucket-group size (allocator scalability vs "
               "fragmentation, paper §IV-A) ==\n\n");
-  PageViewCountApp pvc;
+  const AppInfo& pvc = *find_app("pvc");
+  const Engine& sepo = *find_engine("sepo-gpu");
   // Twice dataset #4: the table exceeds the heap, so per-group active-page
   // fragmentation translates directly into extra iterations.
   const std::string input = pvc.generate(2 * table1_bytes("pvc", 4), 91);
@@ -32,12 +33,12 @@ int main() {
   TablePrinter table({"buckets/group", "groups", "iterations", "table/heap",
                       "flushed pages", "sim time (ms)", "alloc fails"});
   for (const std::uint32_t bpg : {32u, 64u, 128u, 256u, 512u, 2048u, 8192u}) {
-    GpuConfig cfg;
-    cfg.buckets_per_group = bpg;
-    const RunResult r = pvc.run_gpu(input, cfg);
+    EngineConfig cfg;
+    cfg.gpu.buckets_per_group = bpg;
+    const RunResult r = sepo.run(pvc, input, cfg);
     table.add_row(
         {TablePrinter::fmt_int(bpg),
-         TablePrinter::fmt_int(cfg.num_buckets / bpg),
+         TablePrinter::fmt_int(cfg.gpu.num_buckets / bpg),
          TablePrinter::fmt_int(r.iterations),
          TablePrinter::fmt(static_cast<double>(r.table_bytes) /
                                static_cast<double>(r.heap_bytes),

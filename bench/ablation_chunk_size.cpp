@@ -9,7 +9,7 @@
 #include <string>
 
 #include "apps/datagen.hpp"
-#include "apps/standalone_app.hpp"
+#include "apps/engine.hpp"
 #include "common/table_printer.hpp"
 
 using namespace sepo;
@@ -18,15 +18,16 @@ using namespace sepo::apps;
 int main() {
   std::printf("== Ablation: BigKernel chunk size (input staging pipeline) "
               "==\n\n");
-  PageViewCountApp pvc;
+  const AppInfo& pvc = *find_app("pvc");
+  const Engine& sepo = *find_engine("sepo-gpu");
   const std::string input = pvc.generate(table1_bytes("pvc", 4), 95);
 
   TablePrinter table({"target chunk", "h2d txns", "kernel launches",
                       "iterations", "heap (MiB)", "sim time (ms)"});
   for (const std::size_t chunk_kb : {4u, 16u, 64u, 224u, 448u}) {
-    GpuConfig cfg;
-    cfg.target_chunk_bytes = chunk_kb << 10;
-    const RunResult r = pvc.run_gpu(input, cfg);
+    EngineConfig cfg;
+    cfg.gpu.target_chunk_bytes = chunk_kb << 10;
+    const RunResult r = sepo.run(pvc, input, cfg);
     table.add_row(
         {TablePrinter::fmt_bytes(chunk_kb << 10),
          TablePrinter::fmt_int(static_cast<long long>(r.pcie.h2d_txns)),

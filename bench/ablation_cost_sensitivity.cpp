@@ -25,8 +25,7 @@
 #include <vector>
 
 #include "apps/datagen.hpp"
-#include "apps/mr_apps.hpp"
-#include "apps/standalone_app.hpp"
+#include "apps/engine.hpp"
 #include "common/table_printer.hpp"
 #include "gpusim/cost_model.hpp"
 
@@ -80,24 +79,12 @@ int main() {
   // One real execution per app at dataset #2 (fast, still multi-iteration
   // for the bulky apps).
   std::vector<AppRun> runs;
-  {
-    PageViewCountApp pvc;
-    InvertedIndexApp ii;
-    DnaAssemblyApp dna;
-    NetflixApp netflix;
-    for (const StandaloneApp* app :
-         std::initializer_list<const StandaloneApp*>{&netflix, &dna, &pvc,
-                                                     &ii}) {
-      const std::string input =
-          app->generate(table1_bytes(app->table1_key(), 2), 88);
-      runs.push_back({app->name(), app->run_gpu(input), app->run_cpu(input)});
-    }
-  }
-  for (const MrApp* app :
-       {&word_count_app(), &patent_citation_app(), &geo_location_app()}) {
-    const std::string input = app->generate(table1_bytes(app->table1_key, 2), 88);
-    runs.push_back({app->name, run_mr_sepo(*app, input),
-                    run_mr_phoenix(*app, input)});
+  for (const char* key : {"netflix", "dna", "pvc", "ii", "wc", "pc", "geo"}) {
+    const AppInfo& app = *find_app(key);
+    const std::string input =
+        app.generate(table1_bytes(app.table1_key(), 2), 88);
+    runs.push_back({app.title, resolve_engine("gpu", app)->run(app, input, {}),
+                    baseline_engine(app)->run(app, input, {})});
   }
 
   struct Scenario {

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "apps/datagen.hpp"
-#include "apps/standalone_app.hpp"
+#include "apps/engine.hpp"
 #include "common/table_printer.hpp"
 #include "mapreduce/spec.hpp"
 
@@ -56,7 +56,8 @@ class RequestLogApp final : public StandaloneApp {
 int main() {
   std::printf("== Ablation: Basic-organization halt threshold (paper §IV-C "
               "footnote 5) ==\n\n");
-  RequestLogApp app;
+  RequestLogApp log;
+  const AppInfo app{"request-log", log.name(), &log};
   // Dataset #4: the basic-organization table (~2.5x the heap) forces the
   // halt/flush/restart cycle the threshold governs.
   const std::string input = app.generate(table1_bytes("pvc", 4), 92);
@@ -65,9 +66,9 @@ int main() {
                       "input bytes staged", "postponed execs",
                       "sim time (ms)"});
   for (const double frac : {0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
-    GpuConfig cfg;
-    cfg.basic_halt_frac = frac;
-    const RunResult r = app.run_gpu(input, cfg);
+    EngineConfig cfg;
+    cfg.gpu.basic_halt_frac = frac;
+    const RunResult r = find_engine("sepo-gpu")->run(app, input, cfg);
     table.add_row(
         {TablePrinter::fmt(frac, 2), TablePrinter::fmt_int(r.iterations),
          TablePrinter::fmt_int(static_cast<long long>(r.stats.records_scanned)),

@@ -11,7 +11,7 @@
 #include <sstream>
 #include <string>
 
-#include "apps/standalone_app.hpp"
+#include "apps/engine.hpp"
 #include "common/random.hpp"
 #include "common/table_printer.hpp"
 #include "mapreduce/spec.hpp"
@@ -52,17 +52,18 @@ class KeyStreamApp final : public StandaloneApp {
 
 int main() {
   std::printf("== Ablation: chaining past load factor 1 (paper §IV) ==\n\n");
-  KeyStreamApp app;
+  KeyStreamApp keys;
+  const AppInfo app{"key-stream", keys.name(), &keys};
   const std::string input = app.generate(0, 94);
 
   TablePrinter table({"buckets", "load factor", "links walked / op",
                       "iterations", "sim time (ms)"});
   for (const std::uint32_t buckets :
        {1u << 17, 1u << 16, 1u << 15, 1u << 14, 1u << 13, 1u << 12, 1u << 11}) {
-    GpuConfig cfg;
-    cfg.num_buckets = buckets;
-    cfg.buckets_per_group = buckets / 32;
-    const RunResult r = app.run_gpu(input, cfg);
+    EngineConfig cfg;
+    cfg.gpu.num_buckets = buckets;
+    cfg.gpu.buckets_per_group = buckets / 32;
+    const RunResult r = find_engine("sepo-gpu")->run(app, input, cfg);
     table.add_row(
         {TablePrinter::fmt_int(buckets),
          TablePrinter::fmt(32768.0 / static_cast<double>(buckets), 2),

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "apps/datagen.hpp"
-#include "apps/standalone_app.hpp"
+#include "apps/engine.hpp"
 #include "common/table_printer.hpp"
 #include "mapreduce/spec.hpp"
 
@@ -72,8 +72,9 @@ int main() {
   for (const auto org :
        {core::Organization::kBasic, core::Organization::kMultiValued,
         core::Organization::kCombining}) {
-    PvcVariant app(org);
-    const RunResult r = app.run_gpu(input);
+    const PvcVariant variant(org);
+    const RunResult r = find_engine("sepo-gpu")->run(
+        AppInfo{"pvc-variant", variant.name(), &variant}, input, {});
     table.add_row({to_string(org), TablePrinter::fmt_bytes(r.table_bytes),
                    TablePrinter::fmt_int(static_cast<long long>(r.keys)),
                    TablePrinter::fmt_int(static_cast<long long>(

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "apps/datagen.hpp"
+#include "apps/harness.hpp"
 #include "apps/standalone_app.hpp"
 #include "common/random.hpp"
 #include "common/strings.hpp"

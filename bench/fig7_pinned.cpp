@@ -6,7 +6,16 @@
 // CPU baseline of (a) our SEPO hash table and (b) the pinned variant. The
 // paper's finding: SEPO wins despite needing multiple iterations, and the
 // pinned variant is often slower than the CPU itself because the table is
-// accessed through "many small PCIe transactions".
+// accessed through "many small PCIe transactions". Figure 7 compares
+// hash-table designs, so the MapReduce apps' map functions feed the same
+// three tables (the sepo-gpu, cpu and pinned engines) as the standalone
+// apps'.
+//
+//   fig7_pinned [--tiny] [--workers N] [--fault-* ...]
+//               [--metrics-out=FILE] [--trace-out=FILE]
+//
+// The flags are the paper-table benches' shared set (bench/sweep.hpp);
+// --tiny runs dataset #1. Exits 1 on any digest MISMATCH or failed run.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -14,82 +23,45 @@
 #include "apps/datagen.hpp"
 #include "apps/engine.hpp"
 #include "common/table_printer.hpp"
+#include "sweep.hpp"
 
 using namespace sepo;
 using namespace sepo::apps;
 
-namespace {
-
-// The MapReduce apps run on the standalone framework here: Figure 7
-// compares hash-table designs, so each app's map function feeds either
-// table directly.
-class MrAsStandalone final : public StandaloneApp {
- public:
-  explicit MrAsStandalone(const MrApp& app) : app_(app) {}
-  [[nodiscard]] const char* name() const noexcept override { return app_.name; }
-  [[nodiscard]] const char* table1_key() const noexcept override {
-    return app_.table1_key;
-  }
-  [[nodiscard]] core::Organization organization() const noexcept override {
-    return app_.mode == mapreduce::Mode::kMapReduce
-               ? core::Organization::kCombining
-               : core::Organization::kMultiValued;
-  }
-  [[nodiscard]] core::CombineFn combiner() const noexcept override {
-    return app_.combine;
-  }
-  [[nodiscard]] std::string generate(std::size_t bytes,
-                                     std::uint64_t seed) const override {
-    return app_.generate(bytes, seed);
-  }
-  void map_record(std::string_view body,
-                  mapreduce::Emitter& em) const override {
-    app_.map(body, em);
-  }
-
- private:
-  const MrApp& app_;
-};
-
-}  // namespace
-
-int main() {
+int main(int argc, char** argv) {
+  bench::Sweep sweep("fig7_pinned", argc, argv);
+  const int dataset = sweep.tiny() ? 1 : 4;
   std::printf("== Figure 7: SEPO vs pinned-in-CPU-memory hash table "
-              "(dataset #4; speedups relative to the CPU baseline) ==\n\n");
+              "(dataset #%d; speedups relative to the CPU baseline) ==\n\n",
+              dataset);
 
-  MrAsStandalone wc(word_count_app());
-  MrAsStandalone pc(patent_citation_app());
-  MrAsStandalone geo(geo_location_app());
-  const StandaloneApp* apps[] = {find_app("netflix")->standalone,
-                                 find_app("dna")->standalone,
-                                 find_app("pvc")->standalone,
-                                 find_app("ii")->standalone,
-                                 &wc, &pc, &geo};
-
+  const Engine& sepo = *find_engine("sepo-gpu");
+  const Engine& cpu = *find_engine("cpu");
+  const Engine& pinned = *find_engine("pinned");
   TablePrinter table({"app", "sepo speedup", "pinned speedup",
                       "pinned remote txns", "pinned remote bytes", "results"});
   int pinned_slower_than_cpu = 0;
-  for (const StandaloneApp* app : apps) {
+  for (const char* key : {"netflix", "dna", "pvc", "ii", "wc", "pc", "geo"}) {
+    const AppInfo& app = *find_app(key);
     const std::string input =
-        app->generate(table1_bytes(app->table1_key(), 4), 400);
-    const RunResult cpu = app->run_cpu(input);
-    const RunResult gpu = app->run_gpu(input);
-    const RunResult pin = app->run_pinned(input);
-    const double sepo_speedup = cpu.sim_seconds / gpu.sim_seconds;
-    const double pinned_speedup = cpu.sim_seconds / pin.sim_seconds;
-    if (pinned_speedup < 1.0) ++pinned_slower_than_cpu;
-    const bool ok = gpu.checksum == cpu.checksum && pin.checksum == cpu.checksum;
-    table.add_row({app->name(), TablePrinter::fmt(sepo_speedup, 2),
-                   TablePrinter::fmt(pinned_speedup, 2),
+        app.generate(table1_bytes(app.table1_key(), dataset), 400);
+    const obs::Json extra = obs::Json::object().set("dataset", dataset);
+    const bench::Pair gpu =
+        sweep.run_pair(app, sepo, cpu, input, sweep.config(), extra);
+    const bench::Pair pin =
+        sweep.run_against(app, pinned, gpu.ref, input, sweep.config(), extra);
+    if (pin.speedup() < 1.0) ++pinned_slower_than_cpu;
+    table.add_row({app.title, TablePrinter::fmt(gpu.speedup(), 2),
+                   TablePrinter::fmt(pin.speedup(), 2),
                    TablePrinter::fmt_int(static_cast<long long>(
-                       pin.pcie.remote_txns)),
-                   TablePrinter::fmt_bytes(pin.pcie.remote_bytes),
-                   ok ? "match" : "MISMATCH"});
+                       pin.run.pcie.remote_txns)),
+                   TablePrinter::fmt_bytes(pin.run.pcie.remote_bytes),
+                   gpu.ok() ? pin.verdict() : gpu.verdict()});
   }
   table.print(std::cout);
   std::printf("\n%d of 7 applications run SLOWER with the pinned table than "
               "on the CPU alone (paper: 4 of 7); the cause is the volume of "
               "small PCIe transactions, not raw byte count.\n",
               pinned_slower_than_cpu);
-  return 0;
+  return sweep.finish(table, "fig7");
 }

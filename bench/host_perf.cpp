@@ -61,7 +61,6 @@
 
 #include "apps/datagen.hpp"
 #include "apps/engine.hpp"
-#include "apps/standalone_app.hpp"
 #include "common/table_printer.hpp"
 #include "core/hash_table.hpp"
 #include "gpusim/counters.hpp"
@@ -447,14 +446,15 @@ int main(int argc, char** argv) {
 
   // End-to-end anchor: one Page View Count SEPO-GPU run, the fig6 workload.
   {
-    apps::PageViewCountApp pvc;
+    const apps::AppInfo& pvc = *apps::find_app("pvc");
+    const apps::Engine& sepo = *apps::find_engine("sepo-gpu");
     const std::size_t bytes =
         tiny ? (64u << 10) : apps::table1_bytes(pvc.table1_key(), 2);
     const std::string input = pvc.generate(bytes, 1001);
-    apps::GpuConfig gcfg;
-    gcfg.pool_workers = workers;
+    apps::EngineConfig ecfg;
+    ecfg.gpu.pool_workers = workers;
     results.push_back(bench("fig6_pvc_gpu", bytes, reps, [&] {
-      const apps::RunResult r = pvc.run_gpu(input, gcfg);
+      const apps::RunResult r = sepo.run(pvc, input, ecfg);
       if (r.error || r.checksum == 0) {
         std::fprintf(stderr, "FATAL: pvc run failed\n");
         std::exit(1);

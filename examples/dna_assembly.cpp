@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/harness.hpp"
 #include "apps/standalone_app.hpp"
 #include "bigkernel/pipeline.hpp"
 #include "common/parse.hpp"

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "apps/harness.hpp"
 #include "apps/standalone_app.hpp"
 #include "bigkernel/pipeline.hpp"
 #include "common/parse.hpp"
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
   const std::string input =
       app.generate(static_cast<std::size_t>(mb * 1024 * 1024), /*seed=*/7);
 
-  // Assemble the pipeline by hand (the framework's run_gpu() does exactly
+  // Assemble the pipeline by hand (the sepo-gpu engine's run does exactly
   // this) to show the moving parts.
   gpusim::Device device(4u << 20);
   gpusim::ThreadPool pool;

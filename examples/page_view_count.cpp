@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     baselines::ChainedHostEmitter em(table, /*tid=*/0);
     const RecordIndex idx = index_lines(input);
     for (std::size_t i = 0; i < idx.size(); ++i)
-      app.standalone->map_record(idx.record(input.data(), i), em);
+      app.map(idx.record(input.data(), i), em);
   }
   std::vector<std::pair<std::uint64_t, std::string>> top;
   table.for_each([&](std::string_view k, std::span<const std::byte> v) {

@@ -8,10 +8,11 @@
 // apps and engines here instead of keeping its own string if/else chain, so
 // adding a backend is one registration, not a cross-cutting edit.
 //
-// All engines are rows of one static table in engines.cpp — deliberately one
-// translation unit, because self-registration statics spread across a static
-// library get dropped by the linker unless something in each TU is
-// referenced. Registration order is display order.
+// All engines are rows of one static table in engines.cpp, next to their run
+// paths, one per engine — deliberately one translation unit, because
+// self-registration statics spread across a static library get dropped by
+// the linker unless something in each TU is referenced. Registration order
+// is display order.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +23,16 @@
 #include "apps/harness.hpp"
 #include "apps/mr_apps.hpp"
 #include "apps/standalone_app.hpp"
+#include "mapreduce/spec.hpp"
 
 namespace sepo::apps {
 
 // One registered application. Exactly one of `standalone` / `mr` is set.
+// The accessors below are the only code that branches on the two app kinds:
+// an engine sees an app as a table shape (organization + combiner) plus a
+// map function, which is all the paper's MapReduce runtime adds to the SEPO
+// table (§V). Engines reach the map function only through the AppInfo they
+// are handed, so a caller may pass a copy whose map is wrapped.
 struct AppInfo {
   const char* key;    // CLI name, e.g. "pvc" (the Table I key)
   const char* title;  // paper name, e.g. "Page View Count"
@@ -41,6 +48,30 @@ struct AppInfo {
                                      std::uint64_t seed) const {
     return is_mapreduce() ? mr->generate(bytes, seed)
                           : standalone->generate(bytes, seed);
+  }
+  // Bucket organization of the app's table; a MapReduce mode selects it
+  // through mapreduce::table_shape.
+  [[nodiscard]] core::Organization organization() const {
+    return is_mapreduce() ? mapreduce::table_shape(mr->mode, mr->combine).org
+                          : standalone->organization();
+  }
+  // Combiner of a combining table; null otherwise.
+  [[nodiscard]] core::CombineFn combiner() const {
+    return is_mapreduce()
+               ? mapreduce::table_shape(mr->mode, mr->combine).combiner
+               : standalone->combiner();
+  }
+  // Whether each record's bytes count toward the divergence term
+  // (StandaloneApp::divergent_parse; no MapReduce app diverges).
+  [[nodiscard]] bool divergent_parse() const noexcept {
+    return !is_mapreduce() && standalone->divergent_parse();
+  }
+  // Parses one record and emits its KV pairs.
+  void map(std::string_view body, mapreduce::Emitter& em) const {
+    if (is_mapreduce())
+      mr->map(body, em);
+    else
+      standalone->map_record(body, em);
   }
 };
 
@@ -82,23 +113,25 @@ class Engine {
       : name_(name), description_(description), caps_(caps), run_(run),
         supports_(supports) {}
 
-  // Registry name; always equals the RunResult.impl string the engine emits
-  // (and therefore the "impl" field in metrics files).
+  // Registry name; run() stamps it on the RunResult as its impl (and
+  // therefore the "impl" field in metrics files).
   [[nodiscard]] const char* name() const noexcept { return name_; }
   // One-line description for `sepo_cli engines`.
   [[nodiscard]] const char* describe() const noexcept { return description_; }
   [[nodiscard]] Caps caps() const noexcept { return caps_; }
 
-  // Whether this engine can run `app`: the row's predicate when it has one
-  // (paging-sim), otherwise the Caps kind flags.
+  // Whether this engine can run `app`: the Caps kind flags, narrowed by the
+  // row's predicate when it has one (paging-sim).
   [[nodiscard]] bool supports(const AppInfo& app) const {
-    if (supports_ != nullptr) return supports_(app);
-    return app.is_mapreduce() ? caps_.mapreduce : caps_.standalone;
+    const bool kind = app.is_mapreduce() ? caps_.mapreduce : caps_.standalone;
+    return kind && (supports_ == nullptr || supports_(app));
   }
 
   [[nodiscard]] RunResult run(const AppInfo& app, std::string_view input,
                               const EngineConfig& cfg) const {
-    return run_(app, input, cfg);
+    RunResult r = run_(app, input, cfg);
+    r.impl = name_;
+    return r;
   }
 
  private:

@@ -1,48 +1,211 @@
-// All registered apps and engines (see engine.hpp for why this is one TU).
+// All registered apps and engines, and each engine's one run path (see
+// engine.hpp for why this is one TU). A run path sees the app only through
+// the AppInfo accessors, so it runs standalone and MapReduce apps alike.
 #include "apps/engine.hpp"
 
 #include <algorithm>
 #include <exception>
 #include <unordered_map>
 
+#include "baselines/chained_host_table.hpp"
+#include "baselines/mapcg.hpp"
 #include "baselines/paging_sim.hpp"
+#include "baselines/phoenix.hpp"
 #include "baselines/stadium_hash_table.hpp"
+#include "gpusim/device.hpp"
 #include "gpusim/pcie.hpp"
+#include "mapreduce/sepo_emitter.hpp"
 
 namespace sepo::apps {
 
 namespace {
 
-// ------------------------------------------------------------ run paths
-
-RunResult run_sepo_gpu(const AppInfo& app, std::string_view input,
-                       const EngineConfig& cfg) {
-  return app.standalone->run_gpu(input, cfg.gpu);
+// Order-independent digest of a finished table of organization `org`.
+template <typename Table>
+std::uint64_t digest(core::Organization org, const Table& t) {
+  return org == core::Organization::kMultiValued ? digest_groups(t)
+                                                 : digest_kv(t);
 }
 
-RunResult run_sepo_mr(const AppInfo& app, std::string_view input,
-                      const EngineConfig& cfg) {
-  return run_mr_sepo(*app.mr, input, cfg.gpu);
+// ------------------------------------------------------------------ SEPO
+
+// Fills a finished SEPO run's table fields: serial from `ht`'s lock load,
+// iterations and profiles from `dres`, footprint from `ht`, and keys, digest
+// and occupancy from the finalized `table`.
+void fill_sepo_result(RunResult& r, const core::SepoHashTable& ht,
+                      const core::DriverResult& dres,
+                      const core::HostTable& table) {
+  r.serial = serial_inputs(ht);
+  r.iterations = dres.iterations;
+  r.table_bytes = ht.table_stats().table_bytes;
+  r.keys = table.entry_count();
+  r.checksum = digest(table.organization(), table);
+  r.iteration_profiles = dres.profiles;
+  r.timeseries = dres.timeseries;
+  r.bucket_histogram = table.occupancy_histogram();
 }
 
+// The one SEPO run, behind both sepo-gpu and sepo-mr: on a virtual device
+// sized by cfg.gpu, allocates the BigKernel staging ring, then a SEPO table
+// of the app's organization and combiner, runs the app's map over every
+// record until all are done, and digests the finalized table. A divergent
+// parser's record bytes count toward the divergence term.
+RunResult run_sepo(const AppInfo& app, std::string_view input,
+                   const EngineConfig& ecfg) {
+  const GpuConfig& cfg = ecfg.gpu;
+  SimRun sim(cfg);
+  return sim.run([&](RunResult& r) {
+    const RecordIndex index = index_lines(input);
+    bigkernel::InputPipeline pipe(sim.ctx, choose_chunking(index, cfg));
+    core::SepoHashTable ht(sim.ctx, {.org = app.organization(),
+                                     .num_buckets = cfg.num_buckets,
+                                     .buckets_per_group = cfg.buckets_per_group,
+                                     .page_size = cfg.page_size,
+                                     .combiner = app.combiner(),
+                                     .heap_bytes = cfg.heap_bytes});
+    r.heap_bytes = ht.page_pool().heap_bytes();
+    const bool divergent = app.divergent_parse();
+    const core::DriverResult dres = mapreduce::run_sepo_job(
+        ht, pipe, input, index,
+        [&](std::string_view body, mapreduce::Emitter& em) {
+          if (divergent) sim.stats.add_divergent_units(body.size());
+          app.map(body, em);
+        },
+        {.basic_halt_frac = cfg.basic_halt_frac});
+    fill_sepo_result(r, ht, dres, ht.finalize());
+  });
+}
+
+// ---------------------------------------------------------- CPU baselines
+
+// The multi-threaded CPU baseline: one ChainedHostTable in CPU placement,
+// the records split into cfg.cpu.num_threads contiguous ranges.
 RunResult run_cpu(const AppInfo& app, std::string_view input,
-                  const EngineConfig& cfg) {
-  return app.standalone->run_cpu(input, cfg.cpu);
+                  const EngineConfig& ecfg) {
+  const CpuConfig& cfg = ecfg.cpu;
+  WallTimer timer;
+  gpusim::ThreadPool pool(cfg.pool_workers);
+  gpusim::RunStats stats;
+
+  const core::Organization org = app.organization();
+  baselines::ChainedHostTable table(
+      stats,
+      {.org = org, .num_buckets = cfg.num_buckets, .combiner = app.combiner()});
+
+  const RecordIndex index = index_lines(input);
+  const std::size_t n = index.size();
+  pool.run_parties(cfg.num_threads, [&](std::size_t party) {
+    const std::size_t lo = n * party / cfg.num_threads;
+    const std::size_t hi = n * (party + 1) / cfg.num_threads;
+    baselines::ChainedHostEmitter em(table, static_cast<std::uint32_t>(party));
+    for (std::size_t rec = lo; rec < hi; ++rec) {
+      const std::string_view body = index.record(input.data(), rec);
+      stats.add_work_units(body.size());
+      app.map(body, em);
+      stats.add_records_processed();
+    }
+  });
+
+  RunResult r;
+  r.stats = stats.snapshot();
+  r.serial = serial_inputs(table);
+  r.iterations = 1;
+  r.table_bytes = table.allocated_bytes();
+  r.keys = table.entry_count();
+  r.checksum = digest(org, table);
+  fill_cpu_times(r);
+  r.wall_seconds = timer.seconds();
+  return r;
 }
 
+// The Phoenix++-style CPU MapReduce runtime: private per-thread containers
+// merged at the end, so it takes no shared locks.
 RunResult run_phoenix(const AppInfo& app, std::string_view input,
-                      const EngineConfig& cfg) {
-  return run_mr_phoenix(*app.mr, input, cfg.cpu);
+                      const EngineConfig& ecfg) {
+  WallTimer timer;
+  gpusim::ThreadPool pool(ecfg.cpu.pool_workers);
+  gpusim::RunStats stats;
+
+  baselines::PhoenixConfig pcfg;
+  pcfg.num_threads = ecfg.cpu.num_threads;
+  pcfg.merged_table_buckets = ecfg.cpu.num_buckets;
+  baselines::PhoenixRuntime phoenix(pool, stats, pcfg);
+  const auto table = phoenix.run(input, app.mr->spec());
+
+  RunResult r;
+  r.stats = stats.snapshot();
+  r.serial = {.total_lock_ops = 0,  // private containers: no shared locks
+              .max_same_lock_ops = 0,
+              .serial_atomic_ops = 0};
+  r.iterations = 1;
+  r.table_bytes = table->allocated_bytes();
+  r.keys = table->entry_count();
+  r.checksum = digest(app.organization(), *table);
+  fill_cpu_times(r);
+  r.wall_seconds = timer.seconds();
+  return r;
 }
 
+// ------------------------------------------------- device-side baselines
+
+// The §VI-D heap-pinned-in-CPU-memory variant: the CPU baseline's table in
+// pinned placement, fed by the same BigKernel staging as SEPO. It has no
+// postponement story: a faulted transfer that exhausts its retries fails
+// the whole run.
 RunResult run_pinned(const AppInfo& app, std::string_view input,
-                     const EngineConfig& cfg) {
-  return app.standalone->run_pinned(input, cfg.gpu);
+                     const EngineConfig& ecfg) {
+  const GpuConfig& cfg = ecfg.gpu;
+  SimRun sim(cfg);
+  return sim.run([&](RunResult& r) {
+    r.iterations = 1;
+    const RecordIndex index = index_lines(input);
+    bigkernel::InputPipeline pipe(sim.ctx, choose_chunking(index, cfg));
+    const core::Organization org = app.organization();
+    baselines::ChainedHostTable table(sim.ctx, {.org = org,
+                                                .num_buckets = cfg.num_buckets,
+                                                .combiner = app.combiner()});
+    const OnExit record_load([&] { r.serial = serial_inputs(table); });
+
+    ProgressTracker progress(index.size());
+    const bool divergent = app.divergent_parse();
+    (void)pipe.run_pass(
+        input, index, progress, [&](std::size_t, std::string_view body) {
+          if (divergent) sim.stats.add_divergent_units(body.size());
+          baselines::ChainedHostEmitter em(table, /*tid=*/0);
+          app.map(body, em);
+          return core::Status::kSuccess;
+        });
+    r.keys = table.entry_count();
+    r.checksum = digest(org, table);
+  });
 }
 
+// Adapter so digest_kv works over MapCG's reduced view.
+struct MapCgReducedView {
+  const baselines::MapCgRuntime& rt;
+  template <typename Fn>
+  void for_each(const Fn& fn) const {
+    rt.for_each_reduced(fn);
+  }
+};
+
+// The MapCG-style GPU runtime. It has no SEPO: an input or table that
+// outgrows the device is a structural failure of the whole run (paper §II).
 RunResult run_mapcg(const AppInfo& app, std::string_view input,
-                    const EngineConfig& cfg) {
-  return run_mr_mapcg(*app.mr, input, cfg.gpu);
+                    const EngineConfig& ecfg) {
+  SimRun sim(ecfg.gpu);
+  return sim.run([&](RunResult& r) {
+    r.iterations = 1;
+    baselines::MapCgRuntime mapcg(sim.ctx,
+                                  {.num_buckets = ecfg.gpu.num_buckets});
+    const baselines::ChainedHostTable& table = mapcg.table();
+    const OnExit record_load([&] { r.serial = serial_inputs(table); });
+    mapcg.run(input, app.mr->spec());
+    r.keys = table.entry_count();
+    r.checksum = app.organization() == core::Organization::kMultiValued
+                     ? digest_groups(table)
+                     : digest_kv(MapCgReducedView{mapcg});
+  });
 }
 
 // ------------------------------------------------------- stadium baseline
@@ -67,7 +230,7 @@ class StadiumEmitter final : public mapreduce::Emitter {
 // stats.inserts_new keeps the raw stored-pair count.
 void digest_stadium(const AppInfo& app,
                     const baselines::ChainedHostTable& table, RunResult& r) {
-  switch (app.standalone->organization()) {
+  switch (app.organization()) {
     case core::Organization::kBasic: {
       std::uint64_t sum = 0, pairs = 0;
       table.for_each([&](std::string_view k, std::span<const std::byte> v) {
@@ -79,7 +242,7 @@ void digest_stadium(const AppInfo& app,
       return;
     }
     case core::Organization::kCombining: {
-      const core::CombineFn combine = app.standalone->combiner();
+      const core::CombineFn combine = app.combiner();
       std::unordered_map<std::string, std::vector<std::byte>> merged;
       table.for_each([&](std::string_view k, std::span<const std::byte> v) {
         auto [it, fresh] = merged.try_emplace(std::string(k), v.begin(),
@@ -114,7 +277,7 @@ void digest_stadium(const AppInfo& app,
 RunResult run_stadium(const AppInfo& app, std::string_view input,
                       const EngineConfig& cfg) {
   SimRun sim(cfg.gpu);
-  return sim.run("stadium", [&](RunResult& r) {
+  return sim.run([&](RunResult& r) {
     // Stadium has no SEPO: a fingerprint index (or bucket array) that
     // outgrows the device fails the run rather than returning a partial
     // table.
@@ -140,7 +303,7 @@ RunResult run_stadium(const AppInfo& app, std::string_view input,
       for (std::size_t i = 0; i < idx.size(); ++i) {
         const std::string_view body = idx.record(input.data(), i);
         sim.stats.add_work_units(body.size());
-        app.standalone->map_record(body, em);
+        app.map(body, em);
         sim.stats.add_records_processed();
       }
     } catch (...) {
@@ -154,35 +317,22 @@ RunResult run_stadium(const AppInfo& app, std::string_view input,
 
 // ------------------------------------------------ demand-paging lower bound
 
-class TraceEmitter final : public mapreduce::Emitter {
- public:
-  explicit TraceEmitter(baselines::TracedCombiningTable& t) noexcept : t_(t) {}
-  core::Status emit(std::string_view key,
-                    std::span<const std::byte>) override {
-    t_.insert_count(key);
-    return core::Status::kSuccess;
-  }
-
- private:
-  baselines::TracedCombiningTable& t_;
-};
-
 // The traced table models <key, +1> combining inserts, so only apps with
-// exactly that shape replay faithfully.
+// exactly that shape replay faithfully. The row's kind flags narrow it
+// further to the standalone apps (Table III's PVC).
 bool paging_sim_supports(const AppInfo& app) {
-  return !app.is_mapreduce() &&
-         app.standalone->organization() == core::Organization::kCombining &&
-         app.standalone->combiner() == core::combine_sum_u64;
+  return app.organization() == core::Organization::kCombining &&
+         app.combiner() == core::combine_sum_u64;
 }
 
 RunResult run_paging_sim(const AppInfo& app, std::string_view input,
                          const EngineConfig& cfg) {
   WallTimer timer;
   baselines::TracedCombiningTable traced(cfg.gpu.num_buckets);
-  TraceEmitter em(traced);
+  baselines::TraceEmitter em(traced);
   const RecordIndex idx = index_lines(input);
   for (std::size_t i = 0; i < idx.size(); ++i)
-    app.standalone->map_record(idx.record(input.data(), i), em);
+    app.map(idx.record(input.data(), i), em);
 
   const std::uint64_t mem_bytes =
       cfg.gpu.heap_bytes ? cfg.gpu.heap_bytes : cfg.gpu.device_bytes;
@@ -191,7 +341,6 @@ RunResult run_paging_sim(const AppInfo& app, std::string_view input,
   const gpusim::PcieBus bus;  // same PCIe model used everywhere
 
   RunResult r;
-  r.impl = "paging-sim";
   r.iterations = 1;
   r.table_bytes = traced.table_bytes();
   r.heap_bytes = mem_bytes;
@@ -251,25 +400,29 @@ const std::vector<const Engine*>& all_engines() {
        "SEPO hash table on the virtual GPU: BigKernel staging + SEPO "
        "iterations (the paper's system)",
        {.standalone = true,
+        .mapreduce = true,
         .simulated_device = true,
         .trace = true,
         .journal = true,
         .faults = true},
-       run_sepo_gpu},
+       run_sepo},
       {"sepo-mr", "SEPO-based MapReduce runtime on the virtual GPU (paper §V)",
        {.mapreduce = true,
         .simulated_device = true,
         .trace = true,
         .journal = true,
         .faults = true},
-       run_sepo_mr},
-      {"cpu", "multi-threaded CPU baseline table (the Figure 6 reference)",
-       {.standalone = true}, run_cpu},
+       run_sepo},
+      {"cpu",
+       "multi-threaded CPU baseline table (the Figure 6 reference for "
+       "standalone apps, the Figure 7 reference for all)",
+       {.standalone = true, .mapreduce = true}, run_cpu},
       {"phoenix",
        "Phoenix++-style CPU MapReduce runtime (the Figure 6 reference)",
        {.mapreduce = true}, run_phoenix},
       {"pinned", "heap pinned in CPU memory, chains walked over PCIe (§VI-D)",
        {.standalone = true,
+        .mapreduce = true,
         .simulated_device = true,
         .trace = true,
         .journal = true,

@@ -1,5 +1,6 @@
 #include "apps/harness.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +12,48 @@
 #include "gpusim/worker_id.hpp"
 
 namespace sepo::apps {
+
+namespace {
+
+// Largest raw byte span of any `records_per_chunk`-record chunk.
+std::size_t max_chunk_span(const RecordIndex& idx, std::size_t per_chunk) {
+  std::size_t max_span = 1;
+  for (std::size_t lo = 0; lo < idx.size(); lo += per_chunk) {
+    const std::size_t hi = std::min(lo + per_chunk, idx.size());
+    const std::size_t span =
+        idx.offsets[hi - 1] + idx.lengths[hi - 1] - idx.offsets[lo];
+    max_span = std::max(max_span, span);
+  }
+  return max_span;
+}
+
+}  // namespace
+
+// Picks a records-per-chunk so chunks approach cfg.target_chunk_bytes (few
+// bulky PCIe transactions, few kernel launches) while the staging ring stays
+// ≤ 1/4 of device capacity.
+bigkernel::PipelineConfig choose_chunking(const RecordIndex& idx,
+                                          const GpuConfig& cfg) {
+  bigkernel::PipelineConfig pcfg;
+  pcfg.num_staging_buffers = cfg.num_staging_buffers;
+  const std::size_t target = std::min(
+      cfg.target_chunk_bytes, cfg.device_bytes / (4 * cfg.num_staging_buffers));
+  std::size_t total_bytes = 1;
+  if (!idx.offsets.empty())
+    total_bytes = idx.offsets.back() + idx.lengths.back() - idx.offsets[0];
+  const std::size_t avg_record =
+      std::max<std::size_t>(1, total_bytes / std::max<std::size_t>(1, idx.size()));
+  pcfg.records_per_chunk =
+      std::max<std::size_t>(16, target / avg_record);
+  while (true) {
+    pcfg.max_chunk_bytes = max_chunk_span(idx, pcfg.records_per_chunk);
+    if (pcfg.max_chunk_bytes * pcfg.num_staging_buffers <=
+            cfg.device_bytes / 2 ||
+        pcfg.records_per_chunk <= 16)
+      return pcfg;
+    pcfg.records_per_chunk /= 2;
+  }
+}
 
 std::size_t pool_workers_from_args(int& argc, char** argv) {
   std::size_t workers = 0;
@@ -72,10 +115,8 @@ void fill_cpu_times(RunResult& r) {
                   r.serialization_seconds;
 }
 
-RunResult SimRun::run(const char* impl,
-                      const std::function<void(RunResult&)>& body) {
+RunResult SimRun::run(const std::function<void(RunResult&)>& body) {
   RunResult r;
-  r.impl = impl;
   try {
     body(r);
   } catch (const std::runtime_error& e) {

@@ -1,6 +1,6 @@
-// Shared measurement harness for the applications: builds the virtual
-// device, runs an app's GPU (SEPO), CPU-baseline, or pinned-baseline path,
-// and converts the recorded event counts into simulated time (DESIGN.md §5).
+// Shared measurement harness for the engines (apps/engine.hpp): builds the
+// virtual device, guards a run, and converts the recorded event counts into
+// simulated time (DESIGN.md §5).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@
 #include "gpusim/pcie.hpp"
 #include "gpusim/stream.hpp"
 #include "gpusim/trace_hook.hpp"
-#include "mapreduce/sepo_emitter.hpp"
 
 namespace sepo::apps {
 
@@ -97,12 +96,11 @@ class SimRun {
 
   // The one guarded run. Calls body(r), which builds the job's structures
   // (pipeline, tables, runtimes) and fills what only it knows — serial,
-  // iterations, keys, digest — then fills r.impl, counters, PCIe totals,
-  // simulated times and wall clock. A runtime_error or bad_alloc thrown by
-  // body, construction included, becomes a typed r.error (run_error_from);
-  // a logic_error propagates.
-  [[nodiscard]] RunResult run(const char* impl,
-                              const std::function<void(RunResult&)>& body);
+  // iterations, keys, digest — then fills counters, PCIe totals, simulated
+  // times and wall clock. A runtime_error or bad_alloc thrown by body,
+  // construction included, becomes a typed r.error (run_error_from); a
+  // logic_error propagates.
+  [[nodiscard]] RunResult run(const std::function<void(RunResult&)>& body);
 
   WallTimer timer;
   gpusim::Device dev;
@@ -157,7 +155,7 @@ struct RunError {
 
 // One measured run of one implementation of one app.
 struct RunResult {
-  std::string impl;                 // "sepo-gpu", "cpu", "pinned", ...
+  std::string impl;                 // engine name: "sepo-gpu", "cpu", ...
   gpusim::StatsSnapshot stats;
   gpusim::PcieSnapshot pcie;
   gpusim::SerializationInputs serial;
@@ -193,8 +191,7 @@ struct RunResult {
   std::vector<std::uint64_t> bucket_histogram;
 };
 
-// Picks a BigKernel chunking for `idx` under `cfg` (implemented in
-// standalone_app.cpp).
+// Picks a BigKernel chunking for `idx` under `cfg`.
 [[nodiscard]] bigkernel::PipelineConfig choose_chunking(
     const RecordIndex& idx, const GpuConfig& cfg);
 
@@ -290,46 +287,5 @@ void fill_gpu_times(RunResult& r, const gpusim::ExecContext& ctx);
 // Fills a CPU RunResult's time fields from r.stats and r.serial:
 // sim_seconds = compute_time on kCpuDesc + serialization_seconds.
 void fill_cpu_times(RunResult& r);
-
-// Fills a finished SEPO run's table fields: serial from `ht`'s lock load,
-// iterations and profiles from `dres`, footprint from `ht`, and keys, digest
-// and occupancy from the finalized `table` (implemented in
-// standalone_app.cpp).
-void fill_sepo_result(RunResult& r, const core::SepoHashTable& ht,
-                      const core::DriverResult& dres,
-                      const core::HostTable& table);
-
-// The one SEPO engine run, behind both sepo-gpu (StandaloneApp::run_gpu) and
-// sepo-mr (run_mr_sepo): on a virtual device sized by `cfg`, allocates the
-// BigKernel staging ring, then a SEPO table of organization `org` combined
-// by `combiner`, runs `map(body, emitter)` over every record of `input`
-// until all are done, and digests the finalized table. With
-// `divergent_parse` each record's bytes count toward the divergence term.
-template <typename Map>
-[[nodiscard]] RunResult run_sepo(const char* impl, core::Organization org,
-                                 core::CombineFn combiner,
-                                 bool divergent_parse, std::string_view input,
-                                 const GpuConfig& cfg, const Map& map) {
-  SimRun sim(cfg);
-  return sim.run(impl, [&](RunResult& r) {
-    const RecordIndex index = index_lines(input);
-    bigkernel::InputPipeline pipe(sim.ctx, choose_chunking(index, cfg));
-    core::SepoHashTable ht(sim.ctx, {.org = org,
-                                     .num_buckets = cfg.num_buckets,
-                                     .buckets_per_group = cfg.buckets_per_group,
-                                     .page_size = cfg.page_size,
-                                     .combiner = combiner,
-                                     .heap_bytes = cfg.heap_bytes});
-    r.heap_bytes = ht.page_pool().heap_bytes();
-    const core::DriverResult dres = mapreduce::run_sepo_job(
-        ht, pipe, input, index,
-        [&](std::string_view body, mapreduce::Emitter& em) {
-          if (divergent_parse) sim.stats.add_divergent_units(body.size());
-          map(body, em);
-        },
-        {.basic_halt_frac = cfg.basic_halt_frac});
-    fill_sepo_result(r, ht, dres, ht.finalize());
-  });
-}
 
 }  // namespace sepo::apps

@@ -1,10 +1,6 @@
 #include "apps/mr_apps.hpp"
 
 #include "apps/datagen.hpp"
-#include "baselines/mapcg.hpp"
-#include "baselines/phoenix.hpp"
-#include "common/timer.hpp"
-#include "gpusim/device.hpp"
 
 namespace sepo::apps {
 
@@ -55,15 +51,6 @@ std::string gen_pc(std::size_t bytes, std::uint64_t seed) {
                      /*patents=*/60000, /*zipf_s=*/0.4);
 }
 
-// Adapter so digest_kv works over MapCG's reduced view.
-struct MapCgReducedView {
-  const baselines::MapCgRuntime& rt;
-  template <typename Fn>
-  void for_each(const Fn& fn) const {
-    rt.for_each_reduced(fn);
-  }
-};
-
 }  // namespace
 
 const MrApp& word_count_app() {
@@ -94,60 +81,6 @@ const MrApp& patent_citation_app() {
                          .map = map_patent_citation,
                          .combine = nullptr};
   return app;
-}
-
-RunResult run_mr_sepo(const MrApp& app, std::string_view input,
-                      const GpuConfig& cfg) {
-  const mapreduce::TableShape shape =
-      mapreduce::table_shape(app.mode, app.combine);
-  return run_sepo("sepo-mr", shape.org, shape.combiner,
-                  /*divergent_parse=*/false, input, cfg, app.map);
-}
-
-RunResult run_mr_phoenix(const MrApp& app, std::string_view input,
-                         const CpuConfig& cfg) {
-  WallTimer timer;
-  gpusim::ThreadPool pool(cfg.pool_workers);
-  gpusim::RunStats stats;
-
-  baselines::PhoenixConfig pcfg;
-  pcfg.num_threads = cfg.num_threads;
-  pcfg.merged_table_buckets = cfg.num_buckets;
-  baselines::PhoenixRuntime phoenix(pool, stats, pcfg);
-  const auto table = phoenix.run(input, app.spec());
-
-  RunResult r;
-  r.impl = "phoenix";
-  r.stats = stats.snapshot();
-  r.serial = {.total_lock_ops = 0,  // private containers: no shared locks
-              .max_same_lock_ops = 0,
-              .serial_atomic_ops = 0};
-  r.iterations = 1;
-  r.table_bytes = table->allocated_bytes();
-  r.keys = table->entry_count();
-  r.checksum = app.mode == mapreduce::Mode::kMapGroup ? digest_groups(*table)
-                                                      : digest_kv(*table);
-  fill_cpu_times(r);
-  r.wall_seconds = timer.seconds();
-  return r;
-}
-
-RunResult run_mr_mapcg(const MrApp& app, std::string_view input,
-                       const GpuConfig& cfg) {
-  SimRun sim(cfg);
-  return sim.run("mapcg", [&](RunResult& r) {
-    // MapCG has no SEPO: an input or table that outgrows the device is a
-    // structural failure of the whole run (paper §II).
-    r.iterations = 1;
-    baselines::MapCgRuntime mapcg(sim.ctx, {.num_buckets = cfg.num_buckets});
-    const baselines::ChainedHostTable& table = mapcg.table();
-    const OnExit record_load([&] { r.serial = serial_inputs(table); });
-    mapcg.run(input, app.spec());
-    r.keys = table.entry_count();
-    r.checksum = app.mode == mapreduce::Mode::kMapGroup
-                     ? digest_groups(table)
-                     : digest_kv(MapCgReducedView{mapcg});
-  });
 }
 
 }  // namespace sepo::apps

@@ -2,24 +2,15 @@
 // DNA Assembly, Page View Count, Inverted Index).
 //
 // An app is defined by its record parser (`map_record`, emitting KV pairs)
-// plus its bucket organization and combiner; the framework provides the
-// three evaluated execution paths:
-//   * run_gpu     — SEPO hash table on the virtual device (the paper's
-//                   system): the one SEPO run (run_sepo, harness.hpp) that
-//                   sepo-mr shares,
-//   * run_cpu     — the multi-threaded CPU baseline (ChainedHostTable,
-//                   CPU placement),
-//   * run_pinned  — the §VI-D heap-pinned-in-CPU-memory variant (the same
-//                   table, pinned placement).
-// The simulated-device paths run inside SimRun::run, so a failure is a typed
-// RunError on the result. All paths call map_record, so their result
+// plus its bucket organization and combiner. It runs on the engines of the
+// registry (apps/engine.hpp), which see it through AppInfo exactly as they
+// see a MapReduce app; every engine calls map_record, so their result
 // checksums must agree — that equivalence is property-tested.
 #pragma once
 
 #include <string>
 #include <string_view>
 
-#include "apps/harness.hpp"
 #include "core/entry_layout.hpp"
 #include "mapreduce/spec.hpp"
 
@@ -55,14 +46,6 @@ class StandaloneApp {
   // (same record -> same emission sequence): SEPO re-executions rely on it.
   virtual void map_record(std::string_view body,
                           mapreduce::Emitter& em) const = 0;
-
-  // --- execution paths ---
-  [[nodiscard]] RunResult run_gpu(std::string_view input,
-                                  const GpuConfig& cfg = {}) const;
-  [[nodiscard]] RunResult run_cpu(std::string_view input,
-                                  const CpuConfig& cfg = {}) const;
-  [[nodiscard]] RunResult run_pinned(std::string_view input,
-                                     const GpuConfig& cfg = {}) const;
 };
 
 // The concrete apps.

@@ -21,6 +21,8 @@
 #include <string_view>
 #include <vector>
 
+#include "mapreduce/spec.hpp"
+
 namespace sepo::baselines {
 
 // Combining hash table over a flat virtual address space that records every
@@ -64,6 +66,22 @@ class TracedCombiningTable {
   std::vector<std::uint32_t> heads_;  // index into entries_, ~0u = null
   std::vector<Entry> entries_;
   std::vector<std::uint64_t> trace_;
+};
+
+// Feeds a map function's emits into a TracedCombiningTable as <key, +1>
+// inserts; the value is ignored, so only count-combining apps (PVC) replay
+// faithfully.
+class TraceEmitter final : public mapreduce::Emitter {
+ public:
+  explicit TraceEmitter(TracedCombiningTable& t) noexcept : t_(t) {}
+  core::Status emit(std::string_view key,
+                    std::span<const std::byte>) override {
+    t_.insert_count(key);
+    return core::Status::kSuccess;
+  }
+
+ private:
+  TracedCombiningTable& t_;
 };
 
 struct PagingResult {

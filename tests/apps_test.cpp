@@ -3,13 +3,10 @@
 // deterministic and sized, and parsers must handle malformed records.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
 #include "apps/datagen.hpp"
 #include "apps/engine.hpp"
-#include "apps/mr_apps.hpp"
-#include "apps/standalone_app.hpp"
 
 namespace sepo::apps {
 namespace {
@@ -32,35 +29,41 @@ GpuConfig tiny_gpu() {
 
 enum class Which { kPvc, kIi, kDna, kNetflix };
 
-std::unique_ptr<StandaloneApp> make_app(Which w) {
+const AppInfo& find(Which w) {
   switch (w) {
-    case Which::kPvc: return std::make_unique<PageViewCountApp>();
-    case Which::kIi: return std::make_unique<InvertedIndexApp>();
-    case Which::kDna: return std::make_unique<DnaAssemblyApp>();
-    case Which::kNetflix: return std::make_unique<NetflixApp>();
+    case Which::kPvc: return *find_app("pvc");
+    case Which::kIi: return *find_app("ii");
+    case Which::kDna: return *find_app("dna");
+    case Which::kNetflix: return *find_app("netflix");
   }
-  return nullptr;
+  return *find_app("pvc");
+}
+
+// One run of `app` on the registry engine `engine`.
+RunResult run(const char* engine, const AppInfo& app, std::string_view input,
+              const GpuConfig& gpu = {}) {
+  return find_engine(engine)->run(app, input, {.gpu = gpu, .cpu = {}});
 }
 
 class StandaloneAppSuite : public ::testing::TestWithParam<Which> {};
 
 TEST_P(StandaloneAppSuite, GpuCpuAndPinnedAgree) {
-  const auto app = make_app(GetParam());
-  const std::string input = app->generate(kBytes, 31337);
-  const RunResult gpu = app->run_gpu(input, tiny_gpu());
-  const RunResult cpu = app->run_cpu(input);
-  const RunResult pin = app->run_pinned(input, tiny_gpu());
-  EXPECT_EQ(gpu.checksum, cpu.checksum) << app->name();
-  EXPECT_EQ(pin.checksum, cpu.checksum) << app->name();
-  EXPECT_EQ(gpu.keys, cpu.keys) << app->name();
+  const AppInfo& app = find(GetParam());
+  const std::string input = app.generate(kBytes, 31337);
+  const RunResult gpu = run("sepo-gpu", app, input, tiny_gpu());
+  const RunResult cpu = run("cpu", app, input);
+  const RunResult pin = run("pinned", app, input, tiny_gpu());
+  EXPECT_EQ(gpu.checksum, cpu.checksum) << app.title;
+  EXPECT_EQ(pin.checksum, cpu.checksum) << app.title;
+  EXPECT_EQ(gpu.keys, cpu.keys) << app.title;
   EXPECT_GT(gpu.keys, 0u);
 }
 
 TEST_P(StandaloneAppSuite, GeneratorIsDeterministicAndSized) {
-  const auto app = make_app(GetParam());
-  const std::string a = app->generate(kBytes, 1);
-  const std::string b = app->generate(kBytes, 1);
-  const std::string c = app->generate(kBytes, 2);
+  const AppInfo& app = find(GetParam());
+  const std::string a = app.generate(kBytes, 1);
+  const std::string b = app.generate(kBytes, 1);
+  const std::string c = app.generate(kBytes, 2);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_GE(a.size(), kBytes);
@@ -68,14 +71,14 @@ TEST_P(StandaloneAppSuite, GeneratorIsDeterministicAndSized) {
 }
 
 TEST_P(StandaloneAppSuite, SepoIterationsForcedByTinyHeap) {
-  const auto app = make_app(GetParam());
-  const std::string input = app->generate(kBytes, 5);
+  const AppInfo& app = find(GetParam());
+  const std::string input = app.generate(kBytes, 5);
   GpuConfig cfg = tiny_gpu();
   cfg.device_bytes = 512u << 10;  // even tighter
   cfg.num_buckets = 1u << 11;
-  const RunResult gpu = app->run_gpu(input, cfg);
-  const RunResult cpu = app->run_cpu(input);
-  EXPECT_EQ(gpu.checksum, cpu.checksum) << app->name();
+  const RunResult gpu = run("sepo-gpu", app, input, cfg);
+  const RunResult cpu = run("cpu", app, input);
+  EXPECT_EQ(gpu.checksum, cpu.checksum) << app.title;
   if (gpu.table_bytes > gpu.heap_bytes) {
     EXPECT_GT(gpu.iterations, 1u);
   }
@@ -96,44 +99,42 @@ INSTANTIATE_TEST_SUITE_P(AllApps, StandaloneAppSuite,
 
 // ---- MapReduce apps ----
 
-class MrAppSuite : public ::testing::TestWithParam<const MrApp*> {};
+class MrAppSuite : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(MrAppSuite, SepoAndPhoenixAgree) {
-  const MrApp& app = *GetParam();
+  const AppInfo& app = *find_app(GetParam());
   const std::string input = app.generate(kBytes, 41);
-  const RunResult ours = run_mr_sepo(app, input, tiny_gpu());
-  const RunResult phoenix = run_mr_phoenix(app, input);
-  EXPECT_EQ(ours.checksum, phoenix.checksum) << app.name;
-  EXPECT_EQ(ours.keys, phoenix.keys) << app.name;
+  const RunResult ours = run("sepo-mr", app, input, tiny_gpu());
+  const RunResult phoenix = run("phoenix", app, input);
+  EXPECT_EQ(ours.checksum, phoenix.checksum) << app.title;
+  EXPECT_EQ(ours.keys, phoenix.keys) << app.title;
 }
 
 TEST_P(MrAppSuite, SepoAndMapCgAgreeOnSmallInput) {
-  const MrApp& app = *GetParam();
+  const AppInfo& app = *find_app(GetParam());
   const std::string input = app.generate(96u << 10, 42);
-  GpuConfig cfg;  // default 4 MiB device: small input fits MapCG
-  const RunResult ours = run_mr_sepo(app, input, cfg);
-  const RunResult mapcg = run_mr_mapcg(app, input, cfg);
-  EXPECT_EQ(ours.checksum, mapcg.checksum) << app.name;
+  // Default 4 MiB device: small input fits MapCG.
+  const RunResult ours = run("sepo-mr", app, input);
+  const RunResult mapcg = run("mapcg", app, input);
+  EXPECT_EQ(ours.checksum, mapcg.checksum) << app.title;
 }
 
 // sepo-mr sizes its heap from GpuConfig::heap_bytes like sepo-gpu does
 // (Table III's memory sweep pins it), instead of claiming the whole device.
 TEST_P(MrAppSuite, SepoHonorsHeapBytes) {
-  const MrApp& app = *GetParam();
+  const AppInfo& app = *find_app(GetParam());
   const std::string input = app.generate(96u << 10, 43);
   GpuConfig cfg;
   cfg.heap_bytes = 1u << 20;  // a whole number of pages, well under free
-  const RunResult r = run_mr_sepo(app, input, cfg);
-  ASSERT_FALSE(r.error) << app.name << ": " << r.error.message;
-  EXPECT_EQ(r.heap_bytes, cfg.heap_bytes) << app.name;
+  const RunResult r = run("sepo-mr", app, input, cfg);
+  ASSERT_FALSE(r.error) << app.title << ": " << r.error.message;
+  EXPECT_EQ(r.heap_bytes, cfg.heap_bytes) << app.title;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMrApps, MrAppSuite,
-                         ::testing::Values(&word_count_app(),
-                                           &geo_location_app(),
-                                           &patent_citation_app()),
+                         ::testing::Values("wc", "geo", "pc"),
                          [](const auto& info) {
-                           return std::string(info.param->table1_key);
+                           return std::string(info.param);
                          });
 
 // ---- parser robustness ----

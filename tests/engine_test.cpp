@@ -71,13 +71,24 @@ TEST(EngineRegistryTest, SupportMatrixCoversEveryApp) {
     EXPECT_TRUE(resolve_engine("gpu", *app)->supports(*app)) << app->key;
     EXPECT_TRUE(baseline_engine(*app)->supports(*app)) << app->key;
   }
+  // The Figure 7 tables (sepo-gpu, cpu, pinned) run all seven apps; the
+  // MapReduce runtimes (sepo-mr, phoenix, mapcg) only the MapReduce apps.
+  for (const AppInfo* app : all_apps()) {
+    for (const char* name : {"sepo-gpu", "cpu", "pinned"})
+      EXPECT_TRUE(find_engine(name)->supports(*app)) << name << "/" << app->key;
+    for (const char* name : {"sepo-mr", "phoenix", "mapcg"})
+      EXPECT_EQ(find_engine(name)->supports(*app), app->is_mapreduce())
+          << name << "/" << app->key;
+  }
   // stadium runs every standalone app; paging-sim only the count-combining
-  // shape it can replay faithfully.
+  // standalone shape it can replay faithfully (Word Count has that shape,
+  // but is a MapReduce app).
   EXPECT_TRUE(find_engine("stadium")->supports(*find_app("ii")));
   EXPECT_FALSE(find_engine("stadium")->supports(*find_app("wc")));
   EXPECT_TRUE(find_engine("paging-sim")->supports(*find_app("pvc")));
   EXPECT_FALSE(find_engine("paging-sim")->supports(*find_app("dna")));
   EXPECT_FALSE(find_engine("paging-sim")->supports(*find_app("ii")));
+  EXPECT_FALSE(find_engine("paging-sim")->supports(*find_app("wc")));
 }
 
 // The registry's correctness oracle: for each app, every supporting engine

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "apps/standalone_app.hpp"
+#include "apps/engine.hpp"
 #include "gpusim/exec_context.hpp"
 #include "gpusim/fault.hpp"
 #include "gpusim/journal.hpp"
@@ -266,15 +266,15 @@ TEST(FaultExecTest, ZeroRateConfigBitIdenticalToNoInjector) {
 // moves lock_contended, atomic_retries and postponements run to run): these
 // tests check what faults do to a run, not that the schedule is deterministic.
 apps::RunResult run_pvc(const std::string& input, const FaultConfig& faults) {
-  apps::PageViewCountApp app;
-  apps::GpuConfig cfg;
-  cfg.pool_workers = 1;
-  cfg.faults = faults;
-  return app.run_gpu(input, cfg);
+  apps::EngineConfig cfg;
+  cfg.gpu.pool_workers = 1;
+  cfg.gpu.faults = faults;
+  return apps::find_engine("sepo-gpu")->run(*apps::find_app("pvc"), input,
+                                             cfg);
 }
 
 TEST(FaultAppTest, SepoExactlyCorrectUnderTransferFaults) {
-  apps::PageViewCountApp app;
+  const apps::AppInfo& app = *apps::find_app("pvc");
   const std::string input = app.generate(1u << 20, 42);
   const apps::RunResult clean = run_pvc(input, {});
   FaultConfig cfg;
@@ -292,7 +292,7 @@ TEST(FaultAppTest, SepoExactlyCorrectUnderTransferFaults) {
 }
 
 TEST(FaultAppTest, PressurePostponesButNeverCorrupts) {
-  apps::PageViewCountApp app;
+  const apps::AppInfo& app = *apps::find_app("pvc");
   const std::string input = app.generate(1u << 20, 43);
   const apps::RunResult clean = run_pvc(input, {});
   FaultConfig cfg;
@@ -311,7 +311,7 @@ TEST(FaultAppTest, PressurePostponesButNeverCorrupts) {
 }
 
 TEST(FaultAppTest, IdenticalSeedAndConfigIsDeterministic) {
-  apps::PageViewCountApp app;
+  const apps::AppInfo& app = *apps::find_app("pvc");
   const std::string input = app.generate(512u << 10, 44);
   FaultConfig cfg;
   cfg.seed = 21;
@@ -331,13 +331,13 @@ TEST(FaultAppTest, IdenticalSeedAndConfigIsDeterministic) {
 }
 
 TEST(FaultAppTest, PinnedBaselineSurfacesTypedErrorOnRemoteExhaustion) {
-  apps::PageViewCountApp app;
+  const apps::AppInfo& app = *apps::find_app("pvc");
   const std::string input = app.generate(256u << 10, 45);
-  apps::GpuConfig cfg;
-  cfg.faults.seed = 3;
-  cfg.faults.remote_rate = 0.9;  // remote txns keep failing past the budget
-  cfg.faults.max_retries = 2;
-  const apps::RunResult r = app.run_pinned(input, cfg);
+  apps::EngineConfig cfg;
+  cfg.gpu.faults.seed = 3;
+  cfg.gpu.faults.remote_rate = 0.9;  // remote txns fail past the budget
+  cfg.gpu.faults.max_retries = 2;
+  const apps::RunResult r = apps::find_engine("pinned")->run(app, input, cfg);
   ASSERT_TRUE(r.error);
   EXPECT_EQ(r.error.kind, apps::RunError::Kind::kFaultRetriesExhausted);
   EXPECT_FALSE(r.error.message.empty());
@@ -353,14 +353,14 @@ TEST(FaultAppTest, PinnedBaselineSurfacesTypedErrorOnRemoteExhaustion) {
 // events are in simulated-time order, and the tail carries the exhausting
 // retry chain that explains the death.
 TEST(FaultAppTest, PostMortemJournalSurvivesRetryExhaustion) {
-  apps::PageViewCountApp app;
+  const apps::AppInfo& app = *apps::find_app("pvc");
   const std::string input = app.generate(256u << 10, 46);
   EventJournal journal;
-  apps::GpuConfig cfg;
-  cfg.faults.h2d_rate = 1.0;  // the very first staging copy exhausts
-  cfg.faults.max_retries = 2;
-  cfg.journal = &journal;
-  const apps::RunResult r = app.run_gpu(input, cfg);
+  apps::EngineConfig cfg;
+  cfg.gpu.faults.h2d_rate = 1.0;  // the very first staging copy exhausts
+  cfg.gpu.faults.max_retries = 2;
+  cfg.gpu.journal = &journal;
+  const apps::RunResult r = apps::find_engine("sepo-gpu")->run(app, input, cfg);
   ASSERT_TRUE(r.error);
   EXPECT_EQ(r.error.kind, apps::RunError::Kind::kFaultRetriesExhausted);
 
@@ -383,10 +383,10 @@ TEST(FaultAppTest, PostMortemJournalSurvivesRetryExhaustion) {
     if (e.kind == JournalEventKind::kFaultExhausted) {
       ++exhausted;
       EXPECT_EQ(e.arg0, h2d);
-      EXPECT_EQ(e.arg1, cfg.faults.max_retries);
+      EXPECT_EQ(e.arg1, cfg.gpu.faults.max_retries);
     }
   }
-  EXPECT_GE(retries, cfg.faults.max_retries);
+  EXPECT_GE(retries, cfg.gpu.faults.max_retries);
   EXPECT_EQ(exhausted, 1u);
   std::remove(path.c_str());
 }

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "apps/datagen.hpp"
-#include "apps/standalone_app.hpp"
+#include "apps/engine.hpp"
 #include "gpusim/exec_context.hpp"
 #include "gpusim/fault.hpp"
 #include "gpusim/journal.hpp"
@@ -234,18 +234,19 @@ TEST(JournalTest, FaultRetryChainIsJournaled) {
 // simulation. Everything except host wall clock is compared through the
 // full metrics serialization — bit-identical JSON.
 TEST(JournalTest, JournalOnOffRunsAreBitIdentical) {
-  apps::PageViewCountApp app;
+  const apps::AppInfo& app = *apps::find_app("pvc");
+  const apps::Engine& sepo = *apps::find_engine("sepo-gpu");
   const std::string input = app.generate(512u << 10, 42);
   // One pool worker on both runs: this checks that the journal leaves the
   // simulation unchanged, not that the parallel schedule is deterministic.
-  apps::GpuConfig plain_cfg;
-  plain_cfg.pool_workers = 1;
-  apps::RunResult plain = app.run_gpu(input, plain_cfg);
+  apps::EngineConfig plain_cfg;
+  plain_cfg.gpu.pool_workers = 1;
+  apps::RunResult plain = sepo.run(app, input, plain_cfg);
   EventJournal j;
-  apps::GpuConfig journal_cfg;
-  journal_cfg.pool_workers = 1;
-  journal_cfg.journal = &j;
-  apps::RunResult recorded = app.run_gpu(input, journal_cfg);
+  apps::EngineConfig journal_cfg;
+  journal_cfg.gpu.pool_workers = 1;
+  journal_cfg.gpu.journal = &j;
+  apps::RunResult recorded = sepo.run(app, input, journal_cfg);
   ASSERT_FALSE(plain.error);
   ASSERT_FALSE(recorded.error);
   EXPECT_GT(j.events_recorded(), 0u);
@@ -256,9 +257,9 @@ TEST(JournalTest, JournalOnOffRunsAreBitIdentical) {
 }
 
 TEST(JournalTest, SamplerEmitsOneOccupancySamplePerIteration) {
-  apps::PageViewCountApp app;
+  const apps::AppInfo& app = *apps::find_app("pvc");
   const std::string input = app.generate(512u << 10, 43);
-  const apps::RunResult r = app.run_gpu(input, {});
+  const apps::RunResult r = apps::find_engine("sepo-gpu")->run(app, input, {});
   ASSERT_FALSE(r.error);
   ASSERT_GT(r.iterations, 0u);
   ASSERT_EQ(r.timeseries.size(), r.iterations);
@@ -285,9 +286,9 @@ TEST(JournalTest, SamplerEmitsOneOccupancySamplePerIteration) {
 // pages_used_peak is read just before the flush: on DNA Assembly #4 the
 // first pass fills all 415 heap pages before it postpones.
 TEST(OccupancyPeakTest, DnaDataset4FirstPassFillsTheHeap) {
-  apps::DnaAssemblyApp app;
+  const apps::AppInfo& app = *apps::find_app("dna");
   const std::string input = app.generate(apps::table1_bytes("dna", 4), 42);
-  const apps::RunResult r = app.run_gpu(input, {});
+  const apps::RunResult r = apps::find_engine("sepo-gpu")->run(app, input, {});
   ASSERT_FALSE(r.error);
   ASSERT_GT(r.timeseries.size(), 1u);
   for (const OccupancySample& s : r.timeseries) {

@@ -12,8 +12,7 @@
 #include <vector>
 
 #include "apps/datagen.hpp"
-#include "apps/mr_apps.hpp"
-#include "apps/standalone_app.hpp"
+#include "apps/engine.hpp"
 #include "gpusim/counters.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -32,6 +31,12 @@ GpuConfig small_gpu() {
   cfg.num_buckets = 1u << 12;
   cfg.buckets_per_group = 256;
   return cfg;
+}
+
+// One Word Count run on the sepo-mr engine.
+RunResult run_wc(std::string_view input, const GpuConfig& gpu) {
+  return apps::find_engine("sepo-mr")->run(*apps::find_app("wc"), input,
+                                            {.gpu = gpu, .cpu = {}});
 }
 
 // ---- JSON value tree ----
@@ -122,9 +127,9 @@ class WordCountMetrics : public ::testing::Test {
  protected:
   static const RunResult& run() {
     static const RunResult r = [] {
-      const auto& app = apps::word_count_app();
+      const apps::AppInfo& app = *apps::find_app("wc");
       const std::string input = app.generate(256u << 10, 7);
-      return apps::run_mr_sepo(app, input, small_gpu());
+      return run_wc(input, small_gpu());
     }();
     return r;
   }
@@ -209,11 +214,11 @@ class TracedRun : public ::testing::Test {
   static const TraceRecorder& rec() {
     static TraceRecorder* r = [] {
       auto* rec = new TraceRecorder;
-      const auto& app = apps::word_count_app();
+      const apps::AppInfo& app = *apps::find_app("wc");
       const std::string input = app.generate(256u << 10, 7);
       GpuConfig cfg = small_gpu();
       cfg.trace = rec;
-      (void)apps::run_mr_sepo(app, input, cfg);
+      (void)run_wc(input, cfg);
       return rec;
     }();
     return *r;
@@ -324,11 +329,11 @@ TEST(MetricsDeterminism, IdenticalRunsExportBitIdenticalJson) {
   // atomic_retries are scheduling-dependent with more workers); the host
   // wall clock is zeroed as the one intentionally host-dependent field.
   auto run_once = [] {
-    const auto& app = apps::word_count_app();
+    const apps::AppInfo& app = *apps::find_app("wc");
     const std::string input = app.generate(128u << 10, 13);
     GpuConfig cfg = small_gpu();
     cfg.pool_workers = 1;
-    RunResult r = apps::run_mr_sepo(app, input, cfg);
+    RunResult r = run_wc(input, cfg);
     r.wall_seconds = 0;
     return r;
   };
@@ -346,17 +351,17 @@ TEST(MetricsDeterminism, IdenticalRunsExportBitIdenticalJson) {
 }
 
 TEST(TraceDeterminism, SimulatedResultsIdenticalWithAndWithoutTracing) {
-  const auto& app = apps::word_count_app();
+  const apps::AppInfo& app = *apps::find_app("wc");
   const std::string input = app.generate(256u << 10, 11);
 
   // One pool worker on both runs, as in MetricsDeterminism: this checks that
   // tracing leaves the simulation unchanged, not the parallel schedule.
   GpuConfig cfg = small_gpu();
   cfg.pool_workers = 1;
-  const RunResult plain = apps::run_mr_sepo(app, input, cfg);
+  const RunResult plain = run_wc(input, cfg);
   TraceRecorder rec;
   cfg.trace = &rec;
-  const RunResult traced = apps::run_mr_sepo(app, input, cfg);
+  const RunResult traced = run_wc(input, cfg);
 
   // Bit-identical, not approximately equal: recording must not perturb the
   // simulation.

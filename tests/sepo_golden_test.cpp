@@ -117,6 +117,39 @@ constexpr Golden kGolden[] = {
      "driver_iterations=2 heap_bytes=286720 "
      "hist=15277,1080,26,1,0,0,0,0,0,0,0,0,0,0,0,0,0",
      0x1.298d3b22a7052p-13},
+    // sepo-gpu runs the MapReduce apps through the same run path as
+    // sepo-mr, so its rows repeat sepo-mr's fingerprints.
+    {"wc", "sepo-gpu",
+     "records_processed=540 records_scanned=540 work_units=48709 "
+     "hash_ops=5770 key_compare_bytes=34184 chain_links_walked=4608 "
+     "inserts_new=1492 combines=4278 alloc_ops=1492 page_acquires=32 "
+     "lock_acquires=7262 kernel_launches=1 iterations=1 h2d_bytes=49248 "
+     "h2d_txns=1 d2h_bytes=195720 d2h_txns=33 keys=1492 "
+     "checksum=195287702378123474 table_bytes=64648 driver_iterations=1 "
+     "heap_bytes=286720 hist=14954,1370,58,2,0,0,0,0,0,0,0,0,0,0,0,0,0",
+     0x1.5ad16b53465f4p-13},
+    {"pc", "sepo-gpu",
+     "records_processed=3625 records_postponed=1665 records_scanned=7250 "
+     "work_units=66408 hash_ops=5290 key_compare_bytes=3219 "
+     "chain_links_walked=700 inserts_new=3457 value_appends=3625 "
+     "alloc_ops=8747 alloc_fails=1665 page_acquires=64 "
+     "lock_acquires=14124 kernel_launches=4 iterations=2 h2d_bytes=98304 "
+     "h2d_txns=2 d2h_bytes=413008 d2h_txns=65 keys=3457 "
+     "checksum=6273938153972494048 table_bytes=281936 "
+     "driver_iterations=2 heap_bytes=286720 "
+     "hist=13253,2818,300,13,0,0,0,0,0,0,0,0,0,0,0,0,0",
+     0x1.4488d42ff8f77p-13},
+    {"geo", "sepo-gpu",
+     "records_processed=1177 records_postponed=512 records_scanned=2354 "
+     "work_units=68783 hash_ops=1689 key_compare_bytes=2851 "
+     "chain_links_walked=132 inserts_new=1135 value_appends=1177 "
+     "alloc_ops=2824 alloc_fails=512 page_acquires=64 lock_acquires=4542 "
+     "kernel_launches=4 iterations=2 h2d_bytes=98338 h2d_txns=2 "
+     "d2h_bytes=260280 d2h_txns=65 keys=1135 "
+     "checksum=4243751406824444527 table_bytes=129208 "
+     "driver_iterations=2 heap_bytes=286720 "
+     "hist=15277,1080,26,1,0,0,0,0,0,0,0,0,0,0,0,0,0",
+     0x1.298d3b22a7052p-13},
 };
 
 TEST(SepoGoldenCounterTest, SepoEnginesMatchRecordedCounters) {

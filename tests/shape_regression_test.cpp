@@ -7,52 +7,56 @@
 #include <string>
 
 #include "apps/datagen.hpp"
-#include "apps/mr_apps.hpp"
-#include "apps/standalone_app.hpp"
-#include "baselines/mapcg.hpp"
+#include "apps/engine.hpp"
 
 namespace sepo::apps {
 namespace {
 
 constexpr std::size_t kInput = 1u << 20;  // 1 MiB keeps this suite fast
 
+// One run of `app` on the registry engine `engine`.
+RunResult run(const char* engine, const AppInfo& app, std::string_view input,
+              const GpuConfig& gpu = {}) {
+  return find_engine(engine)->run(app, input, {.gpu = gpu, .cpu = {}});
+}
+
 TEST(ShapeRegression, PvcGpuBeatsCpu) {
-  PageViewCountApp app;
+  const AppInfo& app = *find_app("pvc");
   const std::string input = app.generate(kInput, 71);
-  const RunResult gpu = app.run_gpu(input);
-  const RunResult cpu = app.run_cpu(input);
+  const RunResult gpu = run("sepo-gpu", app, input);
+  const RunResult cpu = run("cpu", app, input);
   EXPECT_GT(cpu.sim_seconds / gpu.sim_seconds, 2.0);  // paper ~3.5
 }
 
 TEST(ShapeRegression, InvertedIndexGpuDoesNotBeatCpu) {
   // §VI-B: II's divergent parser keeps the GPU at or below the CPU.
-  InvertedIndexApp app;
+  const AppInfo& app = *find_app("ii");
   const std::string input = app.generate(2 * kInput, 72);
-  const RunResult gpu = app.run_gpu(input);
-  const RunResult cpu = app.run_cpu(input);
+  const RunResult gpu = run("sepo-gpu", app, input);
+  const RunResult cpu = run("cpu", app, input);
   EXPECT_LT(cpu.sim_seconds / gpu.sim_seconds, 1.5);
 }
 
 TEST(ShapeRegression, WordCountIsTheWeakestMapReduceApp) {
   // §VI-B: Word Count's hot-word lock contention caps its speedup below the
   // other MapReduce apps'.
-  const std::string wc_in = word_count_app().generate(2 * kInput, 73);
-  const std::string pc_in = patent_citation_app().generate(2 * kInput, 73);
-  const double wc_speedup =
-      run_mr_phoenix(word_count_app(), wc_in).sim_seconds /
-      run_mr_sepo(word_count_app(), wc_in).sim_seconds;
-  const double pc_speedup =
-      run_mr_phoenix(patent_citation_app(), pc_in).sim_seconds /
-      run_mr_sepo(patent_citation_app(), pc_in).sim_seconds;
+  const AppInfo& wc = *find_app("wc");
+  const AppInfo& pc = *find_app("pc");
+  const std::string wc_in = wc.generate(2 * kInput, 73);
+  const std::string pc_in = pc.generate(2 * kInput, 73);
+  const double wc_speedup = run("phoenix", wc, wc_in).sim_seconds /
+                            run("sepo-mr", wc, wc_in).sim_seconds;
+  const double pc_speedup = run("phoenix", pc, pc_in).sim_seconds /
+                            run("sepo-mr", pc, pc_in).sim_seconds;
   EXPECT_LT(wc_speedup, pc_speedup);
 }
 
 TEST(ShapeRegression, PinnedIsSlowerThanSepo) {
   // Figure 7: the pinned-in-CPU-memory table loses to SEPO badly.
-  PageViewCountApp app;
+  const AppInfo& app = *find_app("pvc");
   const std::string input = app.generate(kInput, 74);
-  const RunResult gpu = app.run_gpu(input);
-  const RunResult pin = app.run_pinned(input);
+  const RunResult gpu = run("sepo-gpu", app, input);
+  const RunResult pin = run("pinned", app, input);
   EXPECT_GT(pin.sim_seconds, 2.0 * gpu.sim_seconds);
   EXPECT_EQ(pin.checksum, gpu.checksum);
 }
@@ -60,8 +64,8 @@ TEST(ShapeRegression, PinnedIsSlowerThanSepo) {
 TEST(ShapeRegression, WordCountGpuTimeIsMostlyHotLockSerialization) {
   // §VI-B explains Word Count's GPU result by lock contention on the few hot
   // words: the serialization term outweighs the whole timeline makespan.
-  const RunResult r =
-      run_mr_sepo(word_count_app(), word_count_app().generate(2 * kInput, 73));
+  const AppInfo& wc = *find_app("wc");
+  const RunResult r = run("sepo-mr", wc, wc.generate(2 * kInput, 73));
   ASSERT_FALSE(r.error);
   EXPECT_GT(r.serialization_seconds, r.timeline.total);
 }
@@ -69,24 +73,24 @@ TEST(ShapeRegression, WordCountGpuTimeIsMostlyHotLockSerialization) {
 TEST(ShapeRegression, PinnedLosesOnRemoteTrafficAlone) {
   // Figure 7's explanation: many small PCIe transactions. Pinned's remote
   // traffic alone takes longer than SEPO's whole run on the same input.
-  PageViewCountApp app;
+  const AppInfo& app = *find_app("pvc");
   const std::string input = app.generate(kInput, 74);
-  const RunResult gpu = app.run_gpu(input);
-  const RunResult pin = app.run_pinned(input);
+  const RunResult gpu = run("sepo-gpu", app, input);
+  const RunResult pin = run("pinned", app, input);
   EXPECT_GT(pin.timeline.remote_busy, gpu.sim_seconds);
 }
 
 TEST(ShapeRegression, SepoDegradesGracefullyWithShrinkingHeap) {
   // Table III's last column: halving the heap must not double the time.
-  PageViewCountApp app;
+  const AppInfo& app = *find_app("pvc");
   const std::string input = app.generate(4 * kInput, 75);
   GpuConfig big, small;
   big.device_bytes = 16u << 20;
   small.device_bytes = 16u << 20;
   big.heap_bytes = 8u << 20;
   small.heap_bytes = 2u << 20;
-  const RunResult rb = app.run_gpu(input, big);
-  const RunResult rs = app.run_gpu(input, small);
+  const RunResult rb = run("sepo-gpu", app, input, big);
+  const RunResult rs = run("sepo-gpu", app, input, small);
   EXPECT_EQ(rb.iterations, 1u);
   EXPECT_GT(rs.iterations, rb.iterations);
   EXPECT_LT(rs.sim_seconds, 2.0 * rb.sim_seconds);
@@ -96,14 +100,13 @@ TEST(ShapeRegression, SepoDegradesGracefullyWithShrinkingHeap) {
 TEST(ShapeRegression, MapCgFailsWhereSepoSucceeds) {
   // Table II's bottom half: no SEPO -> hard failure past device memory,
   // surfaced as a typed RunError on the result instead of an escaping throw.
-  const auto& wc = word_count_app();
+  const AppInfo& wc = *find_app("wc");
   const std::string input = wc.generate(3u << 20, 76);
-  GpuConfig cfg;  // 4 MiB device
-  const RunResult theirs = run_mr_mapcg(wc, input, cfg);
+  const RunResult theirs = run("mapcg", wc, input);  // 4 MiB device
   ASSERT_TRUE(theirs.error);
   EXPECT_EQ(theirs.error.kind, RunError::Kind::kDeviceOutOfMemory);
   EXPECT_FALSE(theirs.error.message.empty());
-  const RunResult ours = run_mr_sepo(wc, input, cfg);
+  const RunResult ours = run("sepo-mr", wc, input);
   EXPECT_FALSE(ours.error);
   EXPECT_GE(ours.iterations, 1u);
 }
@@ -111,12 +114,12 @@ TEST(ShapeRegression, MapCgFailsWhereSepoSucceeds) {
 TEST(ShapeRegression, CombiningUsesLessMemoryThanBasic) {
   // Figure 4: combining's table is a fraction of basic's on duplicate-heavy
   // data.
-  PageViewCountApp pvc;  // combining
+  const AppInfo& pvc = *find_app("pvc");  // combining
   // Duplicate-heavy log: the organizations' footprints diverge on repeats.
   const std::string input =
       gen_weblog({.target_bytes = kInput, .seed = 77}, /*distinct_urls=*/2000,
                  /*zipf_s=*/1.0);
-  const RunResult combining = pvc.run_gpu(input);
+  const RunResult combining = run("sepo-gpu", pvc, input);
 
   class BasicPvc final : public StandaloneApp {
    public:
@@ -133,7 +136,8 @@ TEST(ShapeRegression, CombiningUsesLessMemoryThanBasic) {
       PageViewCountApp{}.map_record(body, em);
     }
   } basic;
-  const RunResult raw = basic.run_gpu(input);
+  const RunResult raw =
+      run("sepo-gpu", AppInfo{"basic-pvc", basic.name(), &basic}, input);
   EXPECT_LT(combining.table_bytes * 2, raw.table_bytes);
 }
 

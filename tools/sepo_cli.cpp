@@ -967,6 +967,7 @@ void report_occupancy(const obs::Json& r) {
   if (!series.is_array() || series.size() == 0) return;
   std::uint64_t pages_total = 0, used_max = 0, used_iter = 0;
   std::uint64_t seized_max = 0, staging_max = 0, staging_slots = 0;
+  bool first = true;
   for (const auto& s : series.elements()) {
     pages_total = s["pages_total"].as_u64();
     staging_slots = s["staging_slots"].as_u64();
@@ -975,9 +976,12 @@ void report_occupancy(const obs::Json& r) {
         peak != nullptr ? peak->as_u64()
                         : pages_total - s["pages_free"].as_u64() -
                               s["pages_seized"].as_u64();
-    if (used >= used_max) {
+    // Strictly greater: the report names the first iteration that reached
+    // the high-water, which later ones may only repeat.
+    if (first || used > used_max) {
       used_max = used;
       used_iter = s["iteration"].as_u64();
+      first = false;
     }
     seized_max = std::max(seized_max, s["pages_seized"].as_u64());
     staging_max = std::max(staging_max, s["staging_busy"].as_u64());

@@ -32,6 +32,9 @@
 //                          dataset #4 (8 SEPO iterations, multi-valued)
 //   dna_sepo_gpu_d4        an end-to-end DNA Assembly sepo-gpu run at
 //                          dataset #4 (table ~4.5x the device heap)
+//   pc_phoenix_d4          end-to-end Phoenix++-style CPU runs at dataset #4
+//   wc_phoenix_d4          (the pc-group and wc-resident reference jobs):
+//                          per-thread map, partitioned merge, digest
 //
 // and writes BENCH_host.json (obs::kBenchSchemaVersion), with the command
 // line that produced it, when --metrics-out is given; `sepo_cli
@@ -463,10 +466,13 @@ int main(int argc, char** argv) {
   }
 
   // End-to-end rows at paper dataset #4: one full engine run per rep, on
-  // the jobbench pc-group and dna-spill jobs (seed 1).
+  // the inputs of the jobbench pc-group, dna-spill and wc-resident jobs
+  // (seed 1).
   for (const auto& [row, app_key, engine_name] :
        {std::tuple{"pc_sepo_mr_d4", "pc", "sepo-mr"},
-        std::tuple{"dna_sepo_gpu_d4", "dna", "sepo-gpu"}}) {
+        std::tuple{"dna_sepo_gpu_d4", "dna", "sepo-gpu"},
+        std::tuple{"pc_phoenix_d4", "pc", "phoenix"},
+        std::tuple{"wc_phoenix_d4", "wc", "phoenix"}}) {
     const apps::AppInfo& app = *apps::find_app(app_key);
     const apps::Engine& engine = *apps::find_engine(engine_name);
     const std::size_t bytes =
@@ -474,6 +480,7 @@ int main(int argc, char** argv) {
     const std::string input = app.generate(bytes, 1);
     apps::EngineConfig ecfg;
     ecfg.gpu.pool_workers = workers;
+    ecfg.cpu.pool_workers = workers;
     results.push_back(bench(row, bytes, reps, [&] {
       const apps::RunResult r = engine.run(app, input, ecfg);
       if (r.error || r.checksum == 0) {

@@ -54,15 +54,16 @@ int main(int argc, char** argv) {
 
   // §VI-C: "the execution fails when there is no more free memory to store
   // newly inserted KV pairs" — MapCG cannot process dataset #2 and beyond.
-  // These runs stay out of the metrics report: a MapCG run refused before
-  // any simulated work has no sim_seconds to record.
+  // The failed runs go into the metrics report with their error; one refused
+  // before any simulated work (#4) records sim_seconds 0.
   if (!sweep.tiny()) {
     std::printf("\nMapCG on larger datasets (no SEPO, no larger-than-memory "
                 "support):\n");
     const AppInfo& wc = *find_app("wc");
     for (int d = 2; d <= 4; ++d) {
       const std::string input = wc.generate(table1_bytes("wc", d), 78);
-      const RunResult failed = mapcg.run(wc, input, sweep.config());
+      const RunResult failed = sweep.run(wc, mapcg, input, sweep.config(),
+                                         obs::Json::object().set("dataset", d));
       if (failed.error)
         std::printf("  Word Count dataset #%d (%.1f MiB): FAILED (%s) — %s\n",
                     d, static_cast<double>(input.size()) / (1 << 20),

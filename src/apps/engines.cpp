@@ -20,11 +20,18 @@ namespace sepo::apps {
 
 namespace {
 
-// Order-independent digest of a finished table of organization `org`.
-template <typename Table>
-std::uint64_t digest(core::Organization org, const Table& t) {
-  return org == core::Organization::kMultiValued ? digest_groups(t)
-                                                 : digest_kv(t);
+// Order-independent digests of a finished table, summed per bucket range
+// on the table's pool (HostTable) or on `pool` (ChainedHostTable).
+std::uint64_t digest(const core::HostTable& t) {
+  return t.organization() == core::Organization::kMultiValued
+             ? digest_groups(t)
+             : digest_kv(t);
+}
+std::uint64_t digest(const baselines::ChainedHostTable& t,
+                     gpusim::ThreadPool& pool) {
+  return t.organization() == core::Organization::kMultiValued
+             ? t.sum_groups(group_digest_term, pool)
+             : t.sum_entries(kv_digest_term, pool);
 }
 
 // ------------------------------------------------------------------ SEPO
@@ -39,7 +46,7 @@ void fill_sepo_result(RunResult& r, const core::SepoHashTable& ht,
   r.iterations = dres.iterations;
   r.table_bytes = ht.table_stats().table_bytes;
   r.keys = table.entry_count();
-  r.checksum = digest(table.organization(), table);
+  r.checksum = digest(table);
   r.iteration_profiles = dres.profiles;
   r.timeseries = dres.timeseries;
   r.bucket_histogram = table.occupancy_histogram();
@@ -112,7 +119,7 @@ RunResult run_cpu(const AppInfo& app, std::string_view input,
   r.iterations = 1;
   r.table_bytes = table.allocated_bytes();
   r.keys = table.entry_count();
-  r.checksum = digest(org, table);
+  r.checksum = digest(table, pool);
   fill_cpu_times(r);
   r.wall_seconds = timer.seconds();
   return r;
@@ -140,7 +147,7 @@ RunResult run_phoenix(const AppInfo& app, std::string_view input,
   r.iterations = 1;
   r.table_bytes = table->allocated_bytes();
   r.keys = table->entry_count();
-  r.checksum = digest(app.organization(), *table);
+  r.checksum = digest(*table, pool);
   fill_cpu_times(r);
   r.wall_seconds = timer.seconds();
   return r;
@@ -176,18 +183,9 @@ RunResult run_pinned(const AppInfo& app, std::string_view input,
           return core::Status::kSuccess;
         });
     r.keys = table.entry_count();
-    r.checksum = digest(org, table);
+    r.checksum = digest(table, sim.pool);
   });
 }
-
-// Adapter so digest_kv works over MapCG's reduced view.
-struct MapCgReducedView {
-  const baselines::MapCgRuntime& rt;
-  template <typename Fn>
-  void for_each(const Fn& fn) const {
-    rt.for_each_reduced(fn);
-  }
-};
 
 // The MapCG-style GPU runtime. It has no SEPO: an input or table that
 // outgrows the device is a structural failure of the whole run (paper §II).
@@ -203,8 +201,8 @@ RunResult run_mapcg(const AppInfo& app, std::string_view input,
     mapcg.run(input, app.mr->spec());
     r.keys = table.entry_count();
     r.checksum = app.organization() == core::Organization::kMultiValued
-                     ? digest_groups(table)
-                     : digest_kv(MapCgReducedView{mapcg});
+                     ? digest(table, sim.pool)
+                     : mapcg.sum_reduced(kv_digest_term, sim.pool);
   });
 }
 
@@ -229,18 +227,14 @@ class StadiumEmitter final : public mapreduce::Emitter {
 // like digest_kv / digest_groups. keys = distinct keys after the merge;
 // stats.inserts_new keeps the raw stored-pair count.
 void digest_stadium(const AppInfo& app,
-                    const baselines::ChainedHostTable& table, RunResult& r) {
+                    const baselines::ChainedHostTable& table,
+                    gpusim::ThreadPool& pool, RunResult& r) {
   switch (app.organization()) {
-    case core::Organization::kBasic: {
-      std::uint64_t sum = 0, pairs = 0;
-      table.for_each([&](std::string_view k, std::span<const std::byte> v) {
-        sum += kv_digest_term(k, v);
-        ++pairs;
-      });
-      r.checksum = sum;
-      r.keys = pairs;  // basic keeps duplicates everywhere
+    case core::Organization::kBasic:
+      // The store is a basic table itself: no merge.
+      r.checksum = digest(table, pool);
+      r.keys = table.entry_count();  // basic keeps duplicates everywhere
       return;
-    }
     case core::Organization::kCombining: {
       const core::CombineFn combine = app.combiner();
       std::unordered_map<std::string, std::vector<std::byte>> merged;
@@ -311,7 +305,7 @@ RunResult run_stadium(const AppInfo& app, std::string_view input,
     }
     (void)sim.ctx.finish_launch(launch, idx.size());
     if (failure) std::rethrow_exception(failure);
-    digest_stadium(app, table.table(), r);
+    digest_stadium(app, table.table(), sim.pool, r);
   });
 }
 

@@ -204,9 +204,7 @@ ChainedHostTable::lookup_group(std::string_view key) const {
 void ChainedHostTable::for_each(
     const std::function<void(std::string_view, std::span<const std::byte>)>&
         fn) const {
-  for (std::uint32_t b = 0; b < num_buckets(); ++b)
-    for (const auto* e = chain<KvEntry>(b); e != nullptr; e = e->next)
-      fn(e->key(), std::span{e->value_data(), e->val_len});
+  for (std::uint32_t b = 0; b < num_buckets(); ++b) for_each_in(b, fn);
 }
 
 void ChainedHostTable::for_each_group(
@@ -214,14 +212,8 @@ void ChainedHostTable::for_each_group(
                              const std::vector<std::span<const std::byte>>&)>&
         fn) const {
   std::vector<std::span<const std::byte>> vals;
-  for (std::uint32_t b = 0; b < num_buckets(); ++b) {
-    for (const auto* e = chain<KeyEntry>(b); e != nullptr; e = e->next) {
-      vals.clear();
-      for (const auto* v = e->vhead; v != nullptr; v = v->next)
-        vals.emplace_back(v->value_data(), v->val_len);
-      fn(e->key(), vals);
-    }
-  }
+  for (std::uint32_t b = 0; b < num_buckets(); ++b)
+    for_each_group_in(b, vals, fn);
 }
 
 }  // namespace sepo::baselines

@@ -45,6 +45,7 @@
 
 #include "common/hashing.hpp"
 #include "core/entry_layout.hpp"
+#include "core/host_table.hpp"
 #include "core/sepo.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
@@ -52,6 +53,7 @@
 #include "gpusim/launch.hpp"
 #include "gpusim/pcie.hpp"
 #include "gpusim/sharded_counters.hpp"
+#include "gpusim/thread_pool.hpp"
 #include "mapreduce/spec.hpp"
 
 namespace sepo::baselines {
@@ -183,6 +185,9 @@ class ChainedHostTable {
     return fn();
   }
 
+  [[nodiscard]] core::Organization organization() const noexcept {
+    return cfg_.org;
+  }
   [[nodiscard]] std::uint32_t num_buckets() const noexcept {
     return bucket_mask_ + 1;
   }
@@ -210,6 +215,27 @@ class ChainedHostTable {
   [[nodiscard]] std::optional<std::vector<std::span<const std::byte>>>
   lookup_group(std::string_view key) const;
 
+  // Visits bucket `b`'s entries, newest first: fn(key, value_bytes).
+  template <typename Fn>
+  void for_each_in(std::uint32_t b, const Fn& fn) const {
+    for (const auto* e = chain<KvEntry>(b); e != nullptr; e = e->next)
+      fn(e->key(), std::span{e->value_data(), e->val_len});
+  }
+  // Visits bucket `b`'s key groups, newest first: fn(key, vals), the key's
+  // values newest first, gathered into the caller's scratch `vals`.
+  template <typename Fn>
+  void for_each_group_in(std::uint32_t b,
+                         std::vector<std::span<const std::byte>>& vals,
+                         const Fn& fn) const {
+    for (const auto* e = chain<KeyEntry>(b); e != nullptr; e = e->next) {
+      vals.clear();
+      for (const auto* v = e->vhead; v != nullptr; v = v->next)
+        vals.emplace_back(v->value_data(), v->val_len);
+      fn(e->key(), vals);
+    }
+  }
+
+  // for_each_in / for_each_group_in over every bucket, in bucket order.
   void for_each(
       const std::function<void(std::string_view, std::span<const std::byte>)>&
           fn) const;
@@ -217,6 +243,38 @@ class ChainedHostTable {
       const std::function<void(std::string_view,
                                const std::vector<std::span<const std::byte>>&)>&
           fn) const;
+
+  // Sums term(key, value_bytes) over every entry (basic, combining), or
+  // term(key, values) over every key group (multi-valued), one partial per
+  // bucket range on `pool` (core::sum_bucket_ranges); `term` runs
+  // concurrently. The wrapping sum is the same at any worker count.
+  template <typename Term>
+  [[nodiscard]] std::uint64_t sum_entries(const Term& term,
+                                          gpusim::ThreadPool& pool) const {
+    const auto range_sum = [&](std::size_t lo, std::size_t hi) {
+      std::uint64_t sum = 0;
+      for (auto b = static_cast<std::uint32_t>(lo); b < hi; ++b)
+        for_each_in(b, [&](std::string_view k, std::span<const std::byte> v) {
+          sum += term(k, v);
+        });
+      return sum;
+    };
+    return core::sum_bucket_ranges(pool, num_buckets(), range_sum);
+  }
+  template <typename Term>
+  [[nodiscard]] std::uint64_t sum_groups(const Term& term,
+                                         gpusim::ThreadPool& pool) const {
+    const auto range_sum = [&](std::size_t lo, std::size_t hi) {
+      std::vector<std::span<const std::byte>> vals;
+      std::uint64_t sum = 0;
+      for (auto b = static_cast<std::uint32_t>(lo); b < hi; ++b)
+        for_each_group_in(b, vals, [&](std::string_view k, const auto& vs) {
+          sum += term(k, vs);
+        });
+      return sum;
+    };
+    return core::sum_bucket_ranges(pool, num_buckets(), range_sum);
+  }
 
   // Exact when no insert is in flight.
   [[nodiscard]] std::size_t entry_count() const noexcept {

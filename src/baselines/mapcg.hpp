@@ -45,10 +45,22 @@ class MapCgRuntime {
   // each key's value list with spec.combine.
   void run(std::string_view input, const mapreduce::MrSpec& spec);
 
-  // kMapReduce results (valid after run): fn(key, reduced_value).
+  // kMapReduce results (valid after run): fn(key, reduced_value), the
+  // reduced value being the head of the key's value list.
   void for_each_reduced(
       const std::function<void(std::string_view, std::span<const std::byte>)>&
           fn) const;
+  // Sums term(key, reduced_value) over every key, per bucket range on `pool`
+  // (ChainedHostTable::sum_groups).
+  template <typename Term>
+  [[nodiscard]] std::uint64_t sum_reduced(const Term& term,
+                                          gpusim::ThreadPool& pool) const {
+    return table_.sum_groups(
+        [&](std::string_view k, const auto& vals) {
+          return vals.empty() ? std::uint64_t{0} : term(k, vals.front());
+        },
+        pool);
+  }
 
   // The multi-valued device table: keys, value lists, serial atomics and
   // bucket load.

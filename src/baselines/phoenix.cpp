@@ -1,8 +1,10 @@
 #include "baselines/phoenix.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/strings.hpp"
+#include "gpusim/worker_id.hpp"
 
 namespace sepo::baselines {
 
@@ -45,26 +47,36 @@ std::unique_ptr<ChainedHostTable> PhoenixRuntime::run(
     }
   });
 
-  // --- merge phase: fold per-thread containers into the final table ---
+  // --- merge phase: fold the per-thread containers into the final table,
+  // one residue range per pool task (see the header) ---
   auto merged = std::make_unique<ChainedHostTable>(
       stats_, ChainedHostTableConfig{.org = org,
                                      .num_buckets = cfg_.merged_table_buckets,
                                      .combiner = spec.combine});
-
-  if (org == core::Organization::kCombining) {
-    for (std::uint32_t t = 0; t < cfg_.num_threads; ++t)
-      locals[t]->for_each([&](std::string_view k,
-                              std::span<const std::byte> v) {
-        merged->insert(t, k, v);
+  const std::uint32_t local_buckets = cfg_.thread_table_buckets;
+  const std::uint32_t m = std::min(local_buckets, cfg_.merged_table_buckets);
+  core::for_each_bucket_range(
+      pool_, m, [&](std::size_t, std::size_t lo, std::size_t hi) {
+        const auto tid =
+            static_cast<std::uint32_t>(gpusim::current_worker_index());
+        const auto insert = [&](std::string_view k,
+                                std::span<const std::byte> v) {
+          merged->insert(tid, k, v);
+        };
+        std::vector<std::span<const std::byte>> vals;
+        for (const auto& local : locals)
+          for (std::uint32_t base = 0; base < local_buckets; base += m)
+            for (auto b = static_cast<std::uint32_t>(base + lo); b < base + hi;
+                 ++b) {
+              if (org == core::Organization::kCombining)
+                local->for_each_in(b, insert);
+              else
+                local->for_each_group_in(
+                    b, vals, [&](std::string_view k, const auto& vs) {
+                      for (const auto& v : vs) insert(k, v);
+                    });
+            }
       });
-  } else {
-    for (std::uint32_t t = 0; t < cfg_.num_threads; ++t)
-      locals[t]->for_each_group(
-          [&](std::string_view k,
-              const std::vector<std::span<const std::byte>>& vals) {
-            for (const auto& v : vals) merged->insert(t, k, v);
-          });
-  }
   return merged;
 }
 

@@ -6,7 +6,20 @@
 // Faithful to Phoenix++'s key design: each worker thread maps its share of
 // the input into a *private* hash container (no locking on the hot path,
 // combining/grouping applied eagerly), followed by a merge phase that folds
-// the per-thread containers into the final table.
+// the per-thread containers into the final table in parallel.
+//
+// The merge partitions by bucket residue. Both bucket counts are powers of
+// two, so with m = min(thread_table_buckets, merged_table_buckets) a key's
+// local bucket and its merged bucket agree mod m: local bucket b feeds only
+// merged buckets congruent to b mod m. Each pool task owns one range of
+// residues (core::for_each_bucket_range over [0, m)) and walks the local
+// containers t = 0..T-1 in order, and in each its own local buckets in
+// ascending order. Every merged bucket therefore receives exactly the insert
+// sequence of a serial t-then-bucket fold, and no two tasks share a merged
+// bucket or its lock. So every counter (chain links, compared key bytes,
+// lock acquires, ...), the key count, the table's bytes and its digest are
+// the same at any worker count. A task allocates from its pool worker's
+// arena.
 #pragma once
 
 #include <memory>

@@ -16,14 +16,16 @@ HostTable::HostTable(Organization org, std::vector<HostPtr> bucket_heads,
                      gpusim::ThreadPool& pool)
     : org_(org), heads_(std::move(bucket_heads)), heap_(heap),
       combiner_(combiner), pool_(pool), chain_len_(heads_.size(), 0) {
-  std::vector<RangeCounts> partial(range_count());
-  for_each_range([&](std::size_t r, std::size_t lo, std::size_t hi) {
-    std::vector<Kept> kept;
-    RangeCounts counts;
-    for (std::size_t b = lo; b < hi; ++b)
-      chain_len_[b] = canonicalize_chain(heads_[b], kept, counts);
-    partial[r] = counts;
-  });
+  std::vector<RangeCounts> partial(bucket_range_count(heads_.size()));
+  for_each_bucket_range(
+      pool_, heads_.size(),
+      [&](std::size_t r, std::size_t lo, std::size_t hi) {
+        std::vector<Kept> kept;
+        RangeCounts counts;
+        for (std::size_t b = lo; b < hi; ++b)
+          chain_len_[b] = canonicalize_chain(heads_[b], kept, counts);
+        partial[r] = counts;
+      });
   for (const RangeCounts& c : partial) {
     entries_ += c.entries;
     values_ += c.values;

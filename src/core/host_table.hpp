@@ -20,6 +20,45 @@
 
 namespace sepo::core {
 
+// The parallel bucket walks of both host-side chained tables (this file's
+// HostTable, the baselines' ChainedHostTable) and of the Phoenix merge split
+// buckets [0, n) into ranges of kRangeBuckets and run one range per pool
+// task (parallel_for directly: no kernel, no simulated cost). A walk that
+// keeps every bucket's work inside its range touches no state another range
+// touches, so its result is the same bit for bit at any worker count.
+inline constexpr std::size_t kRangeBuckets = 256;
+
+[[nodiscard]] inline std::size_t bucket_range_count(std::size_t n) noexcept {
+  return (n + kRangeBuckets - 1) / kRangeBuckets;
+}
+
+// Runs body(range, lo, hi) on `pool` for every bucket range [lo, hi) of
+// buckets [0, n).
+template <typename Body>
+void for_each_bucket_range(gpusim::ThreadPool& pool, std::size_t n,
+                           const Body& body) {
+  pool.parallel_for(bucket_range_count(n), [&](std::size_t r) {
+    body(r, r * kRangeBuckets, std::min(n, (r + 1) * kRangeBuckets));
+  });
+}
+
+// Sums range_sum(lo, hi) over every bucket range of [0, n), one partial per
+// range. uint64 addition wraps mod 2^64, so the total does not depend on the
+// order in which ranges finish.
+template <typename RangeSum>
+[[nodiscard]] std::uint64_t sum_bucket_ranges(gpusim::ThreadPool& pool,
+                                              std::size_t n,
+                                              const RangeSum& range_sum) {
+  std::vector<std::uint64_t> partial(bucket_range_count(n), 0);
+  for_each_bucket_range(
+      pool, n, [&](std::size_t r, std::size_t lo, std::size_t hi) {
+        partial[r] = range_sum(lo, hi);
+      });
+  std::uint64_t total = 0;
+  for (const std::uint64_t s : partial) total += s;
+  return total;
+}
+
 // NOTE on duplicate key entries: a key can be represented by several
 // entries when SEPO iterations interleave with multi-emission records (a
 // record postponed on an early emission re-emits a key whose entry was
@@ -30,19 +69,17 @@ namespace sepo::core {
 // list concatenation for the multi-valued one) and unlinked from the host
 // chain. Reads afterwards see unique keys.
 //
-// Construction is one walk over disjoint ranges of kRangeBuckets buckets.
+// Construction is one walk over the bucket ranges (for_each_bucket_range).
 // Each range canonicalizes its chains and records their lengths, so the
 // counts and the occupancy histogram never walk the chains again. The walk
-// and the sum_entries/sum_groups reductions run their ranges on `pool`
-// (parallel_for directly: no kernel, no simulated cost). Chains never cross
-// ranges, so the result is the same bit for bit at any worker count.
+// and the sum_entries/sum_groups reductions run their ranges on `pool`.
+// Chains never cross ranges, so the result is the same bit for bit at any
+// worker count.
 //
 // SepoHashTable::finalize is the only producer: `combiner` is the table's
 // own, non-null for the combining organization.
 class HostTable {
  public:
-  static constexpr std::size_t kRangeBuckets = 256;
-
   HostTable(Organization org, std::vector<HostPtr> bucket_heads,
             alloc::HostHeap& heap, CombineFn combiner,
             gpusim::ThreadPool& pool);
@@ -72,19 +109,20 @@ class HostTable {
           fn) const;
 
   // Sums term(key, value_bytes) over every entry, one partial per bucket
-  // range. uint64 addition wraps mod 2^64, so the total does not depend on
-  // the order in which ranges finish. `term` runs concurrently on the pool.
+  // range (sum_bucket_ranges). `term` runs concurrently on the pool.
   template <typename Term>
   [[nodiscard]] std::uint64_t sum_entries(const Term& term) const {
-    return sum_ranges([&](HostPtr head) {
+    const auto range_sum = [&](std::size_t lo, std::size_t hi) {
       std::uint64_t sum = 0;
-      for (HostPtr p = head; p != alloc::kHostNull;) {
-        const auto* e = heap_.ptr<KvEntry>(p);
-        sum += term(e->key(), std::span{e->value_data(), e->val_len});
-        p = e->next_host;
-      }
+      for (std::size_t b = lo; b < hi; ++b)
+        for (HostPtr p = heads_[b]; p != alloc::kHostNull;) {
+          const auto* e = heap_.ptr<KvEntry>(p);
+          sum += term(e->key(), std::span{e->value_data(), e->val_len});
+          p = e->next_host;
+        }
       return sum;
-    });
+    };
+    return sum_bucket_ranges(pool_, heads_.size(), range_sum);
   }
 
   // --- multi-valued ---
@@ -99,17 +137,19 @@ class HostTable {
   // sum_entries for key groups: sums term(key, values) over every group.
   template <typename Term>
   [[nodiscard]] std::uint64_t sum_groups(const Term& term) const {
-    return sum_ranges([&, vals = std::vector<std::span<const std::byte>>{}](
-                          HostPtr head) mutable {
+    const auto range_sum = [&](std::size_t lo, std::size_t hi) {
+      std::vector<std::span<const std::byte>> vals;
       std::uint64_t sum = 0;
-      for (HostPtr p = head; p != alloc::kHostNull;) {
-        const auto* ke = heap_.ptr<KeyEntry>(p);
-        values_of(*ke, vals);
-        sum += term(ke->key(), vals);
-        p = ke->next_host;
-      }
+      for (std::size_t b = lo; b < hi; ++b)
+        for (HostPtr p = heads_[b]; p != alloc::kHostNull;) {
+          const auto* ke = heap_.ptr<KeyEntry>(p);
+          values_of(*ke, vals);
+          sum += term(ke->key(), vals);
+          p = ke->next_host;
+        }
       return sum;
-    });
+    };
+    return sum_bucket_ranges(pool_, heads_.size(), range_sum);
   }
 
   // Values of one key, or nullopt when absent.
@@ -166,35 +206,6 @@ class HostTable {
     std::size_t values = 0;
     std::size_t merged = 0;
   };
-
-  [[nodiscard]] std::size_t range_count() const noexcept {
-    return (heads_.size() + kRangeBuckets - 1) / kRangeBuckets;
-  }
-
-  // Runs body(range, lo, hi) for every bucket range [lo, hi).
-  template <typename Body>
-  void for_each_range(const Body& body) const {
-    const std::size_t n = heads_.size();
-    pool_.parallel_for(range_count(), [&](std::size_t r) {
-      body(r, r * kRangeBuckets, std::min(n, (r + 1) * kRangeBuckets));
-    });
-  }
-
-  // Sums chain_sum(head) over every bucket, one partial per range. Each
-  // range gets its own copy of chain_sum, so it may keep scratch state.
-  template <typename ChainSum>
-  [[nodiscard]] std::uint64_t sum_ranges(const ChainSum& chain_sum) const {
-    std::vector<std::uint64_t> partial(range_count(), 0);
-    for_each_range([&](std::size_t r, std::size_t lo, std::size_t hi) {
-      ChainSum local = chain_sum;
-      std::uint64_t sum = 0;
-      for (std::size_t b = lo; b < hi; ++b) sum += local(heads_[b]);
-      partial[r] = sum;
-    });
-    std::uint64_t total = 0;
-    for (const std::uint64_t s : partial) total += s;
-    return total;
-  }
 
   // Canonicalizes the chain at `head` and returns its length afterwards.
   std::uint32_t canonicalize_chain(HostPtr& head, std::vector<Kept>& kept,

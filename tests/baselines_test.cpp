@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "apps/harness.hpp"
 #include "baselines/chained_host_table.hpp"
 #include "baselines/paging_sim.hpp"
 #include "common/random.hpp"
@@ -92,6 +93,34 @@ TEST(ChainedHostTableTest, BucketLoadSeesHotKey) {
   const auto load = t.bucket_load();
   EXPECT_EQ(load.total_accesses, 150u);
   EXPECT_GE(load.max_bucket_accesses, 100u);
+}
+
+// The per-range digests (sum_entries / sum_groups on a pool) equal the
+// serial for_each / for_each_group digest in every organization, at any
+// pool size.
+TEST(ChainedHostTableTest, RangeSumsMatchSerialDigest) {
+  for (const auto org :
+       {core::Organization::kBasic, core::Organization::kCombining,
+        core::Organization::kMultiValued}) {
+    gpusim::RunStats stats;
+    ChainedHostTable t(stats, {.org = org,
+                               .num_buckets = 1u << 12,  // 16 ranges
+                               .combiner = core::combine_sum_u64});
+    for (int i = 0; i < 20000; ++i)
+      t.insert_u64(0, "k" + std::to_string(i * 7 % 5000), i);
+    const bool grouped = org == core::Organization::kMultiValued;
+    const std::uint64_t serial =
+        grouped ? apps::digest_groups(t) : apps::digest_kv(t);
+    ASSERT_NE(serial, 0u);
+    for (std::size_t workers = 1; workers <= 4; ++workers) {
+      gpusim::ThreadPool pool(workers);
+      EXPECT_EQ(grouped ? t.sum_groups(apps::group_digest_term, pool)
+                        : t.sum_entries(apps::kv_digest_term, pool),
+                serial)
+          << "org " << static_cast<int>(org) << ", " << workers
+          << " workers";
+    }
+  }
 }
 
 // ---- ChainedHostTable, pinned placement ----

@@ -10,6 +10,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "apps/harness.hpp"
 #include "baselines/mapcg.hpp"
 #include "baselines/phoenix.hpp"
 #include "common/random.hpp"
@@ -220,6 +221,96 @@ TEST(PhoenixTest, MapGroupKeepsEveryValue) {
   EXPECT_EQ(table->value_count(), 1000u);
 }
 
+// The merge folds disjoint bucket-residue ranges on the pool. Every
+// counter, the key count, the footprint and the digest must equal those of
+// the serial fold (per-thread tables folded on one thread, table by table,
+// bucket by bucket) at any pool size, with the per-thread tables both
+// smaller and larger than the merged one.
+std::string fingerprint(const gpusim::RunStats& stats,
+                        const baselines::ChainedHostTable& table) {
+  apps::RunResult r;
+  r.stats = stats.snapshot();
+  r.keys = table.entry_count();
+  r.table_bytes = table.allocated_bytes();
+  r.checksum = table.organization() == core::Organization::kMultiValued
+                   ? apps::digest_groups(table)
+                   : apps::digest_kv(table);
+  return test::golden_fingerprint(r);
+}
+
+std::string phoenix_fingerprint(std::size_t workers,
+                                const baselines::PhoenixConfig& cfg,
+                                std::string_view input, const MrSpec& spec) {
+  gpusim::ThreadPool pool(workers);
+  gpusim::RunStats stats;
+  baselines::PhoenixRuntime phoenix(pool, stats, cfg);
+  return fingerprint(stats, *phoenix.run(input, spec));
+}
+
+std::string serial_fold_fingerprint(const baselines::PhoenixConfig& cfg,
+                                    std::string_view input,
+                                    const MrSpec& spec) {
+  gpusim::RunStats stats;
+  const core::Organization org = spec.mode == Mode::kMapReduce
+                                     ? core::Organization::kCombining
+                                     : core::Organization::kMultiValued;
+  baselines::ChainedHostTable merged(
+      stats, {.org = org,
+              .num_buckets = cfg.merged_table_buckets,
+              .combiner = spec.combine});
+  const RecordIndex index = index_lines(input);
+  const std::size_t n = index.size(), threads = cfg.num_threads;
+  for (std::uint32_t t = 0; t < threads; ++t) {
+    baselines::ChainedHostTable local(
+        stats, {.org = org,
+                .num_buckets = cfg.thread_table_buckets,
+                .combiner = spec.combine});
+    baselines::ChainedHostEmitter em(local, t);
+    for (std::size_t r = n * t / threads; r < n * (t + 1) / threads; ++r) {
+      const std::string_view body = index.record(input.data(), r);
+      stats.add_work_units(body.size());
+      spec.map(body, em);
+      stats.add_records_processed();
+    }
+    if (org == core::Organization::kCombining)
+      local.for_each([&](std::string_view k, std::span<const std::byte> v) {
+        merged.insert(t, k, v);
+      });
+    else
+      local.for_each_group([&](std::string_view k, const auto& vals) {
+        for (const auto& v : vals) merged.insert(t, k, v);
+      });
+  }
+  return fingerprint(stats, merged);
+}
+
+TEST(PhoenixMergeTest, EqualsSerialFoldAtEveryPoolSize) {
+  const std::string words = word_input(4000, 3000, 9);
+  std::ostringstream os;
+  for (int i = 0; i < 6000; ++i) os << "v" << i << " k" << (i % 1500) << "\n";
+  const std::string pairs = os.str();
+  const MrSpec count{.mode = Mode::kMapReduce,
+                     .map = map_words,
+                     .combine = core::combine_sum_u64};
+  const MrSpec group{.mode = Mode::kMapGroup, .map = map_pairs};
+  // 1024 residues either way: four merge ranges.
+  for (const auto& [local, merged] :
+       {std::pair{1u << 10, 1u << 12}, std::pair{1u << 12, 1u << 10}}) {
+    const baselines::PhoenixConfig cfg{.num_threads = 5,
+                                       .thread_table_buckets = local,
+                                       .merged_table_buckets = merged};
+    for (const auto& [spec, input] :
+         {std::pair{&count, &words}, std::pair{&group, &pairs}}) {
+      const std::string serial = serial_fold_fingerprint(cfg, *input, *spec);
+      EXPECT_NE(serial.find("chain_links_walked="), std::string::npos);
+      for (std::size_t workers = 1; workers <= 4; ++workers)
+        EXPECT_EQ(phoenix_fingerprint(workers, cfg, *input, *spec), serial)
+            << "local " << local << ", merged " << merged << ", "
+            << workers << " workers";
+    }
+  }
+}
+
 // ---- MapCG baseline ----
 
 TEST(MapCgTest, WordCountReducesCorrectly) {
@@ -232,13 +323,17 @@ TEST(MapCgTest, WordCountReducesCorrectly) {
   const auto ref = word_reference(input);
   EXPECT_EQ(mapcg.table().entry_count(), ref.size());
   std::size_t checked = 0;
+  std::uint64_t serial = 0;
   mapcg.for_each_reduced([&](std::string_view k,
                              std::span<const std::byte> v) {
     EXPECT_EQ(as_u64(v), ref.at(std::string(k))) << k;
     ++checked;
+    serial += apps::kv_digest_term(k, v);
   });
   EXPECT_EQ(checked, ref.size());
   EXPECT_GT(mapcg.table().serial_atomic_ops(), 0u);
+  // The per-range sum over reduced values equals the serial visit's.
+  EXPECT_EQ(mapcg.sum_reduced(apps::kv_digest_term, rig.pool), serial);
 }
 
 TEST(MapCgTest, FailsWhenDeviceMemoryExhausted) {

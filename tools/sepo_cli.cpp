@@ -134,7 +134,8 @@ void usage() {
                "                             baseline, verify digests\n"
                "  metrics-check FILE         validate a metrics JSON file\n"
                "  metrics-diff OLD NEW       compare two metrics files run by run\n"
-               "                             (app/impl/dataset); exits 2 when a run\n"
+               "                             (app/impl/dataset, input or heap\n"
+               "                             size); exits 2 when a run\n"
                "                             is missing, 3 when sim_seconds\n"
                "                             regressed > --max-regress-pct\n"
                "  report FILE                render a run report from a metrics file\n"
@@ -614,8 +615,14 @@ std::vector<std::string> check_metrics(const obs::Json& m) {
     const std::string where = "runs[" + std::to_string(i) + "]";
     if (!r["app"].is_string()) problems.push_back(where + ".app missing");
     if (!r["impl"].is_string()) problems.push_back(where + ".impl missing");
-    if (!r["sim_seconds"].is_number() || r["sim_seconds"].as_double() <= 0)
-      problems.push_back(where + ".sim_seconds missing or non-positive");
+    // Only a failed run may read 0: one refused before any simulated work
+    // (MapCG on an input larger than the device) has nothing to time.
+    const obs::Json& sim = r["sim_seconds"];
+    if (!sim.is_number() || sim.as_double() < 0 ||
+        (sim.as_double() == 0 && !r["error"].is_object()))
+      problems.push_back(where +
+                         ".sim_seconds missing, negative, or 0 on a run "
+                         "without an error");
     // One simulated clock: a timed run's sim_seconds is its timeline
     // makespan plus the serialization term, nothing else.
     const obs::Json& tl = r["timeline"];
@@ -692,13 +699,17 @@ bool readable_schema(std::int64_t v) {
 
 // A run's identity in metrics-diff: app/impl plus the input it ran on — the
 // "dataset" extra when the writer recorded one, else "input_bytes". Keying
-// by app/impl alone would pair a sweep's dataset #2..#4 runs with #1.
+// by app/impl alone would pair a sweep's dataset #2..#4 runs with #1. A run
+// that records neither (table3's one input on nine heap sizes) is keyed by
+// its heap size.
 std::string run_key(const obs::Json& r) {
   std::string k = r["app"].as_string() + "/" + r["impl"].as_string();
   if (r["dataset"].is_number())
     k += "/#" + std::to_string(r["dataset"].as_i64());
   else if (r["input_bytes"].is_number())
     k += "/" + std::to_string(r["input_bytes"].as_u64()) + "B";
+  else if (r["heap_bytes"].as_u64() > 0)
+    k += "/heap " + std::to_string(r["heap_bytes"].as_u64()) + "B";
   return k;
 }
 

@@ -35,10 +35,16 @@
 //   pc_phoenix_d4          end-to-end Phoenix++-style CPU runs at dataset #4
 //   wc_phoenix_d4          (the pc-group and wc-resident reference jobs):
 //                          per-thread map, partitioned merge, digest
+//   dna_cpu_d4             end-to-end DNA Assembly runs at dataset #4 on the
+//   dna_pinned_d4          CPU and pinned baselines (the dna-spill reference
+//                          and pinned jobs): chained-table inserts probing
+//                          their bucket's probe line
 //
 // and writes BENCH_host.json (obs::kBenchSchemaVersion), with the command
-// line that produced it, when --metrics-out is given; `sepo_cli
-// bench-check` validates it, `sepo_cli bench-diff` compares two of them. Each bench takes the best of --reps runs to damp
+// line that produced it and the host fingerprint (hardware threads, workers,
+// build type, compiler, commit), when --metrics-out is given; `sepo_cli
+// bench-check` validates it, `sepo_cli bench-diff` compares two of them from
+// one host. Each bench takes the best of --reps runs to damp
 // scheduler noise. The three counter rows double-check bit-identity: their
 // counter totals must match exactly or the binary exits 1, and the
 // journal pair repeats the same check (recording events must not perturb the
@@ -52,10 +58,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -338,6 +346,45 @@ BenchResult run_insert_bench(const char* dist, std::size_t workers, int reps,
   return r;
 }
 
+// The commit the source tree is at, suffixed "-dirty" when the tree has
+// uncommitted changes; "unknown" outside a git checkout.
+std::string commit_id() {
+  // Without its own .git, git would report an enclosing repository's HEAD.
+  if (!std::filesystem::exists(SEPO_SOURCE_DIR "/.git")) return "unknown";
+  FILE* p = popen("git -C '" SEPO_SOURCE_DIR
+                  "' describe --always --dirty --abbrev=40 2>/dev/null",
+                  "r");
+  if (p == nullptr) return "unknown";
+  char buf[64] = {};
+  const bool read = std::fgets(buf, sizeof buf, p) != nullptr;
+  const bool ok = pclose(p) == 0 && read;
+  std::string id = ok ? buf : "";
+  while (!id.empty() && (id.back() == '\n' || id.back() == '\r'))
+    id.pop_back();
+  return id.empty() ? "unknown" : id;
+}
+
+// The host a results file was measured on (the fields jobbench records).
+// `sepo_cli bench-diff` compares only files whose fields other than the
+// commit match.
+obs::Json host_fingerprint(std::size_t workers) {
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  obs::Json fp = obs::Json::object();
+  fp.set("hardware_threads",
+         static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  fp.set("workers", static_cast<std::uint64_t>(workers));
+  fp.set("build_type", SEPO_BUILD_TYPE);
+  fp.set("compiler", compiler);
+  fp.set("commit", commit_id());
+  return fp;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -472,7 +519,9 @@ int main(int argc, char** argv) {
        {std::tuple{"pc_sepo_mr_d4", "pc", "sepo-mr"},
         std::tuple{"dna_sepo_gpu_d4", "dna", "sepo-gpu"},
         std::tuple{"pc_phoenix_d4", "pc", "phoenix"},
-        std::tuple{"wc_phoenix_d4", "wc", "phoenix"}}) {
+        std::tuple{"wc_phoenix_d4", "wc", "phoenix"},
+        std::tuple{"dna_cpu_d4", "dna", "cpu"},
+        std::tuple{"dna_pinned_d4", "dna", "pinned"}}) {
     const apps::AppInfo& app = *apps::find_app(app_key);
     const apps::Engine& engine = *apps::find_engine(engine_name);
     const std::size_t bytes =
@@ -511,6 +560,7 @@ int main(int argc, char** argv) {
     root.set("command", command);
     root.set("workers", static_cast<std::uint64_t>(pool.worker_count()));
     root.set("tiny", tiny);
+    root.set("fingerprint", host_fingerprint(pool.worker_count()));
     root.set("counter_bump_speedup", speedup);
     root.set("journal_overhead_pct", journal_overhead_pct);
     obs::Json benches = obs::Json::array();

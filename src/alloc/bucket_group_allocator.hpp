@@ -97,8 +97,8 @@ class BucketGroupAllocator {
   // One (group, page-class) active page and its lock. Every pool worker
   // allocates in every group, so each slot gets its own cache line; eight
   // packed slots would share one, and every lock handoff would invalidate
-  // the other seven. Host layout only, like gpusim::PaddedBucketLock; no
-  // slot is charged to the device. `page` changes only under the lock.
+  // the other seven. Host layout only: no slot is charged to the device.
+  // `page` changes only under the lock.
   struct alignas(gpusim::kCacheLineBytes) Slot {
     gpusim::DeviceLock lock;
     std::atomic<std::uint32_t> page{kInvalidPage};

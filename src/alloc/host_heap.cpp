@@ -44,8 +44,10 @@ void HostHeap::store_page(std::uint64_t slot, const std::byte* src,
     std::memcpy(block, src, bytes);
     return;
   }
-  block = new std::byte[page_size_]{};
+  // Only the tail past the copied bytes needs zeroing.
+  block = new std::byte[page_size_];
   std::memcpy(block, src, bytes);
+  std::memset(block + bytes, 0, page_size_ - bytes);
   stored_bytes_.fetch_add(page_size_, std::memory_order_relaxed);
   // Release-publish: a reader that acquire-loads this pointer observes the
   // fully written page contents.

@@ -25,9 +25,7 @@ ChainedHostTable::ChainedHostTable(gpusim::RunStats& stats,
   if (cfg_.org == core::Organization::kCombining && cfg_.combiner == nullptr)
     throw std::invalid_argument("combining organization requires a combiner");
   bucket_mask_ = cfg_.num_buckets - 1;
-  heads_ = std::vector<std::atomic<void*>>(cfg_.num_buckets);
-  for (auto& h : heads_) h.store(nullptr, std::memory_order_relaxed);
-  locks_ = std::vector<gpusim::PaddedBucketLock>(cfg_.num_buckets);
+  lines_ = std::vector<core::ProbeLine>(cfg_.num_buckets);
   if (dev_ == nullptr)
     arenas_ = std::vector<Arena>(bus_ == nullptr ? kCpuArenas : 1);
 }
@@ -95,15 +93,43 @@ std::size_t ChainedHostTable::allocated_bytes() const noexcept {
   return n;
 }
 
-template <typename Entry>
-Entry* ChainedHostTable::find(std::uint32_t b, std::string_view key) {
-  for (auto* e = chain<Entry>(b); e != nullptr; e = e->next) {
-    stats_.add_chain_links();
-    remote(sizeof(Entry) + e->key_len);
-    stats_.add_key_compare_bytes(std::min<std::size_t>(e->key_len, key.size()));
-    if (e->key() == key) return e;
+gpusim::BucketLoad ChainedHostTable::bucket_load() const noexcept {
+  gpusim::BucketLoad load;
+  for (const core::ProbeLine& line : lines_) {
+    load.total_accesses += line.accesses;
+    load.max_bucket_accesses =
+        std::max<std::uint64_t>(load.max_bucket_accesses, line.accesses);
   }
-  return nullptr;
+  return load;
+}
+
+namespace {
+
+// Resolves a probe line's handles: a handle is the entry's address, and a
+// chain ends at a null next pointer.
+template <typename Entry>
+struct NativeChain {
+  [[nodiscard]] static const Entry* at(std::uint64_t h) noexcept {
+    return reinterpret_cast<const Entry*>(h);
+  }
+  [[nodiscard]] static std::uint64_t next(const Entry& e) noexcept {
+    return reinterpret_cast<std::uintptr_t>(e.next);
+  }
+};
+
+}  // namespace
+
+template <typename Entry>
+Entry* ChainedHostTable::find(std::uint32_t b, std::uint8_t tag,
+                              std::string_view key) {
+  const core::Probe p =
+      core::probe(lines_[b], key, tag, NativeChain<Entry>{});
+  if (p.links != 0) {
+    stats_.add_chain_links(p.links);
+    stats_.add_key_compare_bytes(p.bytes);
+    remote(p.links * sizeof(Entry) + p.key_bytes, p.links);
+  }
+  return reinterpret_cast<Entry*>(p.hit);
 }
 
 ChainedHostTable::KvEntry* ChainedHostTable::new_kv(
@@ -124,9 +150,9 @@ ChainedHostTable::KvEntry* ChainedHostTable::new_kv(
 }
 
 core::Status ChainedHostTable::insert_combining(
-    std::uint32_t tid, std::uint32_t b, std::string_view key,
+    std::uint32_t tid, std::uint32_t b, std::uint8_t tag, std::string_view key,
     std::span<const std::byte> value) {
-  if (KvEntry* e = find<KvEntry>(b, key)) {
+  if (KvEntry* e = find<KvEntry>(b, tag, key)) {
     cfg_.combiner(e->value_data(), value.data(),
                   std::min<std::uint32_t>(
                       e->val_len, static_cast<std::uint32_t>(value.size())));
@@ -136,14 +162,14 @@ core::Status ChainedHostTable::insert_combining(
   }
   KvEntry* e = new_kv(tid, key, value);
   if (e == nullptr) return core::Status::kPostpone;
-  push(b, e);
+  push(b, e, tag);
   return core::Status::kSuccess;
 }
 
 core::Status ChainedHostTable::insert_multivalued(
-    std::uint32_t tid, std::uint32_t b, std::string_view key,
+    std::uint32_t tid, std::uint32_t b, std::uint8_t tag, std::string_view key,
     std::span<const std::byte> value) {
-  KeyEntry* ke = find<KeyEntry>(b, key);
+  KeyEntry* ke = find<KeyEntry>(b, tag, key);
   if (ke == nullptr) {
     const auto key_len = static_cast<std::uint32_t>(key.size());
     const std::size_t ksz = sizeof(KeyEntry) + core::pad8(key_len);
@@ -154,7 +180,7 @@ core::Status ChainedHostTable::insert_multivalued(
     ke->pad_ = 0;
     std::memcpy(ke->key_data(), key.data(), key_len);
     remote(ksz);
-    push(b, ke);
+    push(b, ke, tag);
   }
   const auto val_len = static_cast<std::uint32_t>(value.size());
   const std::size_t vsz = sizeof(ValueEntry) + core::pad8(val_len);

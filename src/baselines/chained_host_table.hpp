@@ -12,7 +12,14 @@
 //
 // Every placement shares closed addressing, separate chaining, per-bucket
 // locks, the three bucket organizations and one set of native-pointer entry
-// layouts. The constructor picks the placement:
+// layouts. Each bucket is one core::ProbeLine, the probe line of the SEPO
+// table (DESIGN.md §5a): its lock, access tally, chain length and newest
+// chain entries, tagged, on one host cache line. An insert takes the lock
+// and probes the line with core::probe, which dereferences only entries
+// whose tag and length match the key, yet charges the walk of every link
+// (chain_links_walked, key_compare_bytes and, pinned, one remote header +
+// key read per link), so the counters are those of a plain chain walk. The
+// constructor picks the placement:
 //
 //   * RunStats& — CPU placement. Entries come from per-thread chunked bump
 //     arenas, standing in for TCMalloc's thread-cached fast path (§VI-B:
@@ -46,6 +53,7 @@
 #include "common/hashing.hpp"
 #include "core/entry_layout.hpp"
 #include "core/host_table.hpp"
+#include "core/probe_line.hpp"
 #include "core/sepo.hpp"
 #include "gpusim/counters.hpp"
 #include "gpusim/device.hpp"
@@ -153,21 +161,22 @@ class ChainedHostTable {
     stats_.add_hash_ops();
     const std::uint64_t h = hash_key(key);
     const std::uint32_t b = bucket_of(h);
+    const std::uint8_t tag = core::probe_tag(h);
     if (cfg_.org == core::Organization::kBasic) {
       // Basic never probes: the entry is built before the lock is taken.
       KvEntry* e = new_kv(tid, key, value);
       if (e == nullptr) return core::Status::kPostpone;
       with_bucket(b, [&] {
         under_lock(b, h);
-        push(b, e);
+        push(b, e, tag);
       });
       return core::Status::kSuccess;
     }
     return with_bucket(b, [&] {
       under_lock(b, h);
       return cfg_.org == core::Organization::kCombining
-                 ? insert_combining(tid, b, key, value)
-                 : insert_multivalued(tid, b, key, value);
+                 ? insert_combining(tid, b, tag, key, value)
+                 : insert_multivalued(tid, b, tag, key, value);
     });
   }
 
@@ -180,8 +189,9 @@ class ChainedHostTable {
   // model's serialization term.
   template <typename Fn>
   decltype(auto) with_bucket(std::uint32_t b, Fn&& fn) {
-    gpusim::DeviceLockGuard guard(locks_[b].lock, stats_);
-    ++locks_[b].accesses;
+    core::ProbeLine& line = lines_[b];
+    gpusim::DeviceLockGuard guard(line.lock, stats_);
+    ++line.accesses;
     return fn();
   }
 
@@ -195,15 +205,15 @@ class ChainedHostTable {
     return static_cast<std::uint32_t>(hash) & bucket_mask_;
   }
   // Head of bucket `b`'s chain as the organization's entry type (KvEntry or
-  // KeyEntry); newest first.
+  // KeyEntry), read from slot 0 of its probe line; newest first. Caller
+  // holds the bucket lock, or no insert is in flight.
   template <typename Entry>
   [[nodiscard]] Entry* chain(std::uint32_t b) noexcept {
-    return static_cast<Entry*>(heads_[b].load(std::memory_order_acquire));
+    return reinterpret_cast<Entry*>(lines_[b].head());
   }
   template <typename Entry>
   [[nodiscard]] const Entry* chain(std::uint32_t b) const noexcept {
-    return static_cast<const Entry*>(
-        heads_[b].load(std::memory_order_acquire));
+    return reinterpret_cast<const Entry*>(lines_[b].head());
   }
 
   // --- queries (single-threaded, after population; never metered: the
@@ -291,10 +301,9 @@ class ChainedHostTable {
   // Total bytes handed out by the heap (table memory footprint).
   [[nodiscard]] std::size_t allocated_bytes() const noexcept;
 
-  // Per-bucket access totals for the cost model's serialization term.
-  [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept {
-    return gpusim::bucket_load(locks_);
-  }
+  // Per-bucket access totals for the cost model's serialization term; call
+  // when the table is quiescent.
+  [[nodiscard]] gpusim::BucketLoad bucket_load() const noexcept;
 
  private:
   // Chunked bump allocator. An entry larger than a chunk gets its own
@@ -312,34 +321,37 @@ class ChainedHostTable {
 
   // Returns null only when the device heap is full.
   void* alloc(std::uint32_t tid, std::size_t bytes);
-  // Meters one remote transaction in the pinned placement; free elsewhere.
-  void remote(std::size_t bytes) const noexcept {
-    if (bus_ != nullptr) bus_->remote(bytes);
+  // Meters `txns` remote transactions of `bytes` in all in the pinned
+  // placement; free elsewhere.
+  void remote(std::uint64_t bytes, std::uint64_t txns = 1) const noexcept {
+    if (bus_ != nullptr) bus_->remote(bytes, txns);
   }
 
-  // Walks bucket `b`'s chain (caller holds its lock), counting every link
-  // and compared key byte and metering each remote header + key read.
+  // Probes bucket `b`'s line for `key` (caller holds its lock) and charges
+  // the plain chain walk once: every link and compared key byte, and in the
+  // pinned placement one remote header + key read per link.
   template <typename Entry>
-  Entry* find(std::uint32_t b, std::string_view key);
+  Entry* find(std::uint32_t b, std::uint8_t tag, std::string_view key);
   // Allocates and fills a key/value entry, metering its remote write; null
   // when the device heap is full.
   KvEntry* new_kv(std::uint32_t tid, std::string_view key,
                   std::span<const std::byte> value);
   // Prepends a new entry to bucket `b`'s chain (caller holds its lock).
   template <typename Entry>
-  void push(std::uint32_t b, Entry* e) {
-    e->next = static_cast<Entry*>(heads_[b].load(std::memory_order_relaxed));
-    heads_[b].store(e, std::memory_order_release);
+  void push(std::uint32_t b, Entry* e, std::uint8_t tag) {
+    core::ProbeLine& line = lines_[b];
+    e->next = reinterpret_cast<Entry*>(line.head());
+    line.push(reinterpret_cast<std::uintptr_t>(e), e->key_len, tag);
     tallies_.add(kEntries, 1);
     stats_.add_inserts_new();
   }
 
   // Caller holds bucket `b`'s lock.
   core::Status insert_combining(std::uint32_t tid, std::uint32_t b,
-                                std::string_view key,
+                                std::uint8_t tag, std::string_view key,
                                 std::span<const std::byte> value);
   core::Status insert_multivalued(std::uint32_t tid, std::uint32_t b,
-                                  std::string_view key,
+                                  std::uint8_t tag, std::string_view key,
                                   std::span<const std::byte> value);
 
   gpusim::RunStats& stats_;
@@ -347,10 +359,9 @@ class ChainedHostTable {
   gpusim::PcieBus* bus_;   // pinned placement only
   gpusim::Device* dev_;    // device placement only
   std::uint32_t bucket_mask_;
-  std::vector<std::atomic<void*>> heads_;
-  // Lock + access tally per bucket on private cache lines
-  // (gpusim::PaddedBucketLock); accesses incremented under the bucket lock.
-  std::vector<gpusim::PaddedBucketLock> locks_;
+  // One probe line per bucket (core::ProbeLine): its lock, access tally,
+  // chain length and newest chain slots; slot 0 is the chain head.
+  std::vector<core::ProbeLine> lines_;
   // CPU: one arena per thread slot. Pinned: one arena behind heap_lock_.
   // Device: none.
   std::vector<Arena> arenas_;

@@ -37,7 +37,8 @@ inline std::uint64_t hash_key(std::string_view key) noexcept {
 
 // 16-bit key fingerprint taken from the hash's high half, so it is
 // independent of the low bits that pick a bucket. Never 0. Stadium's device
-// index stores it per pair; the SEPO table's probe lines tag each slot with it.
+// index stores it per pair; the probe lines of both chained tables tag each
+// slot with its high byte (core::probe_tag).
 constexpr std::uint16_t fingerprint(std::uint64_t hash) noexcept {
   return static_cast<std::uint16_t>(hash >> 32) | 1u;
 }

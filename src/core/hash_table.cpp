@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/hashing.hpp"
@@ -18,21 +16,18 @@ namespace sepo::core {
 namespace {
 constexpr bool is_pow2(std::uint64_t v) { return v && (v & (v - 1)) == 0; }
 
-// Probe-line slot: device offset (bits 0-31), fingerprint (32-47), key
-// length (48-63), or kLongKey for a key of 0xffff bytes or more.
-constexpr std::uint32_t kLongKey = 0xffff;
-constexpr std::uint64_t pack_slot(DevPtr ep, std::uint16_t tag,
-                                  std::uint32_t key_len) noexcept {
-  return ep | std::uint64_t{tag} << 32 |
-         std::uint64_t{std::min(key_len, kLongKey)} << 48;
-}
-constexpr DevPtr slot_dev(std::uint64_t s) noexcept { return s & 0xffffffffu; }
-constexpr std::uint16_t slot_tag(std::uint64_t s) noexcept {
-  return static_cast<std::uint16_t>(s >> 32);
-}
-constexpr std::uint32_t slot_key_len(std::uint64_t s) noexcept {
-  return static_cast<std::uint32_t>(s >> 48);
-}
+// Resolves a probe line's handles in the simulated device: a handle is an
+// entry's device offset, and a chain ends at kDevNull (0).
+template <typename Entry>
+struct DeviceChain {
+  const gpusim::Device& dev;
+  [[nodiscard]] const Entry* at(std::uint64_t h) const noexcept {
+    return dev.ptr<Entry>(h);
+  }
+  [[nodiscard]] static std::uint64_t next(const Entry& e) noexcept {
+    return e.next_dev;
+  }
+};
 
 // True when a value occupies exactly one 8-byte word of its entry.
 constexpr bool one_word(std::uint32_t val_len) noexcept {
@@ -48,10 +43,6 @@ SepoHashTable::SepoHashTable(gpusim::ExecContext& ctx, HashTableConfig cfg)
     throw std::invalid_argument("invalid buckets_per_group");
   if (cfg_.org == Organization::kCombining && cfg_.combiner == nullptr)
     throw std::invalid_argument("combining organization requires a combiner");
-  if (dev_.capacity() > std::numeric_limits<std::uint32_t>::max())
-    throw std::invalid_argument(
-        "device of 4 GiB or more: probe-line slots hold 32-bit offsets");
-
   // The bucket array and its locks live in device memory: reserve their
   // footprint there so the heap gets only what genuinely remains (§IV-A).
   // Charged at the compact device layout (device head, host head, 4-byte
@@ -87,84 +78,22 @@ SepoHashTable::SepoHashTable(gpusim::ExecContext& ctx, HashTableConfig cfg)
 }
 
 template <typename Entry>
-SepoHashTable::Probe SepoHashTable::probe(const ProbeLine& line,
-                                          std::string_view key,
-                                          std::uint16_t tag) const {
-  for (;;) {
-    Probe r;
-    r.version = line.version.load(std::memory_order_acquire);
-    if (r.version & 1u) {  // a prepend is editing the line
-      std::this_thread::yield();
-      continue;
-    }
-    const std::uint32_t len = line.len.load(std::memory_order_relaxed);
-    const std::uint32_t n = std::min(len, ProbeLine::kSlots);
-    std::uint64_t s = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      s = line.slot[i].load(std::memory_order_acquire);
-      ++r.links;
-      std::uint32_t key_len = slot_key_len(s);
-      if (key_len == kLongKey)
-        key_len = dev_.ptr<Entry>(slot_dev(s))->key_len;
-      r.bytes += std::min<std::uint64_t>(key_len, key.size());
-      if (slot_tag(s) == tag && key_len == key.size() &&
-          dev_.ptr<Entry>(slot_dev(s))->key() == key) {
-        r.hit = slot_dev(s);
-        break;
-      }
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (line.version.load(std::memory_order_relaxed) != r.version) continue;
-    // Past the slots the chain is immutable while a kernel runs: entries
-    // are only ever prepended.
-    if (r.hit != gpusim::kDevNull || len <= ProbeLine::kSlots) return r;
-    for (DevPtr p = dev_.ptr<Entry>(slot_dev(s))->next_dev;
-         p != gpusim::kDevNull;) {
-      ++r.links;
-      const auto* e = dev_.ptr<Entry>(p);
-      r.bytes += std::min<std::uint64_t>(e->key_len, key.size());
-      if (e->key() == key) {
-        r.hit = p;
-        break;
-      }
-      p = e->next_dev;
-    }
-    return r;
-  }
-}
-
-DevPtr SepoHashTable::head(const ProbeLine& line) noexcept {
-  return line.len.load(std::memory_order_relaxed) == 0
-             ? gpusim::kDevNull
-             : slot_dev(line.slot[0].load(std::memory_order_relaxed));
-}
-
-void SepoHashTable::push_slot(ProbeLine& line, DevPtr ep,
-                              std::uint32_t key_len,
-                              std::uint16_t tag) noexcept {
-  const std::uint32_t v = line.version.load(std::memory_order_relaxed);
-  line.version.store(v + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  for (std::uint32_t i = ProbeLine::kSlots - 1; i > 0; --i)
-    line.slot[i].store(line.slot[i - 1].load(std::memory_order_relaxed),
-                       std::memory_order_release);
-  line.slot[0].store(pack_slot(ep, tag, key_len), std::memory_order_release);
-  line.len.store(line.len.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
-  line.version.store(v + 2, std::memory_order_release);
+Probe SepoHashTable::probe(const ProbeLine& line, std::string_view key,
+                           std::uint8_t tag) const {
+  return core::probe(line, key, tag, DeviceChain<Entry>{dev_});
 }
 
 // "New KV pairs are always inserted at the head of the bucket linked list"
-// (§III-B); push_slot's release stores publish the filled-in entry.
+// (§III-B); the line's release stores publish the filled-in entry.
 template <typename Entry>
 void SepoHashTable::prepend(std::uint32_t b, const alloc::Allocation& a,
-                            std::uint16_t tag) {
+                            std::uint8_t tag) {
   auto* e = dev_.ptr<Entry>(a.dev);
   ProbeLine& line = lines_[b];
-  e->next_dev = head(line);
+  e->next_dev = line.head();
   e->next_host = head_host_[b];
   head_host_[b] = a.host;
-  push_slot(line, a.dev, e->key_len, tag);
+  line.push(a.dev, e->key_len, tag);
   stats_.add_inserts_new();
 }
 
@@ -223,7 +152,7 @@ Status SepoHashTable::insert(std::string_view key,
   const std::uint64_t h = hash_key(key);
   const std::uint32_t b = bucket_of(h);
   const std::uint32_t g = b / cfg_.buckets_per_group;
-  const std::uint16_t tag = fingerprint(h);
+  const std::uint8_t tag = probe_tag(h);
   const auto key_len = static_cast<std::uint32_t>(key.size());
   const auto val_len = static_cast<std::uint32_t>(value.size());
   ProbeLine& line = lines_[b];
@@ -385,7 +314,7 @@ const KvEntry* SepoHashTable::find_resident(std::string_view key) const {
         "find_resident: a multi-valued table chains KeyEntry, not KvEntry");
   stats_.add_hash_ops();
   const std::uint64_t h = hash_key(key);
-  const Probe found = probe<KvEntry>(lines_[bucket_of(h)], key, fingerprint(h));
+  const Probe found = probe<KvEntry>(lines_[bucket_of(h)], key, probe_tag(h));
   charge(found);
   return found.hit == gpusim::kDevNull ? nullptr : dev_.ptr<KvEntry>(found.hit);
 }
@@ -458,8 +387,8 @@ void SepoHashTable::begin_iteration() {
           ProbeLine& line = lines_[bucket_of(h)];
           ke->vhead_dev = gpusim::kDevNull;  // all value pages were flushed
           gpusim::DeviceLockGuard guard(line.lock, stats_);
-          ke->next_dev = head(line);
-          push_slot(line, ep, ke->key_len, fingerprint(h));
+          ke->next_dev = line.head();
+          line.push(ep, ke->key_len, probe_tag(h));
           stats_.add_chain_links();
           off += ke->byte_size();
         }

@@ -33,6 +33,7 @@
 #include "alloc/page_pool.hpp"
 #include "core/entry_layout.hpp"
 #include "core/host_table.hpp"
+#include "core/probe_line.hpp"
 #include "core/sepo.hpp"
 #include "gpusim/exec_context.hpp"
 #include "gpusim/launch.hpp"
@@ -141,63 +142,25 @@ class SepoHashTable {
   }
 
  private:
-  // One bucket's host-only probe line (DESIGN.md §5a): the bucket lock, a
-  // seqlock version, the device chain length and the newest kSlots chain
-  // entries, newest first, on one cache line. A slot packs the entry's
-  // 32-bit device offset, the key's 16-bit fingerprint and its 16-bit
-  // length (0xffff: a longer key, whose length is read from the entry).
-  // The device chain is the line's slots followed by the last slot's
-  // next_dev links; its head is slot 0. Slots and length change only under the lock, inside an odd
-  // version, so a probe that reads one even version twice saw a consistent
-  // line without taking the lock.
-  struct alignas(gpusim::kCacheLineBytes) ProbeLine {
-    static constexpr std::uint32_t kSlots = 6;
-    gpusim::DeviceLock lock;
-    std::atomic<std::uint32_t> version{0};
-    std::atomic<std::uint32_t> len{0};
-    std::atomic<std::uint64_t> slot[kSlots]{};
-  };
-  static_assert(sizeof(ProbeLine) == gpusim::kCacheLineBytes);
-
-  // A probe's result and its walk, charged to RunStats by charge().
-  struct Probe {
-    DevPtr hit = gpusim::kDevNull;
-    std::uint32_t links = 0;
-    std::uint64_t bytes = 0;
-    std::uint32_t version = 0;  // the even line version the probe read
-  };
-
   [[nodiscard]] std::uint32_t bucket_of(std::uint64_t hash) const noexcept {
     return static_cast<std::uint32_t>(hash) & (cfg_.num_buckets - 1);
   }
 
-  // Looks `key` up in a line's chain; needs no lock: one pass over the
-  // slots, the seqlock check (a moved version repeats the pass), then a
-  // walk from the last slot's next_dev. Every entry passed costs one link
-  // and min(key_len, key.size()) compared bytes, fingerprint match or not,
-  // exactly as the plain walk of the device chain.
+  // Looks `key` up in a line's device chain (core::probe); needs no lock.
   template <typename Entry>
   [[nodiscard]] Probe probe(const ProbeLine& line, std::string_view key,
-                            std::uint16_t tag) const;
+                            std::uint8_t tag) const;
 
   void charge(const Probe& p) const noexcept {
     stats_.add_chain_links(p.links);
     stats_.add_key_compare_bytes(p.bytes);
   }
 
-  // The device chain's head. Caller holds the line's lock.
-  [[nodiscard]] static DevPtr head(const ProbeLine& line) noexcept;
-
-  // Makes the entry at `ep`, whose next_dev already holds the old head, the
-  // newest slot of `line`. Caller holds the line's lock.
-  static void push_slot(ProbeLine& line, DevPtr ep, std::uint32_t key_len,
-                        std::uint16_t tag) noexcept;
-
   // Links the filled-in entry at `a` in at the head of bucket `b`'s device
   // and host chains. Caller holds the bucket lock.
   template <typename Entry>
   void prepend(std::uint32_t b, const alloc::Allocation& a,
-               std::uint16_t tag);
+               std::uint8_t tag);
 
   // Combines `value` into the entry at `p`. A value held in one 8-byte word
   // is combined on a private copy and stored by a CAS, only if it changed,

@@ -8,9 +8,7 @@
 #pragma once
 
 #include <cstddef>
-#include <algorithm>
 #include <cstdint>
-#include <span>
 #include <thread>
 
 #include "gpusim/counters.hpp"
@@ -124,16 +122,6 @@ class DeviceLockGuard {
   DeviceLock& l_;
 };
 
-// One hash bucket's lock and its host-side access tally, padded onto a
-// private cache line so neighbouring buckets never false-share. The tables'
-// *device-memory* accounting (alloc_static footprint) is unchanged by this
-// host-side layout — a real GPU bucket would not carry the padding, so the
-// simulated heap must not either.
-struct alignas(kCacheLineBytes) PaddedBucketLock {
-  DeviceLock lock;
-  std::uint32_t accesses = 0;  // bumped under `lock`, read when quiescent
-};
-
 // Per-bucket access totals, used by the cost model's lock-serialization
 // term (DESIGN.md §5): on a GPU, thousands of concurrent threads hitting
 // one hot bucket serialize on its lock (the paper's Word Count §VI-B).
@@ -141,17 +129,5 @@ struct BucketLoad {
   std::uint64_t total_accesses = 0;
   std::uint64_t max_bucket_accesses = 0;
 };
-
-// Sums a table's bucket access tallies; call when the table is quiescent.
-[[nodiscard]] inline BucketLoad bucket_load(
-    std::span<const PaddedBucketLock> locks) noexcept {
-  BucketLoad load;
-  for (const PaddedBucketLock& pb : locks) {
-    load.total_accesses += pb.accesses;
-    load.max_bucket_accesses =
-        std::max<std::uint64_t>(load.max_bucket_accesses, pb.accesses);
-  }
-  return load;
-}
 
 }  // namespace sepo::gpusim

@@ -82,10 +82,12 @@ class PcieBus {
     if (trace_hook_) trace_hook_->on_d2h(bytes);
   }
 
-  // Small remote access from a device thread to pinned host memory.
-  void remote(std::uint64_t bytes) noexcept {
+  // Small remote accesses from a device thread to pinned host memory:
+  // `txns` transactions of `bytes` in all (a chain walk meters its links at
+  // once).
+  void remote(std::uint64_t bytes, std::uint64_t txns = 1) noexcept {
     counters_.add(kRemoteBytes, bytes);
-    counters_.add(kRemoteTxns, 1);
+    counters_.add(kRemoteTxns, txns);
     if (trace_hook_) trace_hook_->on_remote(bytes);
   }
 

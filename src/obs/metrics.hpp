@@ -107,9 +107,13 @@ inline constexpr int kMetricsSchemaVersion = 9;
 // Schema of BENCH_host.json, the *wall-clock* benchmark file written by
 // bench/host_perf (distinct from the simulated-time metrics schema above):
 //   { schema_version, tool: "host_perf", command, workers, tiny,
+//     fingerprint: { hardware_threads, workers, build_type, compiler,
+//                    commit },
 //     benches: [ { name, items, reps, wall_seconds, ops_per_sec } ] }
 // Validated by `sepo_cli bench-check`, compared by `sepo_cli bench-diff`.
-inline constexpr int kBenchSchemaVersion = 1;
+// v2 added the fingerprint.
+inline constexpr int kBenchSchemaVersion = 2;
+
 
 // Relative-epsilon float equality for cross-platform metrics comparison.
 // Two v4 files produced from the same run on different platforms can differ

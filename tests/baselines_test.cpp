@@ -250,6 +250,180 @@ TEST(ChainedHostTableTest, OversizedEntriesGetTheirOwnChunk) {
   }
 }
 
+// ---- ChainedHostTable, probe lines against a plain chain walk ----
+
+enum class Placement { kCpu, kPinned, kDevice };
+
+// The reference for one bucket: its chain as keys, newest first, walked
+// entry by entry as a table without probe lines would follow `next`.
+class PlainChain {
+ public:
+  PlainChain(core::Organization org, Placement placement)
+      : org_(org), placement_(placement) {}
+
+  struct Walk {
+    std::uint64_t links = 0;
+    std::uint64_t bytes = 0;      // min(entry key, probed key) per link
+    std::uint64_t key_bytes = 0;  // entry key per link
+    bool hit = false;
+  };
+
+  [[nodiscard]] Walk walk(std::string_view key) const {
+    Walk w;
+    for (const std::string& k : chain_) {
+      ++w.links;
+      w.bytes += std::min(k.size(), key.size());
+      w.key_bytes += k.size();
+      if (k == key) {
+        w.hit = true;
+        break;
+      }
+    }
+    return w;
+  }
+
+  // Inserts <key, v> and checks what the insert charged: the plain walk's
+  // links and compared bytes, its remote header + key reads in the pinned
+  // placement, and one bucket lock (plus the pinned heap lock per
+  // allocation).
+  void insert(Rig& rig, ChainedHostTable& t, const std::string& key,
+              std::uint64_t v) {
+    SCOPED_TRACE(std::to_string(key.size()) + "-byte key " +
+                 key.substr(0, 16));
+    const gpusim::StatsSnapshot before = rig.stats.snapshot();
+    const gpusim::PcieSnapshot bus_before = rig.dev.bus().snapshot();
+    ASSERT_EQ(t.insert_u64(0, key, v), core::Status::kSuccess);
+    const gpusim::StatsSnapshot d = rig.stats.snapshot() - before;
+    const gpusim::PcieSnapshot bus = rig.dev.bus().snapshot();
+    const Walk w = walk(key);
+    EXPECT_EQ(d.chain_links_walked, w.links);
+    EXPECT_EQ(d.key_compare_bytes, w.bytes);
+    EXPECT_EQ(d.inserts_new, w.hit ? 0u : 1u);
+    EXPECT_EQ(d.lock_acquires,
+              1 + (placement_ == Placement::kPinned ? d.alloc_ops : 0));
+    if (placement_ == Placement::kPinned) {
+      const auto [bytes, txns] = expected_remote(key, w);
+      EXPECT_EQ(bus.remote_bytes - bus_before.remote_bytes, bytes);
+      EXPECT_EQ(bus.remote_txns - bus_before.remote_txns, txns);
+    } else {
+      EXPECT_EQ(bus.remote_txns, bus_before.remote_txns);
+    }
+    if (!w.hit) chain_.insert(chain_.begin(), key);
+    sums_[key] += v;
+    ++counts_[key];
+  }
+
+  // Every key's combined value (combining) or value count (multi-valued).
+  void check_contents(const ChainedHostTable& t) const {
+    for (const auto& [k, sum] : sums_) {
+      if (org_ == core::Organization::kCombining) {
+        ASSERT_TRUE(t.lookup(k).has_value());
+        EXPECT_EQ(as_u64(*t.lookup(k)), sum);
+      } else {
+        ASSERT_TRUE(t.lookup_group(k).has_value());
+        EXPECT_EQ(t.lookup_group(k)->size(), counts_.at(k));
+      }
+    }
+    EXPECT_EQ(t.entry_count(), chain_.size());
+  }
+
+ private:
+  // The pinned placement's bus traffic for one 8-byte-value insert: the
+  // walk's header + key reads, one transaction per link, then the writes.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> expected_remote(
+      const std::string& key, const Walk& w) const {
+    using Table = ChainedHostTable;
+    const bool kv = org_ == core::Organization::kCombining;
+    std::uint64_t bytes =
+        w.links * (kv ? sizeof(Table::KvEntry) : sizeof(Table::KeyEntry)) +
+        w.key_bytes;
+    std::uint64_t txns = w.links;
+    if (kv) {
+      // A hit combines in place (read + write of the value); a miss writes
+      // the new entry.
+      bytes += w.hit ? 16 : sizeof(Table::KvEntry) + core::pad8(key.size()) + 8;
+      txns += 1;
+    } else {
+      if (!w.hit) {
+        bytes += sizeof(Table::KeyEntry) + core::pad8(key.size());
+        txns += 1;
+      }
+      bytes += sizeof(Table::ValueEntry) + 8 + sizeof(void*);
+      txns += 1;
+    }
+    return {bytes, txns};
+  }
+
+  core::Organization org_;
+  Placement placement_;
+  std::vector<std::string> chain_;  // newest first
+  std::map<std::string, std::uint64_t> sums_;
+  std::map<std::string, std::uint64_t> counts_;
+};
+
+// Two keys of one length whose 8-bit probe tags are equal.
+std::pair<std::string, std::string> equal_probe_tag_keys() {
+  std::map<std::uint8_t, std::string> seen;
+  for (int i = 0;; ++i) {
+    std::string k = "tag-" + std::to_string(100000 + i);
+    const auto [it, fresh] = seen.emplace(core::probe_tag(hash_key(k)), k);
+    if (!fresh) return {it->second, k};
+  }
+}
+
+// One bucket, so every key shares one chain: 20 short keys (three times the
+// line's slots), keys at the 8-bit length field's edge (254 bytes fits, 255
+// and 256 escape to the entry, two 256-byte keys differ only in their last
+// byte) and two equal-length keys with one probe tag. Each key is inserted
+// three times in different orders, so hits land inside the slots, at their
+// edge and past them.
+void check_probe_against_plain_walk(core::Organization org,
+                                    Placement placement) {
+  SCOPED_TRACE("org " + std::to_string(static_cast<int>(org)) +
+               ", placement " + std::to_string(static_cast<int>(placement)));
+  std::vector<std::string> keys;
+  for (int i = 0; i < 20; ++i)
+    keys.push_back("key-" + std::string(static_cast<std::size_t>(i % 7), 'x') +
+                   std::to_string(i * 37));
+  for (const std::size_t len : {254, 255, 256})
+    keys.emplace_back(len, 'k');
+  keys.push_back(std::string(255, 'k') + "j");
+  keys.push_back(std::string(255, 'j'));
+  const auto [a, b] = equal_probe_tag_keys();
+  ASSERT_EQ(a.size(), b.size());
+  keys.push_back(a);
+  keys.push_back(b);
+
+  Rig rig(4u << 20);
+  const ChainedHostTableConfig cfg{
+      .org = org, .num_buckets = 1, .combiner = core::combine_sum_u64};
+  std::optional<ChainedHostTable> t;
+  if (placement == Placement::kCpu)
+    t.emplace(rig.stats, cfg);
+  else
+    t.emplace(rig.ctx, cfg,
+              placement == Placement::kPinned ? EntryMemory::kPinnedHost
+                                              : EntryMemory::kDevice);
+  if (placement == Placement::kDevice) t->carve_device_heap();
+  PlainChain ref(org, placement);
+  for (std::uint64_t round = 0; round < 3; ++round)
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      ref.insert(rig, *t, keys[(i * 7 + round * 3) % keys.size()], round + 1);
+  ref.check_contents(*t);
+}
+
+TEST(ChainedHostTableTest, CombiningProbeMatchesPlainWalkInEveryPlacement) {
+  for (const Placement p : {Placement::kCpu, Placement::kPinned,
+                            Placement::kDevice})
+    check_probe_against_plain_walk(core::Organization::kCombining, p);
+}
+
+TEST(ChainedHostTableTest, MultiValuedProbeMatchesPlainWalkInEveryPlacement) {
+  for (const Placement p : {Placement::kCpu, Placement::kPinned,
+                            Placement::kDevice})
+    check_probe_against_plain_walk(core::Organization::kMultiValued, p);
+}
+
 // ---- paging simulator ----
 
 TEST(PagingSimTest, NoReplacementsWhenEverythingFits) {

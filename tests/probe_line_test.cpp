@@ -1,10 +1,12 @@
-// Probe-line tests for core::SepoHashTable (DESIGN.md §5a): an insert that
-// probes the bucket's cache line of newest-entry slots must find what a
-// plain walk of the device chain finds and charge the same
+// Probe-line tests (DESIGN.md §5a). core::probe on its own must dereference
+// only the slots whose 8-bit tag and length match the key. An insert into
+// core::SepoHashTable that probes the bucket's line of newest-entry slots
+// must find what a plain walk of the device chain finds and charge the same
 // chain_links_walked and key_compare_bytes, in all three organizations —
-// past the line's six slots, for two keys whose 16-bit fingerprints are
-// equal, for keys too long for a slot's 16-bit length, and on a dry heap,
-// where refused inserts postpone without the bucket lock.
+// past the line's six slots, for two keys whose 8-bit tags (and, apart, two
+// whose 16-bit fingerprints) are equal, for keys at and past the slot's
+// 8-bit length field (255 bytes and more) and past 0xffff bytes, and on a
+// dry heap, where refused inserts postpone without the bucket lock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -29,8 +32,97 @@ namespace {
 using test::Rig;
 using test::as_u64;
 
+// ---- core::probe over a chain of plain entries ----
+
+struct TestEntry {
+  std::string k;
+  std::uint32_t key_len = 0;
+  std::uint64_t next = 0;  // the next entry's handle; 0 ends the chain
+  [[nodiscard]] std::string_view key() const noexcept { return k; }
+};
+
+// Resolves handle h to entries[h - 1] and counts every dereference.
+struct CountingChain {
+  const std::vector<TestEntry>& entries;
+  mutable std::uint32_t derefs = 0;
+  [[nodiscard]] const TestEntry* at(std::uint64_t h) const {
+    ++derefs;
+    return &entries[h - 1];
+  }
+  [[nodiscard]] static std::uint64_t next(const TestEntry& e) noexcept {
+    return e.next;
+  }
+};
+
+// A line over `keys`, pushed in order, so the last key is the chain head.
+struct TestChain {
+  explicit TestChain(const std::vector<std::string>& keys) {
+    for (const std::string& k : keys) {
+      entries.push_back(
+          {k, static_cast<std::uint32_t>(k.size()), line.head()});
+      line.push(entries.size(), entries.back().key_len,
+                probe_tag(hash_key(k)));
+    }
+  }
+  // Probes for `key`; returns the dereferences it made.
+  std::uint32_t derefs(std::string_view key, Probe* out = nullptr) const {
+    CountingChain chain{entries};
+    const Probe p = probe(line, key, probe_tag(hash_key(key)), chain);
+    if (out != nullptr) *out = p;
+    return chain.derefs;
+  }
+  std::vector<TestEntry> entries;
+  ProbeLine line;
+};
+
+TEST(ProbeLineTest, ProbeDereferencesOnlyMatchingSlots) {
+  // Six keys of other lengths: a miss reads no entry, yet counts six links
+  // and each one's compared bytes.
+  const TestChain other_lengths({"a", "bb", "ccc", "dddd", "eeeee", "ffffff"});
+  Probe p;
+  EXPECT_EQ(other_lengths.derefs("0123456789", &p), 0u);
+  EXPECT_EQ(p.hit, 0u);
+  EXPECT_EQ(p.links, 6u);
+  EXPECT_EQ(p.bytes, 21u);
+  EXPECT_EQ(p.key_bytes, 21u);
+  // A hit reads only its own entry, and counts the links up to it.
+  EXPECT_EQ(other_lengths.derefs("ccc", &p), 1u);
+  EXPECT_EQ(p.hit, 3u);
+  EXPECT_EQ(p.links, 4u);
+  EXPECT_EQ(p.bytes, 4u * 3);
+
+  // A 300-byte key's slot holds kLongKey: its length is read from the entry.
+  const TestChain long_key({std::string(300, 'z'), "short"});
+  EXPECT_EQ(long_key.derefs("nothere", &p), 1u);
+  EXPECT_EQ(p.links, 2u);
+  EXPECT_EQ(p.bytes, 5u + 7);
+  EXPECT_EQ(p.key_bytes, 305u);
+
+  // Past the slots every entry is read: the last slot's (for its next
+  // link) and each one after it. Lengths 1..10, so no slot matches.
+  std::vector<std::string> ten;
+  for (int i = 0; i < 10; ++i)
+    ten.emplace_back(static_cast<std::size_t>(i + 1),
+                     static_cast<char>('a' + i));
+  const TestChain deep(ten);
+  EXPECT_EQ(deep.derefs(std::string(12, 'z'), &p), 1u + 4);
+  EXPECT_EQ(p.hit, 0u);
+  EXPECT_EQ(p.links, 10u);
+  EXPECT_EQ(deep.derefs("a", &p), 1u + 4);
+  EXPECT_EQ(p.hit, 1u);
+  EXPECT_EQ(p.links, 10u);
+  EXPECT_EQ(p.bytes, 10u);
+}
+
+TEST(ProbeLineTest, PushRefusesHandlesWiderThan48Bits) {
+  ProbeLine line;
+  EXPECT_THROW(line.push(ProbeLine::kMaxHandle + 1, 1, 0), std::length_error);
+  line.push(ProbeLine::kMaxHandle, 1, 0);
+  EXPECT_EQ(line.head(), ProbeLine::kMaxHandle);
+}
+
 // One bucket, so every key shares one chain; pages large enough for keys
-// past the slot's 16-bit length.
+// past 0xffff bytes.
 HashTableConfig one_bucket(Organization org) {
   HashTableConfig cfg;
   cfg.org = org;
@@ -205,21 +297,22 @@ TEST(ProbeLineTest, BasicChainPastTheSlotsKeepsEveryInsert) {
   check_long_chains(Organization::kBasic);
 }
 
-// Two keys of one length whose fingerprints are equal: the slot's tag and
-// length both match, so only the key bytes can tell them apart.
-std::pair<std::string, std::string> equal_tag_keys() {
+// Two keys of one length whose `tag_of` values are equal: the slot's tag
+// and length both match, so only the key bytes can tell them apart.
+template <typename TagOf>
+std::pair<std::string, std::string> equal_tag_keys(TagOf tag_of) {
   std::map<std::uint16_t, std::string> seen;
   for (int i = 0;; ++i) {
     std::string k = "tag-" + std::to_string(100000 + i);
-    const auto [it, fresh] = seen.emplace(fingerprint(hash_key(k)), k);
+    const auto [it, fresh] = seen.emplace(tag_of(hash_key(k)), k);
     if (!fresh) return {it->second, k};
   }
 }
 
-void check_equal_tags(Organization org) {
-  const auto [a, b] = equal_tag_keys();
+void check_equal_tags(Organization org, const std::string& a,
+                      const std::string& b) {
   ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(fingerprint(hash_key(a)), fingerprint(hash_key(b)));
+  ASSERT_EQ(probe_tag(hash_key(a)), probe_tag(hash_key(b)));
   Rig rig(8u << 20);
   SepoHashTable ht(rig.ctx, one_bucket(org));
   PlainWalk ref(org);
@@ -237,6 +330,21 @@ void check_equal_tags(Organization org) {
   ref.check_result(ht.finalize());
 }
 
+// Equal 8-bit probe tags, and equal 16-bit fingerprints (whose high bytes,
+// the probe tags, are then equal too).
+void check_equal_tags(Organization org) {
+  {
+    SCOPED_TRACE("equal probe tags");
+    const auto [a, b] = equal_tag_keys(probe_tag);
+    check_equal_tags(org, a, b);
+  }
+  {
+    SCOPED_TRACE("equal fingerprints");
+    const auto [a, b] = equal_tag_keys(fingerprint);
+    check_equal_tags(org, a, b);
+  }
+}
+
 TEST(ProbeLineTest, CombiningEqualTagsStayDistinct) {
   check_equal_tags(Organization::kCombining);
 }
@@ -245,15 +353,16 @@ TEST(ProbeLineTest, MultiValuedEqualTagsStayDistinct) {
   check_equal_tags(Organization::kMultiValued);
 }
 
-// Keys at and past 0xffff bytes keep a sentinel length in their slot; the
-// probe reads their real length from the entry.
+// Keys of 255 bytes or more keep the sentinel length kLongKey in their
+// slot; the probe reads their real length from the entry. 254 bytes is the
+// longest length a slot holds; keys past 0xffff bytes exercise the entry's
+// 32-bit length. Each pair of equal-length keys differs in one byte.
 void check_long_keys(Organization org) {
-  std::vector<std::string> keys = {std::string(0xfffe, 'k'),
-                                   std::string(0xffff, 'k'),
-                                   std::string(70000, 'k'),
-                                   std::string(70000, 'k') + "?"};
-  keys[3].erase(keys[3].size() - 2, 1);  // same length as keys[2]
-  ASSERT_EQ(keys[2].size(), keys[3].size());
+  std::vector<std::string> keys;
+  for (const std::size_t len : {254, 255, 256, 0xfffe, 0xffff, 70000}) {
+    keys.emplace_back(len, 'k');
+    keys.push_back(std::string(len - 1, 'k') + "?");
+  }
   Rig rig(8u << 20);
   SepoHashTable ht(rig.ctx, one_bucket(org));
   PlainWalk ref(org);
@@ -261,7 +370,8 @@ void check_long_keys(Organization org) {
   for (const std::string& k : keys) ref.insert(rig, ht, k, 1);
   for (const std::string& k : keys) ref.insert(rig, ht, k, 2);
   ref.insert(rig, ht, "short", 1);
-  ref.insert(rig, ht, std::string(0xffff, 'j'), 1);  // a miss on a long key
+  ref.insert(rig, ht, std::string(255, 'j'), 1);     // misses on long keys
+  ref.insert(rig, ht, std::string(0xffff, 'j'), 1);
   for (int i = 0; i < 6; ++i) ref.insert(rig, ht, "filler-" + std::to_string(i), 1);
   for (const std::string& k : keys) ref.insert(rig, ht, k, 4);  // past slots
   if (org == Organization::kCombining)

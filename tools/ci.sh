@@ -32,19 +32,27 @@ for wf in $workflows; do
   cmake --workflow --preset "$wf"
 
   # Wall-clock regression gate: after the release workflow, run the
-  # optimized host_perf at the committed baseline's shape and diff it
+  # optimized host_perf at the committed baseline's worker count and diff it
   # against BENCH_host.json (sepo_cli bench-diff exits 3 on any bench
   # regressing past the threshold). Only meaningful on an optimized build
   # and a reasonably quiet machine, hence ci-release only; skip with
-  # BENCH_GATE=0.
+  # BENCH_GATE=0. On a host whose fingerprint (hardware threads, build
+  # type, compiler) differs from the committed file's, bench-diff exits 2:
+  # the wall clocks are not comparable, so the gate reports a skip.
   if [ "$wf" = "ci-release" ] && [ "${BENCH_GATE:-1}" != "0" ]; then
     echo "== bench gate: host_perf vs committed BENCH_host.json =="
-    ./build-release/bench/host_perf --workers 8 --reps 2 \
+    ./build-release/bench/host_perf --workers 4 --reps 2 \
         --metrics-out=build-release/BENCH_host_ci.json
     ./build-release/tools/sepo_cli bench-check \
         build-release/BENCH_host_ci.json
+    rc=0
     ./build-release/tools/sepo_cli bench-diff BENCH_host.json \
-        build-release/BENCH_host_ci.json
+        build-release/BENCH_host_ci.json || rc=$?
+    if [ "$rc" -eq 2 ]; then
+      echo "== bench gate skipped: BENCH_host.json is from another host =="
+    elif [ "$rc" -ne 0 ]; then
+      exit "$rc"
+    fi
   fi
 done
 

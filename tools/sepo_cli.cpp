@@ -145,7 +145,8 @@ void usage() {
                "  bench-check FILE           validate a BENCH_host.json wall-clock file\n"
                "  bench-diff OLD NEW         compare two BENCH_host.json files; exits 3\n"
                "                             when wall_seconds regressed beyond\n"
-               "                             --max-regress-pct (default 25)\n"
+               "                             --max-regress-pct (default 25), 2 when\n"
+               "                             their host fingerprints or shapes differ\n"
                "  fuzz [--seed S]            differential fuzzing of the engine matrix:\n"
                "                             seeded random configs, each run on the\n"
                "                             engine under test AND the reference\n"
@@ -827,6 +828,12 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
 
 // --- wall-clock benchmark file commands (BENCH_host.json) ------------------
 
+// The fingerprint fields two BENCH_host.json files must share before their
+// wall clocks may be compared; the commit is recorded but not matched, as
+// comparing two commits is the point.
+constexpr const char* kBenchHostFields[] = {"hardware_threads", "workers",
+                                            "build_type", "compiler"};
+
 // Validates the schema written by bench/host_perf (obs::kBenchSchemaVersion).
 std::vector<std::string> check_bench(const obs::Json& m) {
   std::vector<std::string> problems;
@@ -836,6 +843,11 @@ std::vector<std::string> check_bench(const obs::Json& m) {
   if (!m["tool"].is_string()) problems.push_back("tool missing");
   if (!m["workers"].is_number()) problems.push_back("workers missing");
   if (!m["tiny"].is_bool()) problems.push_back("tiny missing");
+  const obs::Json& fp = m["fingerprint"];
+  for (const char* field : kBenchHostFields)
+    if (fp[field].is_null())
+      problems.push_back(std::string("fingerprint.") + field + " missing");
+  if (!fp["commit"].is_string()) problems.push_back("fingerprint.commit missing");
   const obs::Json& benches = m["benches"];
   if (!benches.is_array() || benches.size() == 0) {
     problems.push_back("benches missing or empty");
@@ -886,10 +898,26 @@ int cmd_bench_check(const std::string& path) {
   return 0;
 }
 
+// The fields of a BENCH_host.json file that must match before its wall
+// clocks compare with another's: the host fingerprint without the commit,
+// and the input shape (--tiny).
+std::string bench_host(const obs::Json& m) {
+  std::string s;
+  for (const char* field : kBenchHostFields) {
+    const obs::Json& v = m["fingerprint"][field];
+    s += std::string(field) + "=" +
+         (v.is_string() ? v.as_string()
+                        : std::to_string(static_cast<long long>(v.as_i64()))) +
+         " ";
+  }
+  return s + "tiny=" + (m["tiny"].as_bool() ? "true" : "false");
+}
+
 // Wall-clock analogue of cmd_metrics_diff: compares wall_seconds by bench
-// name. Wall clock is host-dependent, so the default threshold is looser
-// than metrics-diff's (these numbers wobble with machine load) — pass
-// --max-regress-pct to tighten or relax.
+// name. Wall clock is host-dependent, so two files from different hosts,
+// builds, worker counts or input shapes are refused (exit 2), and the
+// default threshold is looser than metrics-diff's (these numbers wobble
+// with machine load) — pass --max-regress-pct to tighten or relax.
 int cmd_bench_diff(const std::string& old_path, const std::string& new_path,
                    double max_regress_pct) {
   const auto older = load_metrics(old_path);
@@ -903,6 +931,16 @@ int cmd_bench_diff(const std::string& old_path, const std::string& new_path,
                  "schema mismatch: %s is v%lld, %s is v%lld — not comparable\n",
                  old_path.c_str(), static_cast<long long>(old_v),
                  new_path.c_str(), static_cast<long long>(new_v));
+    return 2;
+  }
+  const std::string old_host = bench_host(*older);
+  const std::string new_host = bench_host(*newer);
+  if (old_host != new_host) {
+    std::fprintf(stderr,
+                 "host fingerprints differ — not comparable:\n  %s: %s\n"
+                 "  %s: %s\n",
+                 old_path.c_str(), old_host.c_str(), new_path.c_str(),
+                 new_host.c_str());
     return 2;
   }
 

@@ -1,8 +1,8 @@
-// Golden counters for the chained-table baseline engines (cpu, pinned,
-// phoenix, mapcg, stadium). Each row pins every simulated counter, the PCIe totals, the
-// result digest, key count, table footprint and simulated time of one
-// (app, engine) run on a fixed generated input at one pool worker, where the
-// run is a pure function of its input. A refactor of the table that loses an
+// Golden counters for the baseline engines (cpu, pinned, phoenix, mapcg,
+// stadium, paging-sim). Each row pins every simulated counter, the PCIe
+// totals, the result digest, key count, table footprint and simulated time
+// of one (app, engine) run on a fixed generated input at one pool worker,
+// where the run is a pure function of its input. A refactor of the table that loses an
 // alloc_ops bump, a heap-lock acquire or a metered remote byte keeps every
 // digest but fails here.
 #include <gtest/gtest.h>
@@ -194,6 +194,11 @@ constexpr Golden kGolden[] = {
      "h2d_txns=1 remote_bytes=114820 remote_txns=2384 keys=1135 "
      "checksum=4243751406824444527",
      0x1.94c4e414b1876p-13},
+    // The table fits the default device, so the replay evicts no page and
+    // its transfer bound is 0; the row pins the traced table's keys, digest
+    // and footprint.
+    {"pvc", "paging-sim",
+     "keys=413 checksum=364913289404329803 table_bytes=297440", 0},
 };
 
 TEST(BaselineGoldenCounterTest, ChainedHostTableEnginesMatchRecordedCounters) {
@@ -215,11 +220,12 @@ TEST(BaselineGoldenCounterTest, ChainedHostTableEnginesMatchRecordedCounters) {
   }
 }
 
-// The table above covers every (app, engine) pair the five engines support.
+// The table above covers every (app, engine) pair the six engines support.
 TEST(BaselineGoldenCounterTest, CoversEverySupportedPair) {
   std::size_t pairs = 0;
   for (const AppInfo* app : all_apps())
-    for (const char* name : {"cpu", "pinned", "phoenix", "mapcg", "stadium"})
+    for (const char* name : {"cpu", "pinned", "phoenix", "mapcg", "stadium",
+                             "paging-sim"})
       if (find_engine(name)->supports(*app)) ++pairs;
   EXPECT_EQ(pairs, std::size(kGolden));
 }

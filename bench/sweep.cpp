@@ -58,7 +58,7 @@ apps::RunResult Sweep::execute(const apps::AppInfo& app,
                                const apps::Engine& engine,
                                std::string_view input, apps::EngineConfig cfg,
                                const obs::Json& extra) {
-  if (rec_ && engine.caps().trace) {
+  if (rec_ && engine.telemetry()) {
     std::string section = app.title;
     if (const obs::Json* d = extra.find("dataset"))
       section += " #" + std::to_string(d->as_i64());

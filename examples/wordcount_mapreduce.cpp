@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "apps/engine.hpp"
-#include "baselines/phoenix.hpp"
 #include "common/parse.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/exec_context.hpp"

@@ -1,18 +1,20 @@
-// Pluggable engine registry (DESIGN.md §2): the one dispatch seam between
-// "which app, which implementation" and the run paths.
+// The engine registry (DESIGN.md §2): the one dispatch seam between "which
+// app, which implementation" and the one run function.
 //
-// An AppInfo names one registered application (standalone or MapReduce); an
-// Engine is one implementation that can run it — the SEPO system itself or
-// one of the paper's comparators. Every consumer (sepo_cli run/compare/list,
-// the bench binaries, the examples, the cross-validation tests) resolves
-// apps and engines here instead of keeping its own string if/else chain, so
-// adding a backend is one registration, not a cross-cutting edit.
+// An AppInfo names one registered application (standalone or MapReduce). An
+// engine is one row of fixed fields (EngineRow): where its table lives
+// (placement), how records reach that table (staging), and whether the map
+// threads share it (containers). The paper's comparators differ from SEPO
+// in exactly these fields (§VI, §VII), so one function, run_engine, runs
+// every row, handling each field value in one place. Every consumer
+// (sepo_cli run/compare/list, the bench binaries, the examples, the
+// cross-validation tests) resolves apps and engines here instead of keeping
+// its own string if/else chain.
 //
-// All engines are rows of one static table in engines.cpp, next to their run
-// paths, one per engine — deliberately one translation unit, because
-// self-registration statics spread across a static library get dropped by
-// the linker unless something in each TU is referenced. Registration order
-// is display order.
+// All rows are one static table in engines.cpp, next to run_engine —
+// deliberately one translation unit, because self-registration statics
+// spread across a static library get dropped by the linker unless something
+// in each TU is referenced. Registration order is display order.
 #pragma once
 
 #include <cstdint>
@@ -88,59 +90,79 @@ struct EngineConfig {
   CpuConfig cpu;
 };
 
-// One registered implementation: a row of the engine table in engines.cpp.
-// Engines differ only in these fields; the run function is the engine's
-// whole run path.
-class Engine {
- public:
-  // Capability flags: what the engine can run and which GpuConfig telemetry
-  // hooks it honors. Consumers gate per-run wiring (trace recorder, journal
-  // dump, fault flags) on these instead of matching impl names.
-  struct Caps {
-    bool standalone = false;       // runs StandaloneApp workloads
-    bool mapreduce = false;        // runs MrApp workloads
-    bool simulated_device = false; // builds a virtual GPU (device + PCIe bus)
-    bool trace = false;            // honors GpuConfig.trace
-    bool journal = false;          // honors GpuConfig.journal
-    bool faults = false;           // honors GpuConfig.faults
-  };
-  using RunFn = RunResult (*)(const AppInfo& app, std::string_view input,
-                              const EngineConfig& cfg);
-  using SupportsFn = bool (*)(const AppInfo& app);
-
-  constexpr Engine(const char* name, const char* description, Caps caps,
-                   RunFn run, SupportsFn supports = nullptr) noexcept
-      : name_(name), description_(description), caps_(caps), run_(run),
-        supports_(supports) {}
-
-  // Registry name; run() stamps it on the RunResult as its impl (and
-  // therefore the "impl" field in metrics files).
-  [[nodiscard]] const char* name() const noexcept { return name_; }
-  // One-line description for `sepo_cli engines`.
-  [[nodiscard]] const char* describe() const noexcept { return description_; }
-  [[nodiscard]] Caps caps() const noexcept { return caps_; }
-
-  // Whether this engine can run `app`: the Caps kind flags, narrowed by the
-  // row's predicate when it has one (paging-sim).
-  [[nodiscard]] bool supports(const AppInfo& app) const {
-    const bool kind = app.is_mapreduce() ? caps_.mapreduce : caps_.standalone;
-    return kind && (supports_ == nullptr || supports_(app));
-  }
-
-  [[nodiscard]] RunResult run(const AppInfo& app, std::string_view input,
-                              const EngineConfig& cfg) const {
-    RunResult r = run_(app, input, cfg);
-    r.impl = name_;
-    return r;
-  }
-
- private:
-  const char* name_;
-  const char* description_;
-  Caps caps_;
-  RunFn run_;
-  SupportsFn supports_;
+// Where an engine's table lives, which also fixes what a full table does.
+enum class Placement : std::uint8_t {
+  // SEPO table in device memory; a full heap postpones the record (§III).
+  kDeviceSepo,
+  // Multi-valued chained table in one device arena, reduced after the map;
+  // a full arena fails the run (MapCG, §VI-C).
+  kDeviceNoSepo,
+  // Chained table in CPU memory (§VI-B).
+  kHost,
+  // Chained table in pinned CPU memory; every entry access from a kernel is
+  // a PCIe transaction (§VI-D).
+  kHostOverPcie,
+  // Pair store in pinned CPU memory behind a device fingerprint index
+  // (Stadium, §VII).
+  kHostIndexed,
+  // One table in demand-paged unified memory, replayed through an LRU page
+  // cache (§VI-D, Table III).
+  kDemandPaged,
 };
+
+// How records reach the table.
+enum class Staging : std::uint8_t {
+  kNone,      // the host maps the records in place
+  kBulkCopy,  // the whole input crosses PCIe before one map kernel
+  kRing,      // BigKernel chunks through a device staging ring
+};
+
+// Whether the map threads share one table.
+enum class Containers : std::uint8_t {
+  kShared,
+  // Private per-thread tables, folded into one after the map (Phoenix++).
+  kPerThread,
+};
+
+// One registered implementation: a row of the engine table in engines.cpp.
+// Engines differ only in these fields; run_engine reads them.
+struct EngineRow {
+  const char* key;          // registry name; the RunResult's impl
+  const char* description;  // one line for `sepo_cli engines`
+  Placement placement;
+  Staging staging;
+  Containers containers;
+  bool standalone;  // runs StandaloneApp workloads
+  bool mapreduce;   // runs MrApp workloads
+
+  [[nodiscard]] const char* name() const noexcept { return key; }
+  // Builds a virtual GPU (device + PCIe bus).
+  [[nodiscard]] bool simulated_device() const noexcept {
+    return placement != Placement::kHost &&
+           placement != Placement::kDemandPaged;
+  }
+  // Honors GpuConfig's trace, journal and fault hooks: the rows whose input
+  // lands in device memory through ExecContext::stage_h2d. Stadium's copy
+  // bypasses it (its input never lands in device memory).
+  [[nodiscard]] bool telemetry() const noexcept {
+    return staging != Staging::kNone && placement != Placement::kHostIndexed;
+  }
+  // Whether this row can run `app`: its kind flag, and for the paging replay
+  // the one shape its trace models, <key, +1> combining inserts.
+  [[nodiscard]] bool supports(const AppInfo& app) const;
+  // run_engine(*this, ...).
+  [[nodiscard]] RunResult run(const AppInfo& app, std::string_view input,
+                              const EngineConfig& cfg) const;
+};
+// The name every consumer uses for a registered row.
+using Engine = EngineRow;
+
+// The one run function: runs `app` over `input` as `row` describes, and
+// stamps the row's key on the result as its impl (and therefore the "impl"
+// field in metrics files).
+[[nodiscard]] RunResult run_engine(const EngineRow& row, const AppInfo& app,
+                                   std::string_view input,
+                                   const EngineConfig& cfg);
 
 // Registered engines in display order.
 [[nodiscard]] const std::vector<const Engine*>& all_engines();

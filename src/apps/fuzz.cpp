@@ -203,7 +203,7 @@ FuzzResult FuzzRunner::execute(const FuzzPlan& plan) const {
   // Flight recorder on the engine under test: drained into the result only
   // when the verdict is a failure (the repro artifact carries it).
   std::unique_ptr<gpusim::EventJournal> journal;
-  if (eng->caps().journal) {
+  if (eng->telemetry()) {
     journal = std::make_unique<gpusim::EventJournal>();
     cfg.gpu.journal = journal.get();
   }

@@ -7,8 +7,8 @@
 #include <new>
 #include <stdexcept>
 
-#include "baselines/mapcg.hpp"
 #include "common/hashing.hpp"
+#include "common/parse.hpp"
 #include "gpusim/worker_id.hpp"
 
 namespace sepo::apps {
@@ -56,35 +56,37 @@ bigkernel::PipelineConfig choose_chunking(const RecordIndex& idx,
 }
 
 std::size_t pool_workers_from_args(int& argc, char** argv) {
+  // A count that does not parse, or that exceeds the counter shards, is a
+  // usage error: the run would not use the pool that was asked for.
+  const auto checked = [](const char* source, const char* value) {
+    const auto n = parse_number<std::size_t>(value ? value : "");
+    if (!n) {
+      std::fprintf(stderr, "%s requires a worker count, got '%s'\n", source,
+                   value ? value : "");
+      std::exit(1);
+    }
+    if (*n > gpusim::kMaxPoolWorkers) {
+      std::fprintf(stderr, "--workers %zu exceeds the maximum of %zu\n", *n,
+                   gpusim::kMaxPoolWorkers);
+      std::exit(1);
+    }
+    return *n;
+  };
   std::size_t workers = 0;
   if (const char* env = std::getenv("SEPO_WORKERS"))
-    workers = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
+    workers = checked("SEPO_WORKERS", env);
 
   int w = 1;
   for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      value = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        std::fprintf(stderr, "--workers requires a count argument\n");
-        continue;
-      }
-    } else {
+    if (std::strncmp(argv[i], "--workers=", 10) == 0)
+      workers = checked("--workers", argv[i] + 10);
+    else if (std::strcmp(argv[i], "--workers") == 0)
+      workers = checked("--workers", i + 1 < argc ? argv[++i] : nullptr);
+    else
       argv[w++] = argv[i];
-      continue;
-    }
-    workers = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
   }
   argc = w;
   argv[argc] = nullptr;
-  if (workers > gpusim::kMaxPoolWorkers) {
-    std::fprintf(stderr, "--workers %zu exceeds the maximum of %zu\n", workers,
-                 gpusim::kMaxPoolWorkers);
-    std::exit(1);
-  }
   return workers;
 }
 
@@ -120,7 +122,7 @@ RunResult SimRun::run(const std::function<void(RunResult&)>& body) {
   try {
     body(r);
   } catch (const std::runtime_error& e) {
-    // FaultError (retries exhausted), MapCgOutOfMemory, driver stall.
+    // FaultError (retries exhausted), driver stall.
     r.error = run_error_from(e);
   } catch (const std::bad_alloc& e) {
     // DeviceOutOfMemory: static structures or an arena outgrew the device.
@@ -135,14 +137,12 @@ RunResult SimRun::run(const std::function<void(RunResult&)>& body) {
 
 RunError run_error_from(const std::exception& e) {
   RunError err;
-  // Order matters: FaultError and the MapCG OOM both derive from
-  // runtime_error, and DeviceOutOfMemory derives from bad_alloc, so the
-  // specific types must be tested before their bases. A plain runtime_error
-  // is the driver's stall report (iteration cap / zero progress).
+  // Order matters: FaultError derives from runtime_error, so it must be
+  // tested before its base. A plain runtime_error is the driver's stall
+  // report (iteration cap / zero progress).
   if (dynamic_cast<const gpusim::FaultError*>(&e) != nullptr)
     err.kind = RunError::Kind::kFaultRetriesExhausted;
-  else if (dynamic_cast<const std::bad_alloc*>(&e) != nullptr ||
-           dynamic_cast<const baselines::MapCgOutOfMemory*>(&e) != nullptr)
+  else if (dynamic_cast<const std::bad_alloc*>(&e) != nullptr)
     err.kind = RunError::Kind::kDeviceOutOfMemory;
   else if (dynamic_cast<const std::runtime_error*>(&e) != nullptr)
     err.kind = RunError::Kind::kNoProgress;

@@ -76,9 +76,10 @@ struct RunResult;
 // One simulated-GPU run's execution state: virtual device, worker pool,
 // counters, and the ExecContext wiring them together — with the GpuConfig's
 // trace hook, flight-recorder journal, and fault injector installed. This is
-// the ONE place per-run ExecContext setup happens; every simulated-device
-// run path (sepo-gpu, sepo-mr, pinned, mapcg, stadium) builds one of these
-// and runs its job through run(). The wall timer starts at construction.
+// the ONE place per-run ExecContext setup happens; run_engine builds one of
+// these for every simulated-device row (sepo-gpu, sepo-mr, pinned, mapcg,
+// stadium) and runs its job through run(). The wall timer starts at
+// construction.
 class SimRun {
  public:
   explicit SimRun(const GpuConfig& cfg)
@@ -95,7 +96,7 @@ class SimRun {
   SimRun& operator=(const SimRun&) = delete;
 
   // The one guarded run. Calls body(r), which builds the job's structures
-  // (pipeline, tables, runtimes) and fills what only it knows — serial,
+  // (pipeline, tables, staged input) and fills what only it knows — serial,
   // iterations, keys, digest — then fills counters, PCIe totals, simulated
   // times and wall clock. A runtime_error or bad_alloc thrown by body,
   // construction included, becomes a typed r.error (run_error_from); a
@@ -148,8 +149,9 @@ struct RunError {
 // strips a `--workers N` / `--workers=N` flag from argv (compacting argc like
 // obs::OutputOptions::from_args) and returns its value; falls back to the
 // SEPO_WORKERS environment variable, then to 0 (= hardware concurrency, the
-// ThreadPool default). A count above gpusim::kMaxPoolWorkers is a usage
-// error: it is reported and the process exits 1. Plumb the result into
+// ThreadPool default). A missing or unparsable count, or one above
+// gpusim::kMaxPoolWorkers, is a usage error: it is reported and the process
+// exits 1. Plumb the result into
 // GpuConfig/CpuConfig .pool_workers to sweep host parallelism in perf runs.
 [[nodiscard]] std::size_t pool_workers_from_args(int& argc, char** argv);
 

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "gpusim/worker_id.hpp"
+
 namespace sepo::baselines {
 
 namespace {
@@ -240,6 +242,57 @@ void ChainedHostTable::for_each_group(
   std::vector<std::span<const std::byte>> vals;
   for (std::uint32_t b = 0; b < num_buckets(); ++b)
     for_each_group_in(b, vals, fn);
+}
+
+void merge_tables(std::span<const std::unique_ptr<ChainedHostTable>> locals,
+                  ChainedHostTable& merged, gpusim::ThreadPool& pool) {
+  if (locals.empty()) return;
+  const std::uint32_t local_buckets = locals.front()->num_buckets();
+  const std::uint32_t m = std::min(local_buckets, merged.num_buckets());
+  const bool grouped =
+      merged.organization() == core::Organization::kMultiValued;
+  core::for_each_bucket_range(
+      pool, m, [&](std::size_t, std::size_t lo, std::size_t hi) {
+        const auto tid =
+            static_cast<std::uint32_t>(gpusim::current_worker_index());
+        const auto insert = [&](std::string_view k,
+                                std::span<const std::byte> v) {
+          merged.insert(tid, k, v);
+        };
+        std::vector<std::span<const std::byte>> vals;
+        for (const auto& local : locals)
+          for (std::uint32_t base = 0; base < local_buckets; base += m)
+            for (auto b = static_cast<std::uint32_t>(base + lo); b < base + hi;
+                 ++b) {
+              if (grouped)
+                local->for_each_group_in(
+                    b, vals, [&](std::string_view k, const auto& vs) {
+                      for (const auto& v : vs) insert(k, v);
+                    });
+              else
+                local->for_each_in(b, insert);
+            }
+      });
+}
+
+void reduce_values(gpusim::ExecContext& ctx, ChainedHostTable& table,
+                   core::CombineFn combine) {
+  using KeyEntry = ChainedHostTable::KeyEntry;
+  using ValueEntry = ChainedHostTable::ValueEntry;
+  gpusim::RunStats& stats = ctx.stats();
+  ctx.launch(table.num_buckets(), [&](std::size_t b) {
+    for (KeyEntry* k = table.chain<KeyEntry>(static_cast<std::uint32_t>(b));
+         k != nullptr; k = k->next) {
+      ValueEntry* first = k->vhead;
+      if (first == nullptr) continue;
+      for (const ValueEntry* v = first->next; v != nullptr; v = v->next) {
+        stats.add_chain_links();
+        combine(first->value_data(), v->value_data(),
+                std::min(first->val_len, v->val_len));
+        stats.add_combines();
+      }
+    }
+  });
 }
 
 }  // namespace sepo::baselines

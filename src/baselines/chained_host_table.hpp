@@ -39,6 +39,10 @@
 //
 // Host memory is treated as unbounded, so the CPU and pinned placements
 // never postpone; a full device heap makes insert return kPostpone.
+//
+// The two steps the MapReduce baselines add around the table are free
+// functions at the end of this header: Phoenix++'s merge of per-thread
+// tables (merge_tables) and MapCG's reduce pass (reduce_values).
 #pragma once
 
 #include <atomic>
@@ -383,7 +387,9 @@ class ChainedHostTable {
   gpusim::ShardedCounters<kNumTallies> tallies_;
 };
 
-// Emitter into a host-placement ChainedHostTable from worker thread `tid`.
+// Emitter into a ChainedHostTable from worker thread `tid`. Once the table
+// refuses an emit (a full device arena) it refuses the rest without touching
+// the table, so the map function stops there (mapreduce::Emitter).
 class ChainedHostEmitter final : public mapreduce::Emitter {
  public:
   ChainedHostEmitter(ChainedHostTable& table, std::uint32_t tid) noexcept
@@ -391,12 +397,41 @@ class ChainedHostEmitter final : public mapreduce::Emitter {
 
   core::Status emit(std::string_view key,
                     std::span<const std::byte> value) override {
-    return table_.insert(tid_, key, value);
+    if (failed_ || table_.insert(tid_, key, value) == core::Status::kPostpone) {
+      failed_ = true;
+      return core::Status::kPostpone;
+    }
+    return core::Status::kSuccess;
   }
+
+  [[nodiscard]] bool failed() const noexcept { return failed_; }
 
  private:
   ChainedHostTable& table_;
   std::uint32_t tid_;
+  bool failed_ = false;
 };
+
+// Phoenix++'s merge phase (§VI-B, [12]): folds the per-thread tables `locals`
+// (one organization, equal power-of-two bucket counts) into `merged` on
+// `pool`, partitioned by bucket residue. With m = min(local buckets, merged
+// buckets) a key's local and merged buckets agree mod m, so local bucket b
+// feeds only merged buckets congruent to b mod m. Each pool task owns one
+// range of residues (core::for_each_bucket_range over [0, m)) and walks the
+// locals t = 0..T-1 in order, and in each its own local buckets ascending.
+// Every merged bucket therefore receives exactly the insert sequence of a
+// serial table-then-bucket fold, and no two tasks share a merged bucket or
+// its lock: every counter, the key count, the table's bytes and its digest
+// are the same at any worker count. A task allocates from its pool worker's
+// arena.
+void merge_tables(std::span<const std::unique_ptr<ChainedHostTable>> locals,
+                  ChainedHostTable& merged, gpusim::ThreadPool& pool);
+
+// MapCG's separate reduce pass (§VI-C, [7]: "grouping is postponed to a
+// later stage", the overhead on-the-fly combining avoids): one launched
+// thread per bucket of the multi-valued `table` folds each key's value list
+// into its newest value with `combine`, which then holds the key's result.
+void reduce_values(gpusim::ExecContext& ctx, ChainedHostTable& table,
+                   core::CombineFn combine);
 
 }  // namespace sepo::baselines

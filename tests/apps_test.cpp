@@ -214,7 +214,7 @@ TEST(OneClock, EveryMeteredEventIsOnTheTimeline) {
   cfg.gpu.pool_workers = 1;
   const gpusim::PcieParams pcie;
   for (const Engine* engine : all_engines()) {
-    if (!engine->caps().simulated_device) continue;
+    if (!engine->simulated_device()) continue;
     for (const AppInfo* app : all_apps()) {
       if (!engine->supports(*app)) continue;
       SCOPED_TRACE(std::string(app->key) + "/" + engine->name());

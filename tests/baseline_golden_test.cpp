@@ -220,13 +220,13 @@ TEST(BaselineGoldenCounterTest, ChainedHostTableEnginesMatchRecordedCounters) {
   }
 }
 
-// The table above covers every (app, engine) pair the six engines support.
+// The table above covers every (app, engine) pair of every registered row
+// but the two SEPO rows, which sepo_golden_test covers.
 TEST(BaselineGoldenCounterTest, CoversEverySupportedPair) {
   std::size_t pairs = 0;
   for (const AppInfo* app : all_apps())
-    for (const char* name : {"cpu", "pinned", "phoenix", "mapcg", "stadium",
-                             "paging-sim"})
-      if (find_engine(name)->supports(*app)) ++pairs;
+    for (const Engine* e : all_engines())
+      if (e->placement != Placement::kDeviceSepo && e->supports(*app)) ++pairs;
   EXPECT_EQ(pairs, std::size(kGolden));
 }
 

@@ -34,9 +34,9 @@ TEST(EngineRegistryTest, EnginesAreRegisteredWithUniqueNames) {
   std::set<std::string> names;
   for (const Engine* e : engines) {
     EXPECT_TRUE(names.insert(e->name()).second) << e->name();
-    EXPECT_NE(e->describe(), nullptr);
+    EXPECT_NE(e->description, nullptr);
     // Every engine runs at least one kind of app.
-    EXPECT_TRUE(e->caps().standalone || e->caps().mapreduce) << e->name();
+    EXPECT_TRUE(e->standalone || e->mapreduce) << e->name();
     EXPECT_EQ(find_engine(e->name()), e);
   }
   for (const char* n : {"sepo-gpu", "sepo-mr", "cpu", "phoenix", "pinned",

@@ -1,7 +1,9 @@
 // Tests for the MapReduce stack: our SEPO runtime (§V), the Phoenix++-style
-// CPU baseline, and the MapCG-style GPU baseline — all validated against
-// sequential references, including under heaps small enough to force many
-// SEPO iterations with multi-emission map functions.
+// CPU baseline, and the MapCG-style GPU baseline (the last two run through
+// the engine registry, plus their merge and reduce functions on their own)
+// — all validated against sequential references, including under heaps
+// small enough to force many SEPO iterations with multi-emission map
+// functions.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,9 +12,8 @@
 #include <string>
 #include <unordered_map>
 
-#include "apps/harness.hpp"
-#include "baselines/mapcg.hpp"
-#include "baselines/phoenix.hpp"
+#include "apps/engine.hpp"
+#include "baselines/chained_host_table.hpp"
 #include "common/random.hpp"
 #include "mapreduce/runtime.hpp"
 #include "test_util.hpp"
@@ -194,31 +195,92 @@ TEST(MapReduceRuntimeTest, CustomPartitioner) {
   EXPECT_EQ(*out.table->lookup_u64("a"), 2u);
 }
 
+// ---- baselines through the registry ----
+
+// A registered-app row over one of this file's map functions, so a baseline
+// engine runs it exactly as it runs the real MapReduce apps.
+struct TestApp {
+  TestApp(Mode mode, MapFn map, core::CombineFn combine = nullptr)
+      : mr{.name = "test",
+           .table1_key = "wc",
+           .mode = mode,
+           .generate = nullptr,
+           .map = std::move(map),
+           .combine = combine},
+        info{.key = "test", .title = "test", .mr = &mr} {}
+  TestApp(const TestApp&) = delete;
+  TestApp& operator=(const TestApp&) = delete;
+
+  apps::MrApp mr;
+  apps::AppInfo info;
+};
+
+// The digest a correct word-count run reports: every word with its count.
+std::uint64_t word_digest(std::string_view input) {
+  std::uint64_t sum = 0;
+  for (const auto& [k, v] : word_reference(input))
+    sum += apps::kv_digest_term(k, test::bytes_of(v));
+  return sum;
+}
+
+// "v<i> k<i % keys>" lines, and the digest of their <k, {v...}> groups.
+std::string pair_input(int n, int keys) {
+  std::ostringstream os;
+  for (int i = 0; i < n; ++i) os << "v" << i << " k" << (i % keys) << "\n";
+  return os.str();
+}
+std::uint64_t group_digest(std::string_view input) {
+  std::map<std::string, std::vector<std::string>> groups;
+  const RecordIndex idx = index_lines(input);
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    const std::string_view body = idx.record(input.data(), i);
+    const std::size_t sp = body.find(' ');
+    groups[std::string(body.substr(sp + 1))].emplace_back(body.substr(0, sp));
+  }
+  std::uint64_t sum = 0;
+  for (const auto& [k, vs] : groups) {
+    std::vector<std::span<const std::byte>> vals;
+    for (const auto& v : vs) vals.push_back(std::as_bytes(std::span{v}));
+    sum += apps::group_digest_term(k, vals);
+  }
+  return sum;
+}
+
+apps::RunResult phoenix_run(const TestApp& app, std::string_view input,
+                            std::uint32_t threads, std::size_t workers) {
+  apps::EngineConfig cfg;
+  cfg.cpu.num_threads = threads;
+  cfg.cpu.pool_workers = workers;
+  return apps::find_engine("phoenix")->run(app.info, input, cfg);
+}
+
+apps::RunResult mapcg_run(const TestApp& app, std::string_view input,
+                          std::size_t device_bytes,
+                          std::uint32_t num_buckets) {
+  apps::EngineConfig cfg;
+  cfg.gpu.device_bytes = device_bytes;
+  cfg.gpu.num_buckets = num_buckets;
+  return apps::find_engine("mapcg")->run(app.info, input, cfg);
+}
+
 // ---- Phoenix baseline ----
 
 TEST(PhoenixTest, WordCountMatchesReference) {
-  Rig rig(1u << 16, /*workers=*/2);
-  baselines::PhoenixRuntime phoenix(rig.pool, rig.stats, {.num_threads = 4});
+  const TestApp wc(Mode::kMapReduce, map_words, core::combine_sum_u64);
   const std::string input = word_input(3000, 300, 5);
-  const auto table = phoenix.run(
-      input, {.mode = Mode::kMapReduce, .map = map_words,
-              .combine = core::combine_sum_u64});
-  const auto ref = word_reference(input);
-  ASSERT_EQ(table->entry_count(), ref.size());
-  table->for_each([&](std::string_view k, std::span<const std::byte> v) {
-    EXPECT_EQ(as_u64(v), ref.at(std::string(k))) << k;
-  });
+  const apps::RunResult r = phoenix_run(wc, input, 4, /*workers=*/2);
+  ASSERT_FALSE(r.error) << r.error.message;
+  EXPECT_EQ(r.keys, word_reference(input).size());
+  EXPECT_EQ(r.checksum, word_digest(input));
 }
 
 TEST(PhoenixTest, MapGroupKeepsEveryValue) {
-  Rig rig(1u << 16, /*workers=*/2);
-  baselines::PhoenixRuntime phoenix(rig.pool, rig.stats, {.num_threads = 4});
-  std::ostringstream os;
-  for (int i = 0; i < 1000; ++i) os << "v" << i << " k" << (i % 7) << "\n";
-  const auto table =
-      phoenix.run(os.str(), {.mode = Mode::kMapGroup, .map = map_pairs});
-  EXPECT_EQ(table->entry_count(), 7u);
-  EXPECT_EQ(table->value_count(), 1000u);
+  const TestApp group(Mode::kMapGroup, map_pairs);
+  const std::string input = pair_input(1000, 7);
+  const apps::RunResult r = phoenix_run(group, input, 4, /*workers=*/2);
+  ASSERT_FALSE(r.error) << r.error.message;
+  EXPECT_EQ(r.keys, 7u);
+  EXPECT_EQ(r.checksum, group_digest(input));
 }
 
 // The merge folds disjoint bucket-residue ranges on the pool. Every
@@ -238,57 +300,82 @@ std::string fingerprint(const gpusim::RunStats& stats,
   return test::golden_fingerprint(r);
 }
 
-std::string phoenix_fingerprint(std::size_t workers,
-                                const baselines::PhoenixConfig& cfg,
-                                std::string_view input, const MrSpec& spec) {
-  gpusim::ThreadPool pool(workers);
-  gpusim::RunStats stats;
-  baselines::PhoenixRuntime phoenix(pool, stats, cfg);
-  return fingerprint(stats, *phoenix.run(input, spec));
-}
+struct MergeShape {
+  std::uint32_t threads, local_buckets, merged_buckets;
+};
 
-std::string serial_fold_fingerprint(const baselines::PhoenixConfig& cfg,
-                                    std::string_view input,
-                                    const MrSpec& spec) {
-  gpusim::RunStats stats;
-  const core::Organization org = spec.mode == Mode::kMapReduce
-                                     ? core::Organization::kCombining
-                                     : core::Organization::kMultiValued;
-  baselines::ChainedHostTable merged(
-      stats, {.org = org,
-              .num_buckets = cfg.merged_table_buckets,
-              .combiner = spec.combine});
+// Maps `input` into `shape.threads` per-thread tables, contiguous record
+// ranges as the phoenix row splits them; `fold(t, local)` receives each.
+template <typename Fold>
+void map_per_thread(const MergeShape& shape, std::string_view input,
+                    const MrSpec& spec, gpusim::RunStats& stats,
+                    const Fold& fold) {
+  const TableShape table = table_shape(spec.mode, spec.combine);
   const RecordIndex index = index_lines(input);
-  const std::size_t n = index.size(), threads = cfg.num_threads;
+  const std::size_t n = index.size(), threads = shape.threads;
   for (std::uint32_t t = 0; t < threads; ++t) {
-    baselines::ChainedHostTable local(
-        stats, {.org = org,
-                .num_buckets = cfg.thread_table_buckets,
-                .combiner = spec.combine});
-    baselines::ChainedHostEmitter em(local, t);
+    auto local = std::make_unique<baselines::ChainedHostTable>(
+        stats, baselines::ChainedHostTableConfig{
+                   .org = table.org,
+                   .num_buckets = shape.local_buckets,
+                   .combiner = table.combiner});
+    baselines::ChainedHostEmitter em(*local, t);
     for (std::size_t r = n * t / threads; r < n * (t + 1) / threads; ++r) {
       const std::string_view body = index.record(input.data(), r);
       stats.add_work_units(body.size());
       spec.map(body, em);
       stats.add_records_processed();
     }
-    if (org == core::Organization::kCombining)
-      local.for_each([&](std::string_view k, std::span<const std::byte> v) {
-        merged.insert(t, k, v);
-      });
-    else
-      local.for_each_group([&](std::string_view k, const auto& vals) {
-        for (const auto& v : vals) merged.insert(t, k, v);
-      });
+    fold(t, std::move(local));
   }
+}
+
+baselines::ChainedHostTableConfig merged_config(const MergeShape& shape,
+                                                const MrSpec& spec) {
+  const TableShape table = table_shape(spec.mode, spec.combine);
+  return {.org = table.org,
+          .num_buckets = shape.merged_buckets,
+          .combiner = table.combiner};
+}
+
+std::string merge_fingerprint(std::size_t workers, const MergeShape& shape,
+                              std::string_view input, const MrSpec& spec) {
+  gpusim::ThreadPool pool(workers);
+  gpusim::RunStats stats;
+  std::vector<std::unique_ptr<baselines::ChainedHostTable>> locals;
+  map_per_thread(shape, input, spec, stats, [&](std::uint32_t, auto local) {
+    locals.push_back(std::move(local));
+  });
+  baselines::ChainedHostTable merged(stats, merged_config(shape, spec));
+  baselines::merge_tables(locals, merged, pool);
+  return fingerprint(stats, merged);
+}
+
+std::string serial_fold_fingerprint(const MergeShape& shape,
+                                    std::string_view input,
+                                    const MrSpec& spec) {
+  gpusim::RunStats stats;
+  baselines::ChainedHostTable merged(stats, merged_config(shape, spec));
+  map_per_thread(shape, input, spec, stats,
+                 [&](std::uint32_t t, const auto& local) {
+                   if (merged.organization() ==
+                       core::Organization::kCombining)
+                     local->for_each([&](std::string_view k,
+                                         std::span<const std::byte> v) {
+                       merged.insert(t, k, v);
+                     });
+                   else
+                     local->for_each_group(
+                         [&](std::string_view k, const auto& vals) {
+                           for (const auto& v : vals) merged.insert(t, k, v);
+                         });
+                 });
   return fingerprint(stats, merged);
 }
 
 TEST(PhoenixMergeTest, EqualsSerialFoldAtEveryPoolSize) {
   const std::string words = word_input(4000, 3000, 9);
-  std::ostringstream os;
-  for (int i = 0; i < 6000; ++i) os << "v" << i << " k" << (i % 1500) << "\n";
-  const std::string pairs = os.str();
+  const std::string pairs = pair_input(6000, 1500);
   const MrSpec count{.mode = Mode::kMapReduce,
                      .map = map_words,
                      .combine = core::combine_sum_u64};
@@ -296,17 +383,36 @@ TEST(PhoenixMergeTest, EqualsSerialFoldAtEveryPoolSize) {
   // 1024 residues either way: four merge ranges.
   for (const auto& [local, merged] :
        {std::pair{1u << 10, 1u << 12}, std::pair{1u << 12, 1u << 10}}) {
-    const baselines::PhoenixConfig cfg{.num_threads = 5,
-                                       .thread_table_buckets = local,
-                                       .merged_table_buckets = merged};
+    const MergeShape shape{.threads = 5,
+                           .local_buckets = local,
+                           .merged_buckets = merged};
     for (const auto& [spec, input] :
          {std::pair{&count, &words}, std::pair{&group, &pairs}}) {
-      const std::string serial = serial_fold_fingerprint(cfg, *input, *spec);
+      const std::string serial = serial_fold_fingerprint(shape, *input, *spec);
       EXPECT_NE(serial.find("chain_links_walked="), std::string::npos);
       for (std::size_t workers = 1; workers <= 4; ++workers)
-        EXPECT_EQ(phoenix_fingerprint(workers, cfg, *input, *spec), serial)
+        EXPECT_EQ(merge_fingerprint(workers, shape, *input, *spec), serial)
             << "local " << local << ", merged " << merged << ", "
             << workers << " workers";
+    }
+  }
+}
+
+// The whole phoenix row, map and merge, is the same run at any pool size.
+TEST(PhoenixMergeTest, RegistryRunIsTheSameAtEveryPoolSize) {
+  const TestApp wc(Mode::kMapReduce, map_words, core::combine_sum_u64);
+  const TestApp group(Mode::kMapGroup, map_pairs);
+  const std::string words = word_input(4000, 3000, 9);
+  const std::string pairs = pair_input(6000, 1500);
+  for (const auto& [app, input] :
+       {std::pair{&wc, &words}, std::pair{&group, &pairs}}) {
+    const apps::RunResult one = phoenix_run(*app, *input, 5, 1);
+    ASSERT_FALSE(one.error) << one.error.message;
+    for (std::size_t workers = 2; workers <= 4; ++workers) {
+      const apps::RunResult r = phoenix_run(*app, *input, 5, workers);
+      EXPECT_EQ(test::golden_fingerprint(r), test::golden_fingerprint(one))
+          << workers << " workers";
+      EXPECT_EQ(r.sim_seconds, one.sim_seconds) << workers << " workers";
     }
   }
 }
@@ -314,54 +420,57 @@ TEST(PhoenixMergeTest, EqualsSerialFoldAtEveryPoolSize) {
 // ---- MapCG baseline ----
 
 TEST(MapCgTest, WordCountReducesCorrectly) {
-  Rig rig(2u << 20);
-  baselines::MapCgRuntime mapcg(rig.ctx,
-                                {.num_buckets = 1u << 10});
+  const TestApp wc(Mode::kMapReduce, map_words, core::combine_sum_u64);
   const std::string input = word_input(1500, 150, 6);
-  mapcg.run(input, {.mode = Mode::kMapReduce, .map = map_words,
-                    .combine = core::combine_sum_u64});
+  const apps::RunResult r = mapcg_run(wc, input, 2u << 20, 1u << 10);
+  ASSERT_FALSE(r.error) << r.error.message;
+  EXPECT_EQ(r.keys, word_reference(input).size());
+  // The per-range sum over the reduced values equals the serial reference.
+  EXPECT_EQ(r.checksum, word_digest(input));
+  EXPECT_GT(r.serial.serial_atomic_ops, 0u);
+}
+
+// The reduce pass alone: each key's newest value ends up holding its fold.
+TEST(MapCgTest, ReducePassFoldsEachValueList) {
+  Rig rig(2u << 20);
+  baselines::ChainedHostTable table(
+      rig.ctx,
+      {.org = core::Organization::kMultiValued, .num_buckets = 1u << 10},
+      baselines::EntryMemory::kDevice);
+  table.carve_device_heap();
+  const std::string input = word_input(1500, 150, 6);
+  const RecordIndex index = index_lines(input);
+  baselines::ChainedHostEmitter em(table, 0);
+  for (std::size_t i = 0; i < index.size(); ++i)
+    map_words(index.record(input.data(), i), em);
+  ASSERT_FALSE(em.failed());
+  baselines::reduce_values(rig.ctx, table, core::combine_sum_u64);
   const auto ref = word_reference(input);
-  EXPECT_EQ(mapcg.table().entry_count(), ref.size());
+  EXPECT_EQ(table.entry_count(), ref.size());
   std::size_t checked = 0;
-  std::uint64_t serial = 0;
-  mapcg.for_each_reduced([&](std::string_view k,
-                             std::span<const std::byte> v) {
-    EXPECT_EQ(as_u64(v), ref.at(std::string(k))) << k;
+  table.for_each_group([&](std::string_view k, const auto& vals) {
+    ASSERT_FALSE(vals.empty());
+    EXPECT_EQ(as_u64(vals.front()), ref.at(std::string(k))) << k;
     ++checked;
-    serial += apps::kv_digest_term(k, v);
   });
   EXPECT_EQ(checked, ref.size());
-  EXPECT_GT(mapcg.table().serial_atomic_ops(), 0u);
-  // The per-range sum over reduced values equals the serial visit's.
-  EXPECT_EQ(mapcg.sum_reduced(apps::kv_digest_term, rig.pool), serial);
 }
 
 TEST(MapCgTest, FailsWhenDeviceMemoryExhausted) {
-  Rig rig(96u << 10);  // tiny device
-  baselines::MapCgRuntime mapcg(rig.ctx,
-                                {.num_buckets = 256});
+  const TestApp wc(Mode::kMapReduce, map_words, core::combine_sum_u64);
   const std::string input = word_input(4000, 4000, 7);
-  EXPECT_THROW(mapcg.run(input, {.mode = Mode::kMapReduce, .map = map_words,
-                                 .combine = core::combine_sum_u64}),
-               baselines::MapCgOutOfMemory);
+  const apps::RunResult r = mapcg_run(wc, input, 96u << 10, 256);
+  EXPECT_EQ(r.error.kind, apps::RunError::Kind::kDeviceOutOfMemory);
 }
 
 TEST(MapCgTest, GroupModeKeepsValueLists) {
-  Rig rig(2u << 20);
-  baselines::MapCgRuntime mapcg(rig.ctx,
-                                {.num_buckets = 256});
-  std::ostringstream os;
-  for (int i = 0; i < 500; ++i) os << "v" << i << " k" << (i % 5) << "\n";
-  const std::string input = os.str();
-  mapcg.run(input, {.mode = Mode::kMapGroup, .map = map_pairs});
-  EXPECT_EQ(mapcg.table().entry_count(), 5u);
-  EXPECT_EQ(mapcg.table().value_count(), 500u);
-  std::size_t values = 0;
-  mapcg.table().for_each_group(
-      [&](std::string_view, const std::vector<std::span<const std::byte>>& v) {
-        values += v.size();
-      });
-  EXPECT_EQ(values, 500u);
+  const TestApp group(Mode::kMapGroup, map_pairs);
+  const std::string input = pair_input(500, 5);
+  const apps::RunResult r = mapcg_run(group, input, 2u << 20, 256);
+  ASSERT_FALSE(r.error) << r.error.message;
+  EXPECT_EQ(r.keys, 5u);
+  EXPECT_EQ(r.stats.value_appends, 500u);
+  EXPECT_EQ(r.checksum, group_digest(input));
 }
 
 }  // namespace

@@ -116,7 +116,7 @@ std::string join_app_keys() {
 std::string join_engine_names(bool mapreduce) {
   std::string s = "gpu";  // alias: the SEPO engine for the app's kind
   for (const Engine* e : all_engines()) {
-    if (!(mapreduce ? e->caps().mapreduce : e->caps().standalone)) continue;
+    if (!(mapreduce ? e->mapreduce : e->standalone)) continue;
     s += " | ";
     s += e->name();
   }
@@ -231,6 +231,10 @@ std::optional<Options> parse(int argc, char** argv, int& err_exit) {
       o.impl = v;
     } else if (a == "--dataset") {
       if (!parse_flag(a, next(), o.dataset)) return std::nullopt;
+      if (o.dataset < 1 || o.dataset > 4) {
+        std::fprintf(stderr, "--dataset must be 1..4, got %d\n", o.dataset);
+        return std::nullopt;
+      }
     } else if (a == "--bytes") {
       if (!parse_flag(a, next(), o.bytes)) return std::nullopt;
     } else if (a == "--seed") {
@@ -240,6 +244,10 @@ std::optional<Options> parse(int argc, char** argv, int& err_exit) {
       if (!parse_flag(a, next(), o.device_kb)) return std::nullopt;
     } else if (a == "--threads") {
       if (!parse_flag(a, next(), o.threads)) return std::nullopt;
+      if (o.threads == 0) {
+        std::fprintf(stderr, "--threads must be at least 1\n");
+        return std::nullopt;
+      }
     } else if (a == "--csv") {
       o.csv = true;
     } else if (a == "--runs") {
@@ -361,20 +369,14 @@ int cmd_engines() {
     std::vector<std::string> row = {e->name()};
     for (const AppInfo* a : all_apps())
       row.emplace_back(e->supports(*a) ? "x" : "-");
-    const Engine::Caps caps = e->caps();
-    row.emplace_back(caps.simulated_device ? "sim" : "host");
-    std::string telemetry;
-    if (caps.trace) telemetry += "trace ";
-    if (caps.journal) telemetry += "journal ";
-    if (caps.faults) telemetry += "faults";
-    if (telemetry.empty()) telemetry = "-";
-    row.emplace_back(std::move(telemetry));
+    row.emplace_back(e->simulated_device() ? "sim" : "host");
+    row.emplace_back(e->telemetry() ? "trace journal faults" : "-");
     table.add_row(std::move(row));
   }
   table.print(std::cout);
   std::printf("\n");
   for (const Engine* e : all_engines())
-    std::printf("  %-11s %s\n", e->name(), e->describe());
+    std::printf("  %-11s %s\n", e->name(), e->description);
   return 0;
 }
 
@@ -467,14 +469,13 @@ int cmd_run(const Options& o, const obs::OutputOptions& out) {
   cfg.cpu.num_threads = o.threads;
   cfg.cpu.pool_workers = o.workers;
 
-  // Per-run telemetry is gated on the engine's capability flags, not on an
-  // impl-name heuristic.
-  const Engine::Caps caps = eng->caps();
-  if (o.faults.enabled() && !caps.faults)
+  // Per-run telemetry is gated on the engine row, not on an impl-name
+  // heuristic.
+  if (o.faults.enabled() && !eng->telemetry())
     std::fprintf(stderr, "note: impl %s ignores fault injection\n",
                  eng->name());
   std::unique_ptr<obs::TraceRecorder> rec;
-  if (out.trace_enabled() && caps.trace) {
+  if (out.trace_enabled() && eng->telemetry()) {
     rec = std::make_unique<obs::TraceRecorder>();
     cfg.gpu.trace = rec.get();
   }
@@ -482,7 +483,7 @@ int cmd_run(const Options& o, const obs::OutputOptions& out) {
   // post-mortem dump (the run harness joins its workers before unwinding,
   // so the drain below sees quiescent shards).
   std::unique_ptr<gpusim::EventJournal> journal;
-  if (out.journal_enabled() && caps.journal) {
+  if (out.journal_enabled() && eng->telemetry()) {
     journal = std::make_unique<gpusim::EventJournal>();
     cfg.gpu.journal = journal.get();
   }
@@ -540,7 +541,7 @@ int cmd_compare(const Options& o, const obs::OutputOptions& out) {
   const std::size_t bytes =
       o.bytes ? o.bytes : table1_bytes(app->table1_key(), o.dataset);
   std::unique_ptr<obs::TraceRecorder> rec;
-  if (out.trace_enabled() && test->caps().trace)
+  if (out.trace_enabled() && test->telemetry())
     rec = std::make_unique<obs::TraceRecorder>();
   try {
     EngineConfig cfg;
@@ -798,6 +799,37 @@ int cmd_metrics_diff(const std::string& old_path, const std::string& new_path,
                      static_cast<unsigned long long>(os[f].as_u64()),
                      static_cast<unsigned long long>(ns[f].as_u64()));
     });
+    // The result itself: digest, sizes, iterations, the PCIe and lock-load
+    // totals, and how the run failed. A field either file lacks (an older
+    // schema) is skipped.
+    const auto text_drift = [&](const std::string& label,
+                                const std::string& from,
+                                const std::string& to) {
+      if (from != to)
+        std::fprintf(stderr, "note: %s %s drifted: %s -> %s\n", k.c_str(),
+                     label.c_str(), from.c_str(), to.c_str());
+    };
+    const auto count_drift = [&](const std::string& label,
+                                 const obs::Json& from, const obs::Json& to) {
+      if (from.is_number() && to.is_number())
+        text_drift(label, std::to_string(from.as_u64()),
+                   std::to_string(to.as_u64()));
+    };
+    const obs::Json& b = *it->second;
+    if (b["checksum_hex"].is_string() && r["checksum_hex"].is_string())
+      text_drift("checksum_hex", b["checksum_hex"].as_string(),
+                 r["checksum_hex"].as_string());
+    for (const char* f : {"keys", "table_bytes", "heap_bytes", "iterations"})
+      count_drift(f, b[f], r[f]);
+    for (const char* obj : {"pcie", "serialization"})
+      if (b[obj].is_object() && r[obj].is_object())
+        for (const auto& [f, v] : b[obj].items())
+          count_drift(std::string(obj) + "." + f, v, r[obj][f]);
+    const auto error_kind = [](const obs::Json& run) {
+      return run["error"].is_object() ? run["error"]["kind"].as_string()
+                                      : std::string("none");
+    };
+    text_drift("error", error_kind(b), error_kind(r));
   }
   // A baseline run the newer file lacks is a refusal, not a pass: the
   // comparison no longer covers what the baseline measured.
